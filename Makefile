@@ -8,7 +8,7 @@ BENCH_HOT = ^Benchmark(CacheAccess|AnalyzeProfile|PipelineEndToEnd|WireEncode|Wi
 BENCH_TIME ?= 300ms
 BENCH_COUNT ?= 3
 
-.PHONY: build test check bench bench-json bench-compare fuzz
+.PHONY: build test check bench bench-json bench-compare fuzz perfbench-check
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ test:
 # go test's default 10m per-package timeout.
 check:
 	$(GO) vet ./...
-	$(GO) test -run ZeroAllocs ./internal/cache ./internal/umi
+	$(GO) test -run ZeroAllocs ./internal/cache ./internal/umi ./internal/vm ./internal/rio
 	$(GO) test -race -timeout 30m ./...
 
 bench:
@@ -57,3 +57,10 @@ fuzz:
 	$(GO) test ./internal/umi -run FuzzReservoirProfile -fuzz FuzzReservoirProfile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/introspect -run FuzzSessionConfig -fuzz FuzzSessionConfig -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rio -run FuzzRioTransparency -fuzz FuzzRioTransparency -fuzztime $(FUZZTIME)
+
+# perfbench-check vets and tests the whole-run benchmark. It is its own
+# module (perfbench/go.mod), so `go build ./...` and check never compile
+# it; a vm or rio API change can break it unnoticed without this target.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

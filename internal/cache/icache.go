@@ -22,6 +22,12 @@ func (h *Hierarchy) EnableICache(cfg Config) {
 	h.L1I = New(cfg)
 }
 
+// FetchesInstrs reports whether instruction fetches cost anything: not
+// until an instruction cache is attached. A vm.Machine reads it when it is
+// built or reset and skips the per-instruction FetchInstr call when false,
+// so attach the instruction cache before handing the hierarchy to vm.New.
+func (h *Hierarchy) FetchesInstrs() bool { return h.L1I != nil }
+
 // FetchInstr models one instruction fetch at pc and returns the stall
 // cycles. Without an instruction cache attached it is free (the default,
 // matching the paper's data-only simulators). It implements

@@ -97,6 +97,23 @@ type session struct {
 	ing    *ingestState
 	result *RunResult
 	runErr error
+	// deleted latches on DELETE, so an ingest still in flight then
+	// closes its replay when it finishes.
+	deleted bool
+}
+
+// release marks the session deleted and returns the ingest replay to
+// close now — nil while an ingest is in flight (it closes the replay
+// itself when it finishes) or when there is none. Closing drains the
+// replay's pipeline and detaches its SharedPrep lane and sequencer.
+func (s *session) release() *umi.Replay {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.deleted = true
+	if s.state == stateRunning || s.ing == nil {
+		return nil
+	}
+	return s.ing.replay
 }
 
 // liveMetrics snapshots the session's registry if a run has attached one.
@@ -452,7 +469,7 @@ func (d *Daemon) sessionMetrics(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) deleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	d.mu.Lock()
-	_, ok := d.sessions[id]
+	s, ok := d.sessions[id]
 	delete(d.sessions, id)
 	d.mu.Unlock()
 	if !ok {
@@ -462,6 +479,9 @@ func (d *Daemon) deleteSession(w http.ResponseWriter, r *http.Request) {
 	// A run still executing holds its own reference and completes against
 	// the shared pool; its result is simply unreachable. Accounting is
 	// exact the moment the delete returns.
+	if rp := s.release(); rp != nil {
+		rp.Close()
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -392,12 +392,17 @@ func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request) {
 	live := r.URL.Query().Get("live") == "1"
 
 	s.mu.Lock()
-	switch s.state {
-	case stateRunning:
+	switch {
+	case s.deleted:
+		// Deleted after the lookup: its replay is closed or closing.
+		s.mu.Unlock()
+		http.NotFound(w, r)
+		return
+	case s.state == stateRunning:
 		s.mu.Unlock()
 		httpError(w, http.StatusConflict, "session %s has an ingest in flight", s.id)
 		return
-	case stateFailed:
+	case s.state == stateFailed:
 		err := s.runErr
 		s.mu.Unlock()
 		httpError(w, http.StatusConflict, "session %s is poisoned by an earlier shard: %v", s.id, err)
@@ -466,7 +471,15 @@ func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request) {
 		s.state = stateFailed
 		s.runErr = err
 	}
+	var orphan *umi.Replay
+	if s.deleted {
+		// Deleted mid-ingest: nobody can reach the session any more.
+		orphan = s.ing.replay
+	}
 	s.mu.Unlock()
+	if orphan != nil {
+		orphan.Close()
+	}
 
 	switch {
 	case err == nil:

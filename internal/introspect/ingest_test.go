@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // emitStream records one session config's umi-profile/v1 stream and
@@ -173,6 +176,111 @@ func TestIngestDecodeErrorPoisons(t *testing.T) {
 	if code != http.StatusConflict {
 		t.Errorf("shard into poisoned session: status %d, want 409; body %s", code, body)
 	}
+}
+
+// TestIngestDeleteReleasesReplay: deleting an ingest session closes its
+// replay, so create/ingest/delete cycles at workers 2 leave neither a
+// sequencer goroutine nor a shared-pool lane behind — also when the
+// delete lands while the ingest is still reading its stream.
+func TestIngestDeleteReleasesReplay(t *testing.T) {
+	_, stream := emitStream(t, traceSessionConfig(1, 0))
+	d, base := startDaemon(t, DaemonConfig{PrepWorkers: 2})
+	del := func(id string) {
+		t.Helper()
+		if code, body := doReq(t, http.MethodDelete, base+"/sessions/"+id, nil); code != http.StatusNoContent {
+			t.Fatalf("delete: status %d, body %s", code, body)
+		}
+	}
+	cycle := func() {
+		t.Helper()
+		id := createIngestSession(t, base, 2)
+		if code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/ingest", stream); code != http.StatusOK {
+			t.Fatalf("ingest: status %d, body %s", code, body)
+		}
+		del(id)
+	}
+	// Idle keep-alive connections hold goroutines on both ends; counts are
+	// taken with none open.
+	goroutines := func() int {
+		http.DefaultClient.CloseIdleConnections()
+		return runtime.NumGoroutine()
+	}
+	// settled waits for the daemon to return to the baseline footprint.
+	settled := func(what string, lanes, baseG int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for (d.shared.Lanes() != lanes || goroutines() > baseG) && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if l, g := d.shared.Lanes(), goroutines(); l != lanes || g > baseG {
+			t.Errorf("%s: %d shared-pool lanes and %d goroutines, baseline %d and %d", what, l, g, lanes, baseG)
+		}
+	}
+
+	cycle() // warm the shared pool's workers
+	baseLanes, baseG := d.shared.Lanes(), goroutines()
+	for stable := 0; stable < 5; { // let closed connections wind down
+		time.Sleep(10 * time.Millisecond)
+		if g := goroutines(); g < baseG {
+			baseG, stable = g, 0
+		} else {
+			stable++
+		}
+	}
+	const n = 8
+	for i := 0; i < n; i++ {
+		cycle()
+	}
+	settled(fmt.Sprintf("after %d create/ingest/delete cycles", n), baseLanes, baseG)
+
+	// Delete mid-ingest: the stream's header is in (the replay and its
+	// lane exist) when the delete arrives; the replay closes once the
+	// ingest finishes reading.
+	id := createIngestSession(t, base, 2)
+	pr, pw := io.Pipe()
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(base+"/sessions/"+id+"/ingest", "application/octet-stream", pr)
+		if err != nil {
+			done <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	half := len(stream) / 2
+	if _, err := pw.Write(stream[:half]); err != nil {
+		t.Fatalf("write stream head: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); d.shared.Lanes() == baseLanes; {
+		if time.Now().After(deadline) {
+			t.Fatal("the ingest never attached a shared-pool lane")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	del(id)
+	if _, err := pw.Write(stream[half:]); err != nil {
+		t.Fatalf("write stream tail: %v", err)
+	}
+	pw.Close()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("ingest deleted mid-stream: status %d", code)
+	}
+	settled("after a delete mid-ingest", baseLanes, baseG)
+
+	// An ingest that looked the session up just before the delete must
+	// not revive it: its replay is already closed.
+	id = createIngestSession(t, base, 2)
+	s, _ := d.lookup(id)
+	del(id)
+	d.mu.Lock()
+	d.sessions[id] = s // as the racing handler's lookup saw it
+	d.mu.Unlock()
+	if code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/ingest", stream); code != http.StatusNotFound {
+		t.Errorf("ingest into a deleted session: status %d, body %s", code, body)
+	}
+	settled("after an ingest raced a delete", baseLanes, baseG)
 }
 
 // TestIngestRejectsRunAndGuests: the run/ingest surfaces are exclusive —

@@ -24,6 +24,7 @@
 package introspect
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -32,6 +33,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"umi/internal/metrics"
 	"umi/internal/tracelog"
@@ -243,9 +245,13 @@ func (s *Server) Serve(addr string) (string, func(), error) {
 	return serveHandler(addr, s.Handler())
 }
 
+// stopGrace bounds how long a stop function waits for responses already
+// in flight before closing their connections.
+const stopGrace = 2 * time.Second
+
 // serveHandler binds addr, serves h on a background goroutine, and
-// returns the bound address plus a stop function that closes the server
-// and waits for the serving goroutine to exit.
+// returns the bound address plus a stop function that shuts the server
+// down and waits for the serving goroutine to exit.
 func serveHandler(addr string, h http.Handler) (string, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -258,7 +264,14 @@ func serveHandler(addr string, h http.Handler) (string, func(), error) {
 		srv.Serve(ln)
 	}()
 	stop := func() {
-		srv.Close()
+		// A response is written out after its handler returns — after a
+		// drained run has already signalled completion — so stop lets
+		// in-flight responses finish before closing what is left.
+		ctx, cancel := context.WithTimeout(context.Background(), stopGrace)
+		defer cancel()
+		if srv.Shutdown(ctx) != nil {
+			srv.Close()
+		}
 		<-done
 	}
 	return ln.Addr().String(), stop, nil

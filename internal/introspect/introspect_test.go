@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"umi/internal/metrics"
 	"umi/internal/tracelog"
@@ -419,5 +420,43 @@ func TestHistoryNilSource(t *testing.T) {
 	}
 	if code, _ := get(t, ts, "/metrics/prom"); code != http.StatusOK {
 		t.Errorf("/metrics/prom status = %d with nil sources", code)
+	}
+}
+
+// TestStopFinishesInFlightResponses: the daemon's drain learns a run is
+// complete from inside its handler, before net/http has written the
+// response out, so stopping the server at that point must still deliver
+// the whole response. The handler here lingers after signalling, as a
+// descheduled connection goroutine would.
+func TestStopFinishesInFlightResponses(t *testing.T) {
+	body := strings.Repeat("x", 3000) // fits net/http's write buffer: sent only after return
+	handled := make(chan struct{})
+	addr, stop, err := serveHandler("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, body)
+		close(handled)
+		time.Sleep(50 * time.Millisecond)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + addr + "/")
+		if err != nil {
+			got <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			got <- err.Error()
+			return
+		}
+		got <- string(data)
+	}()
+	<-handled
+	stop()
+	if g := <-got; g != body {
+		t.Fatalf("stopped mid-response: client read %.60q, want the %d-byte body", g, len(body))
 	}
 }

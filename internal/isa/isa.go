@@ -362,24 +362,19 @@ const InstrBytes = 16
 // excluding memory-hierarchy stalls. The costs are loosely modelled on a
 // simple in-order pipeline; what matters for the reproduction is that the
 // ratio between ALU work and memory stalls is plausible.
-func (in *Instr) BaseCost() uint64 {
-	switch in.Op {
-	case OpNop:
-		return 1
-	case OpMul, OpMulI:
-		return 3
-	case OpDiv:
-		return 12
-	case OpLoad, OpStore:
-		return 1 // plus hierarchy latency, added by the machine
-	case OpPrefetch:
-		return 1
-	case OpCall, OpRet, OpJmpInd:
-		return 2
-	default:
-		return 1
+func (in *Instr) BaseCost() uint64 { return uint64(baseCosts[in.Op]) }
+
+// baseCosts is BaseCost by opcode, a table because the interpreter reads
+// it once per executed instruction.
+var baseCosts = func() (c [256]uint8) {
+	for op := range c {
+		c[op] = 1 // loads and stores: plus hierarchy latency, added by the machine
 	}
-}
+	c[OpMul], c[OpMulI] = 3, 3
+	c[OpDiv] = 12
+	c[OpCall], c[OpRet], c[OpJmpInd] = 2, 2, 2
+	return c
+}()
 
 // Validate reports whether the instruction is well formed: defined opcode,
 // valid registers for the fields its opcode uses, and a legal access size

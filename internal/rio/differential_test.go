@@ -1,23 +1,46 @@
-package rio
+package rio_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"umi/internal/cache"
+	"umi/internal/harness"
 	"umi/internal/isa"
 	"umi/internal/program"
+	"umi/internal/rio"
 	"umi/internal/vm"
 )
 
-// Differential testing: random structured programs must execute to the
-// same architectural state natively, under the code cache, and under the
-// code cache with every trace instrumented. This is the strongest
-// statement we can make about dispatcher and instrumentation transparency.
+// Transparency: a random program must behave identically under plain
+// interpretation and under the code cache — with traces, links, sample
+// points, block-cache churn, trace replacement and instrumentation hooks
+// on — down to the modelled cycle count, the ordered reference stream and
+// the error it ends with. DynamoRIO's transparency is the paper's
+// foundation; this is the substrate's half of the determinism contract.
 
-// genProgram builds a random but guaranteed-terminating program: a
-// sequence of bounded counted loops with random ALU/memory bodies,
-// optional helper calls, and nested inner loops.
+// transparencySeeds is the fixed corpus: the seeds the test always runs
+// and the fuzz target starts from.
+const transparencySeeds = 40
+
+func TestDifferentialRandomPrograms(t *testing.T) {
+	for seed := int64(0); seed < transparencySeeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkTransparency(t, seed) })
+	}
+}
+
+func FuzzRioTransparency(f *testing.F) {
+	for seed := int64(0); seed < transparencySeeds; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(checkTransparency)
+}
+
+// genProgram builds a random but bounded program: a sequence of counted
+// loops with random ALU/memory bodies, helper calls, and an ending that
+// halts, jumps out of the code image, or divides by zero.
 func genProgram(r *rand.Rand) *program.Program {
 	b := program.NewBuilder(fmt.Sprintf("diff%d", r.Int63()))
 	e := b.Block("entry")
@@ -30,11 +53,23 @@ func genProgram(r *rand.Rand) *program.Program {
 		pre.MovI(isa.R0, 0)
 		trip := int64(50 + r.Intn(300))
 		l := b.Block(fmt.Sprintf("loop%d", li))
-		emitRandomBody(r, b, l, li)
+		emitRandomBody(r, l)
 		l.AddI(isa.R0, isa.R0, 1)
 		l.BrI(isa.CondLT, isa.R0, trip, fmt.Sprintf("loop%d", li))
 	}
-	b.Block("done").Halt()
+	done := b.Block("done")
+	switch r.Intn(8) {
+	case 0: // leave the image: below it, misaligned, into data, far above
+		bad := []int64{0x10, int64(program.CodeBase) + 4, int64(program.HeapBase), 1 << 40}
+		done.MovI(isa.R1, bad[r.Intn(len(bad))])
+		done.JmpInd(isa.R1)
+	case 1:
+		done.MovI(isa.R12, 0)
+		done.Div(isa.R3, isa.R3, isa.R12)
+		done.Halt()
+	default:
+		done.Halt()
+	}
 
 	// Helper functions with stack traffic, targets of random calls.
 	for h := 0; h < 3; h++ {
@@ -55,12 +90,12 @@ func genProgram(r *rand.Rand) *program.Program {
 
 // emitRandomBody appends 3-10 random instructions to a loop body. Memory
 // addresses stay inside a 1 MiB heap window via masking.
-func emitRandomBody(r *rand.Rand, b *program.Builder, blk *program.BlockBuilder, loopIdx int) {
+func emitRandomBody(r *rand.Rand, blk *program.BlockBuilder) {
 	n := 3 + r.Intn(8)
 	for i := 0; i < n; i++ {
 		rd := isa.Reg(3 + r.Intn(9)) // r3..r11: avoid loop/base registers
 		rs := isa.Reg(3 + r.Intn(9))
-		switch r.Intn(9) {
+		switch r.Intn(10) {
 		case 0:
 			blk.Add(rd, rd, rs)
 		case 1:
@@ -80,85 +115,292 @@ func emitRandomBody(r *rand.Rand, b *program.Builder, blk *program.BlockBuilder,
 		case 7: // stack spill/fill
 			blk.Store(rd, 8, isa.Mem(isa.BP, int64(8*(r.Intn(8)))))
 			blk.Load(rd, 8, isa.Mem(isa.BP, int64(8*(r.Intn(8)))))
-		case 8:
+		case 8: // unaligned access of any size, straddling pages at times
+			size := uint8(1 << r.Intn(4))
+			blk.AndI(isa.R12, rs, (1<<20)-1)
+			if r.Intn(2) == 0 {
+				blk.Load(rd, size, isa.MemIdx(isa.R2, isa.R12, 1, int64(r.Intn(8))))
+			} else {
+				blk.Store(rd, size, isa.MemIdx(isa.R2, isa.R12, 1, int64(r.Intn(8))))
+			}
+		case 9:
 			blk.Call(fmt.Sprintf("helper%d", r.Intn(3)))
 		}
 	}
 }
 
-// memChecksum folds the touched heap window into one value.
+type ref struct {
+	pc, addr uint64
+	size     uint8
+	write    bool
+}
+
+// outcome is everything one execution leaves behind that transparency
+// covers.
+type outcome struct {
+	regs           [isa.NumRegs]uint64
+	pc             uint64
+	instrs, cycles uint64
+	pages          int
+	mem            uint64
+	l1, l2         cache.LevelStats
+	refs           []ref
+	err            error
+}
+
+// memChecksum folds the heap window the programs touch, and the stack
+// frame below the initial SP, into one value.
 func memChecksum(m *vm.Machine) uint64 {
 	var sum uint64
-	for off := uint64(0); off < 1<<20; off += 4096 {
-		// One word per page is enough to catch divergent stores given
-		// random addresses (pages materialize identically).
-		sum = sum*1099511628211 + m.Mem.Read(program.HeapBase+off, 8)
+	fold := func(lo, hi uint64) {
+		for a := lo; a < hi; a += 8 {
+			sum = sum*1099511628211 + m.Mem.Read(a, 8)
+		}
 	}
+	fold(program.HeapBase, program.HeapBase+1<<20+16)
+	fold(program.StackBase-4096, program.StackBase)
 	return sum
 }
 
-type execResult struct {
-	regs   [isa.NumRegs]uint64
-	instrs uint64
-	mem    uint64
-}
-
-func runNativeDiff(t *testing.T, p *program.Program) execResult {
-	t.Helper()
-	m := vm.New(p, nil)
-	if err := m.Run(10_000_000); err != nil {
-		t.Fatalf("native: %v", err)
+// newMachine builds the machine both sides run on: the Pentium 4
+// hierarchy as the model, and a global RefHook recording the stream.
+func newMachine(p *program.Program) (*vm.Machine, *cache.Hierarchy, *[]ref) {
+	h := harness.P4.Hierarchy(false)
+	m := vm.New(p, h)
+	refs := new([]ref)
+	m.RefHook = func(pc, addr uint64, size uint8, write bool) {
+		*refs = append(*refs, ref{pc, addr, size, write})
 	}
-	return execResult{regs: m.Regs, instrs: m.Instrs, mem: memChecksum(m)}
+	return m, h, refs
 }
 
-func runRIODiff(t *testing.T, p *program.Program, instrument bool, blockCap int) execResult {
-	t.Helper()
-	m := vm.New(p, nil)
-	rt := NewRuntime(m)
-	rt.BlockCacheCap = blockCap
-	if instrument {
-		rt.OnTrace = func(f *Fragment) {
-			hooks := make(map[uint64]MemHook)
+func settle(m *vm.Machine, h *cache.Hierarchy, refs []ref, err error) outcome {
+	return outcome{regs: m.Regs, pc: m.PC, instrs: m.Instrs, cycles: m.Cycles,
+		pages: m.Mem.PageCount(), mem: memChecksum(m), l1: h.L1Stats, l2: h.L2Stats,
+		refs: refs, err: err}
+}
+
+func runNative(p *program.Program, budget uint64) outcome {
+	m, h, refs := newMachine(p)
+	err := m.Run(budget)
+	return settle(m, h, *refs, err)
+}
+
+// hookLog is one instrumentation hook's delivery record: the PC it sits
+// at, and for each delivered reference the reference and its ordinal in
+// the global stream (the machine's RefHook fires first, so the ordinal is
+// the last recorded one).
+type hookLog struct {
+	pc   uint64
+	got  []ref
+	ords []int
+}
+
+func (l *hookLog) hook(refs *[]ref) rio.MemHook {
+	return func(pc, addr uint64, size uint8, write bool) {
+		l.got = append(l.got, ref{pc, addr, size, write})
+		l.ords = append(l.ords, len(*refs)-1)
+	}
+}
+
+// rioMode selects what the code cache does besides executing.
+type rioMode struct {
+	name     string
+	blockCap int // block-cache capacity (0: unbounded)
+	// sampled hooks a random subset of each new trace's references, skips
+	// some entries unprofiled, and swaps each trace for its clean clone
+	// after a random number of entries.
+	sampled bool
+	// covered pre-installs an instrumented fragment at every instruction
+	// and instruments every new trace, one hook per PC: every reference
+	// then executes profiled, so each hook's stream must be exactly the
+	// native stream at its PC.
+	covered bool
+}
+
+var rioModes = []rioMode{
+	{name: "plain"},
+	{name: "churn", blockCap: 24},
+	{name: "sampled", sampled: true},
+	{name: "covered", covered: true},
+}
+
+// perRefCost marks profiled references in Overhead: every other cost a
+// bounded program accrues stays far below it.
+const perRefCost = 1 << 32
+
+func runRIO(p *program.Program, budget uint64, mode rioMode, r *rand.Rand) (outcome, []*hookLog, uint64) {
+	m, h, refs := newMachine(p)
+	rt := rio.NewRuntime(m)
+	rt.BlockCacheCap = mode.blockCap
+	var logs []*hookLog
+	if mode.sampled || mode.covered {
+		// Odd period: sample points land mid-fragment and split runs.
+		rt.SamplePeriod = 37
+		rt.OnSample = func(*rio.Fragment) {}
+	}
+	if mode.sampled {
+		rt.OnTrace = func(f *rio.Fragment) {
+			hooks := make([]rio.MemHook, len(f.Instrs))
 			for _, i := range f.MemOps() {
-				hooks[f.PCs[i]] = func(pc, addr uint64, size uint8, write bool) {}
+				if r.Intn(4) == 0 {
+					continue // leave some references unhooked
+				}
+				l := &hookLog{pc: f.PCs[i]}
+				logs = append(logs, l)
+				hooks[i] = l.hook(refs)
 			}
-			f.Instr = &Instrumentation{
-				Prolog:     func() bool { return true },
+			clean := f.Clone()
+			swapAfter := 1 + r.Intn(64)
+			entries := 0
+			f.Instr = &rio.Instrumentation{
+				Prolog: func() bool {
+					entries++
+					if entries == swapAfter {
+						rt.ReplaceTrace(clean) // the T -> T_c swap
+						return false
+					}
+					return entries%5 != 0 // a burst skip now and then
+				},
 				Hooks:      hooks,
-				PerRefCost: 5,
+				PerRefCost: perRefCost,
 				PrologCost: 3,
 			}
 		}
-		rt.SamplePeriod = 500
-		rt.OnSample = func(*Fragment) {}
 	}
-	if err := rt.Run(10_000_000); err != nil {
-		t.Fatalf("rio (instrument=%v): %v", instrument, err)
+	if mode.covered {
+		perPC := make(map[uint64]rio.MemHook)
+		instrument := func(f *rio.Fragment) {
+			hooks := make([]rio.MemHook, len(f.Instrs))
+			for _, i := range f.MemOps() {
+				pc := f.PCs[i]
+				if perPC[pc] == nil {
+					l := &hookLog{pc: pc}
+					logs = append(logs, l)
+					perPC[pc] = l.hook(refs)
+				}
+				hooks[i] = perPC[pc]
+			}
+			f.Instr = &rio.Instrumentation{Prolog: func() bool { return true },
+				Hooks: hooks, PerRefCost: perRefCost}
+		}
+		rt.OnTrace = instrument
+		for i := range p.Instrs {
+			end := i
+			for end < len(p.Instrs)-1 && !p.Instrs[end].Op.IsBranch() {
+				end++
+			}
+			f := &rio.Fragment{Start: p.PCOf(i), Instrs: append([]isa.Instr(nil), p.Instrs[i:end+1]...)}
+			for k := range f.Instrs {
+				f.PCs = append(f.PCs, p.PCOf(i+k))
+			}
+			instrument(f)
+			rt.ReplaceTrace(f)
+		}
 	}
-	return execResult{regs: m.Regs, instrs: m.Instrs, mem: memChecksum(m)}
+	err := rt.Run(budget)
+	return settle(m, h, *refs, err), logs, rt.Overhead / perRefCost
 }
 
-func TestDifferentialRandomPrograms(t *testing.T) {
-	const trials = 40
-	for seed := int64(0); seed < trials; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			r := rand.New(rand.NewSource(seed))
-			p := genProgram(r)
-			want := runNativeDiff(t, p)
-			plain := runRIODiff(t, p, false, 0)
-			if plain != want {
-				t.Fatalf("code-cache execution diverged:\nnative %+v\nrio    %+v", want, plain)
-			}
-			inst := runRIODiff(t, p, true, 0)
-			if inst != want {
-				t.Fatalf("instrumented execution diverged:\nnative %+v\nrio    %+v", want, inst)
-			}
-			tiny := runRIODiff(t, p, false, 24) // constant block-cache churn
-			if tiny != want {
-				t.Fatalf("capacity-flushing execution diverged:\nnative %+v\nrio    %+v", want, tiny)
-			}
-		})
+func checkTransparency(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	p := genProgram(r)
+	const budget = 10_000_000
+	want := runNative(p, budget)
+	if want.err != nil && !errors.Is(want.err, vm.ErrBadPC) && !errors.Is(want.err, vm.ErrDivideByZero) {
+		t.Fatalf("native: %v", want.err)
 	}
+	for _, mode := range rioModes {
+		got, logs, charged := runRIO(p, budget, mode, r)
+		compareOutcomes(t, mode.name, want, got)
+		// Each hook delivers native references at its PC, in order, each
+		// as the machine's RefHook saw it; the covered mode delivers all
+		// of them.
+		var fired uint64
+		for _, l := range logs {
+			fired += uint64(len(l.got))
+			for j, g := range l.got {
+				k := l.ords[j]
+				if g.pc != l.pc || k < 0 || k >= len(want.refs) || g != want.refs[k] ||
+					j > 0 && k <= l.ords[j-1] {
+					t.Fatalf("%s: hook at %#x delivered %+v as reference %d; native stream has %+v",
+						mode.name, l.pc, g, k, want.refs[min(max(k, 0), len(want.refs)-1)])
+				}
+			}
+		}
+		if fired != charged {
+			t.Errorf("%s: hooks fired %d times, rio charged %d profiled references", mode.name, fired, charged)
+		}
+		if mode.covered && fired != uint64(len(want.refs)) {
+			t.Errorf("%s: hooks delivered %d references, native made %d", mode.name, fired, len(want.refs))
+		}
+	}
+
+	// Budget exhaustion: plain interpretation stops on the budget, rio at
+	// the first fragment boundary past it, each with its ErrNotHalted.
+	if want.instrs < 2 {
+		return
+	}
+	small := 1 + uint64(r.Int63n(int64(want.instrs-1)))
+	cut := runNative(p, small)
+	if !errors.Is(cut.err, vm.ErrNotHalted) || cut.instrs != small {
+		t.Fatalf("native at budget %d: %v after %d instrs", small, cut.err, cut.instrs)
+	}
+	for _, mode := range rioModes {
+		got, _, _ := runRIO(p, small, mode, r)
+		if !errors.Is(got.err, rio.ErrNotHalted) && !(got.instrs == want.instrs && sameErr(got.err, want.err)) {
+			t.Fatalf("%s at budget %d: %v, want rio.ErrNotHalted", mode.name, small, got.err)
+		}
+		if got.instrs < small || !isPrefix(cut.refs, got.refs) || !isPrefix(got.refs, want.refs) {
+			t.Fatalf("%s at budget %d: stopped after %d instrs with %d refs; native cut %d refs of %d",
+				mode.name, small, got.instrs, len(got.refs), len(cut.refs), len(want.refs))
+		}
+	}
+}
+
+func compareOutcomes(t *testing.T, name string, want, got outcome) {
+	t.Helper()
+	if !sameErr(got.err, want.err) {
+		t.Fatalf("%s: error %v, native %v", name, got.err, want.err)
+	}
+	if got.regs != want.regs || got.pc != want.pc || got.instrs != want.instrs ||
+		got.cycles != want.cycles || got.pages != want.pages || got.mem != want.mem {
+		t.Fatalf("%s diverged:\nnative regs %v pc %#x instrs %d cycles %d pages %d mem %#x\nrio    regs %v pc %#x instrs %d cycles %d pages %d mem %#x",
+			name, want.regs, want.pc, want.instrs, want.cycles, want.pages, want.mem,
+			got.regs, got.pc, got.instrs, got.cycles, got.pages, got.mem)
+	}
+	if got.l1 != want.l1 || got.l2 != want.l2 {
+		t.Fatalf("%s: hierarchy saw L1 %+v L2 %+v, native L1 %+v L2 %+v", name, got.l1, got.l2, want.l1, want.l2)
+	}
+	if len(got.refs) != len(want.refs) {
+		t.Fatalf("%s: %d references, native %d", name, len(got.refs), len(want.refs))
+	}
+	for i := range want.refs {
+		if got.refs[i] != want.refs[i] {
+			t.Fatalf("%s: reference %d is %+v, native %+v", name, i, got.refs[i], want.refs[i])
+		}
+	}
+}
+
+// sameErr reports whether two run errors are the same outcome: both nil,
+// or both the same fault.
+func sameErr(a, b error) bool {
+	for _, target := range []error{vm.ErrBadPC, vm.ErrDivideByZero} {
+		if errors.Is(a, target) || errors.Is(b, target) {
+			return errors.Is(a, target) && errors.Is(b, target) && a.Error() == b.Error()
+		}
+	}
+	return a == nil && b == nil
+}
+
+func isPrefix(a, b []ref) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -15,13 +15,15 @@ package rio
 
 import (
 	"fmt"
+	"slices"
 
 	"umi/internal/isa"
+	"umi/internal/vm"
 )
 
 // MemHook observes one profiled memory reference executed inside an
 // instrumented fragment.
-type MemHook func(pc, addr uint64, size uint8, write bool)
+type MemHook = vm.RefHook
 
 // Instrumentation attaches UMI profiling to a fragment. The zero value
 // means "not instrumented".
@@ -35,9 +37,12 @@ type Instrumentation struct {
 	// replacement, and when it did not (a burst-sampling skip) this entry
 	// executes unprofiled, paying only PrologCost.
 	Prolog func() bool
-	// Hooks maps original application PCs of profiled operations to
-	// their observers.
-	Hooks map[uint64]MemHook
+	// Hooks is nil or aligned with the fragment's Instrs: Hooks[i], set
+	// only at loads and stores, observes instruction i's reference on
+	// profiled entries (after the machine's own RefHook), and each one
+	// that fires costs PerRefCost. A PC the fragment repeats carries a
+	// hook at every copy.
+	Hooks []MemHook
 	// PerRefCost is charged per profiled reference (the paper's 4-6
 	// extra operations per recorded (pc, address) tuple).
 	PerRefCost uint64
@@ -63,8 +68,9 @@ type Fragment struct {
 	Instr *Instrumentation
 
 	// links records exit targets with established direct links; a
-	// transition through a linked exit bypasses dispatch.
-	links map[uint64]bool
+	// transition through a linked exit bypasses dispatch. A fragment has
+	// a handful of direct exits, so a scan beats hashing.
+	links []uint64
 
 	// blocks lists the head PCs of the basic blocks inlined into a trace
 	// (for diagnostics and tests).
@@ -78,14 +84,9 @@ func (f *Fragment) NumInstrs() int { return len(f.Instrs) }
 func (f *Fragment) Blocks() []uint64 { return f.blocks }
 
 // Linked reports whether an exit to target has been linked.
-func (f *Fragment) Linked(target uint64) bool { return f.links[target] }
+func (f *Fragment) Linked(target uint64) bool { return slices.Contains(f.links, target) }
 
-func (f *Fragment) link(target uint64) {
-	if f.links == nil {
-		f.links = make(map[uint64]bool)
-	}
-	f.links[target] = true
-}
+func (f *Fragment) link(target uint64) { f.links = append(f.links, target) }
 
 // unlinkAll drops every established link (used when a fragment is
 // replaced, since its successors may now differ).

@@ -75,7 +75,7 @@ func TestBuildsTraceForHotLoop(t *testing.T) {
 	loopStart := p.Symbols["loop"]
 	tr, ok := rt.TraceAt(loopStart)
 	if !ok {
-		t.Fatalf("no trace at loop head %#x; traces: %v", loopStart, rt.Traces())
+		t.Fatalf("no trace at loop head %#x (%d traces built)", loopStart, rt.TracesBuilt)
 	}
 	if !tr.IsTrace {
 		t.Error("fragment must be marked as trace")
@@ -142,9 +142,9 @@ func TestInstrumentationHooksFire(t *testing.T) {
 	var hooked int
 	var prologs int
 	rt.OnTrace = func(f *Fragment) {
-		hooks := make(map[uint64]MemHook)
+		hooks := make([]MemHook, len(f.Instrs))
 		for _, i := range f.MemOps() {
-			hooks[f.PCs[i]] = func(pc, addr uint64, size uint8, write bool) { hooked++ }
+			hooks[i] = func(pc, addr uint64, size uint8, write bool) { hooked++ }
 		}
 		f.Instr = &Instrumentation{
 			Prolog:     func() bool { prologs++; return true },
@@ -311,6 +311,30 @@ func TestBudgetError(t *testing.T) {
 	rt := NewRuntime(vm.New(p, nil))
 	if err := rt.Run(1000); !errors.Is(err, ErrNotHalted) {
 		t.Errorf("Run = %v, want ErrNotHalted", err)
+	}
+}
+
+// TestJmpIndOutsideImage: control leaving the code image must fail the
+// run with vm.ErrBadPC at the same point plain interpretation does,
+// rather than dispatching into an empty fragment.
+func TestJmpIndOutsideImage(t *testing.T) {
+	b := program.NewBuilder("escape")
+	b.Block("entry").MovI(isa.R1, 0x10).JmpInd(isa.R1)
+	p, err := b.Assemble()
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	native := vm.New(p, nil)
+	if err := native.Run(1000); !errors.Is(err, vm.ErrBadPC) {
+		t.Fatalf("native Run = %v, want vm.ErrBadPC", err)
+	}
+	m := vm.New(p, nil)
+	if err := NewRuntime(m).Run(1000); !errors.Is(err, vm.ErrBadPC) {
+		t.Fatalf("rio Run = %v, want vm.ErrBadPC", err)
+	}
+	if m.PC != 0x10 || m.Instrs != native.Instrs || m.Regs != native.Regs {
+		t.Errorf("rio stopped at pc %#x after %d instrs, native at %#x after %d",
+			m.PC, m.Instrs, native.PC, native.Instrs)
 	}
 }
 

@@ -88,10 +88,12 @@ type Runtime struct {
 	// with and without a log are byte-identical.
 	EventLog *tracelog.Log
 
-	blocks map[uint64]*Fragment
-	traces map[uint64]*Fragment
-	// headCount tracks candidate trace-head execution counts.
-	headCount map[uint64]uint64
+	// The code cache is indexed by instruction: blocks[i] and traces[i]
+	// hold the fragments headed at Prog.Instrs[i], and headCount[i]
+	// counts executions of instruction i as a trace-head candidate.
+	blocks    []*Fragment
+	traces    []*Fragment
+	headCount []uint64
 
 	// Overhead accumulates runtime-system cycles; Credit accumulates
 	// trace-layout savings.
@@ -122,6 +124,7 @@ type Runtime struct {
 
 // NewRuntime wraps a machine (already positioned at the program entry).
 func NewRuntime(m *vm.Machine) *Runtime {
+	n := len(m.Prog.Instrs)
 	return &Runtime{
 		M:            m,
 		Prog:         m.Prog,
@@ -129,9 +132,9 @@ func NewRuntime(m *vm.Machine) *Runtime {
 		HotThreshold: HotThreshold,
 		MaxTraceLen:  MaxTraceInstrs,
 		SamplePeriod: 0,
-		blocks:       make(map[uint64]*Fragment),
-		traces:       make(map[uint64]*Fragment),
-		headCount:    make(map[uint64]uint64),
+		blocks:       make([]*Fragment, n),
+		traces:       make([]*Fragment, n),
+		headCount:    make([]uint64, n),
 	}
 }
 
@@ -149,33 +152,44 @@ func (rt *Runtime) TotalCycles() uint64 {
 // for analyzer invocations).
 func (rt *Runtime) AddOverhead(cycles uint64) { rt.Overhead += cycles }
 
-// TraceAt returns the installed trace starting at pc, if any.
-func (rt *Runtime) TraceAt(pc uint64) (*Fragment, bool) {
-	f, ok := rt.traces[pc]
-	return f, ok
+// traceAt returns the installed trace starting at pc, nil if none.
+func (rt *Runtime) traceAt(pc uint64) *Fragment {
+	if i, ok := rt.Prog.IndexOf(pc); ok {
+		return rt.traces[i]
+	}
+	return nil
 }
 
-// Traces returns the trace cache contents (live map; callers must not
-// mutate).
-func (rt *Runtime) Traces() map[uint64]*Fragment { return rt.traces }
+// TraceAt returns the installed trace starting at pc, if any.
+func (rt *Runtime) TraceAt(pc uint64) (*Fragment, bool) {
+	f := rt.traceAt(pc)
+	return f, f != nil
+}
 
 // ReplaceTrace installs frag as the trace for its start PC, dropping links
-// into the old fragment. This is the paper's T <-> T_c swap and the
-// prefetcher's rewrite point.
+// out of the old fragment. This is the paper's T <-> T_c swap and the
+// prefetcher's rewrite point. frag.Start must lie inside the code image.
 func (rt *Runtime) ReplaceTrace(frag *Fragment) {
-	old, ok := rt.traces[frag.Start]
-	if ok {
+	i, ok := rt.Prog.IndexOf(frag.Start)
+	if !ok {
+		panic(fmt.Sprintf("rio: ReplaceTrace at %#x outside the code image", frag.Start))
+	}
+	if old := rt.traces[i]; old != nil {
 		old.unlinkAll()
 	}
 	// Links into the replaced fragment are modelled implicitly: linking
 	// is by target PC, so successors are unaffected.
-	rt.traces[frag.Start] = frag
+	rt.traces[i] = frag
 }
 
 // Run executes until the program halts or maxInstrs guest instructions
-// retire.
+// retire, checking the budget at fragment boundaries. Control reaching a
+// PC outside the code image fails with an error wrapping vm.ErrBadPC, as
+// it does under plain interpretation. On return M.PC is where execution
+// stopped.
 func (rt *Runtime) Run(maxInstrs uint64) error {
 	pc := rt.M.PC
+	defer func() { rt.M.PC = pc }()
 	start := rt.M.Instrs
 	if rt.SamplePeriod > 0 && rt.nextSample == 0 {
 		rt.nextSample = rt.M.Instrs + rt.SamplePeriod
@@ -186,7 +200,10 @@ func (rt *Runtime) Run(maxInstrs uint64) error {
 		if rt.M.Instrs-start >= maxInstrs {
 			return fmt.Errorf("%w (%d instructions)", ErrNotHalted, maxInstrs)
 		}
-		frag, rebuilt := rt.lookup(pc)
+		frag, rebuilt, err := rt.lookup(pc)
+		if err != nil {
+			return err
+		}
 		// Transition cost: linked direct exits are free; indirect exits
 		// pay the hash lookup; everything else pays a full dispatch.
 		switch {
@@ -204,58 +221,61 @@ func (rt *Runtime) Run(maxInstrs uint64) error {
 			prev.link(pc)
 		}
 		next, indirect, err := rt.execFragment(frag)
+		pc = next
 		if err != nil {
 			return err
 		}
 		prev, prevIndirect = frag, indirect
-		pc = next
 	}
-	rt.M.PC = pc
 	return nil
 }
 
 // lookup finds or builds the fragment for pc. rebuilt reports that a build
 // occurred (forcing a dispatch charge).
-func (rt *Runtime) lookup(pc uint64) (*Fragment, bool) {
-	if f, ok := rt.traces[pc]; ok {
-		return f, false
+func (rt *Runtime) lookup(pc uint64) (*Fragment, bool, error) {
+	i, ok := rt.Prog.IndexOf(pc)
+	if !ok {
+		return nil, false, fmt.Errorf("%w: %#x", vm.ErrBadPC, pc)
 	}
-	if f, ok := rt.blocks[pc]; ok {
-		return f, false
+	if f := rt.traces[i]; f != nil {
+		return f, false, nil
 	}
-	f := rt.buildBlock(pc)
-	return f, true
+	if f := rt.blocks[i]; f != nil {
+		return f, false, nil
+	}
+	return rt.buildBlock(i), true, nil
 }
 
-// buildBlock discovers the dynamic basic block at pc: instructions up to
-// and including the first branch.
-func (rt *Runtime) buildBlock(pc uint64) *Fragment {
-	f := &Fragment{ID: rt.nextFragID, Start: pc}
-	rt.nextFragID++
-	for {
-		in, ok := rt.Prog.InstrAt(pc)
-		if !ok {
-			break // dispatcher will fault on execution
-		}
-		f.Instrs = append(f.Instrs, *in)
-		f.PCs = append(f.PCs, pc)
-		if in.Op.IsBranch() {
-			break
-		}
-		pc += isa.InstrBytes
+// buildBlock discovers the dynamic basic block headed at instruction i:
+// instructions up to and including the first branch, or to the end of
+// the image (execution then falls off it, and the next lookup faults).
+func (rt *Runtime) buildBlock(i int) *Fragment {
+	code := rt.Prog.Instrs
+	end := i
+	for end < len(code) && !code[end].Op.IsBranch() {
+		end++
 	}
+	if end < len(code) {
+		end++
+	}
+	f := &Fragment{ID: rt.nextFragID, Start: rt.Prog.PCOf(i),
+		Instrs: append([]isa.Instr(nil), code[i:end]...), PCs: make([]uint64, end-i)}
+	for k := range f.PCs {
+		f.PCs[k] = rt.Prog.PCOf(i + k)
+	}
+	rt.nextFragID++
 	if rt.BlockCacheCap > 0 && rt.blockInstrs+len(f.Instrs) > rt.BlockCacheCap {
 		// Cache full: flush everything and start over (DynamoRIO's
 		// all-at-once eviction). Links into flushed blocks resolve by
 		// target PC, so traces are unaffected.
 		rt.EventLog.Emit(tracelog.Event{Type: tracelog.EvBlockCacheFlush,
 			Cycles: rt.M.Cycles, Arg1: uint64(rt.blockInstrs)})
-		rt.blocks = make(map[uint64]*Fragment)
+		clear(rt.blocks)
 		rt.blockInstrs = 0
 		rt.BlockFlushes++
 		rt.Overhead += rt.Cost.BlockFlush
 	}
-	rt.blocks[f.Start] = f
+	rt.blocks[i] = f
 	rt.blockInstrs += len(f.Instrs)
 	rt.BlocksBuilt++
 	rt.Overhead += rt.Cost.BlockBuild + rt.Cost.BlockPerInstr*uint64(len(f.Instrs))
@@ -263,90 +283,97 @@ func (rt *Runtime) buildBlock(pc uint64) *Fragment {
 }
 
 // execFragment runs the fragment to one of its exits. It returns the next
-// application PC and whether the exit was through an indirect branch.
+// application PC (the faulting PC on error) and whether the exit was
+// through an indirect branch.
 func (rt *Runtime) execFragment(f *Fragment) (uint64, bool, error) {
 	f.ExecCount++
 	m := rt.M
+	var hooks []MemHook
+	var perRef uint64
 	if f.Instr != nil {
 		rt.Overhead += f.Instr.PrologCost
-		profile := f.Instr.Prolog()
-		if !profile {
-			// The prolog declined this execution. Either the fragment asked
-			// to be replaced (analysis finished) — re-dispatch to whatever
-			// now owns the PC — or the fragment is unchanged and this entry
-			// simply runs without its reference hooks: the burst-sampling
-			// skip, which pays only the prolog conditional already charged
-			// above.
-			nf, _ := rt.lookup(f.Start)
-			if nf != f {
-				return rt.execFragment(nf)
-			}
-		}
-		if profile {
-			savedHook := m.RefHook
-			hooks := f.Instr.Hooks
-			perRef := f.Instr.PerRefCost
-			m.RefHook = func(pc, addr uint64, size uint8, write bool) {
-				if savedHook != nil {
-					savedHook(pc, addr, size, write)
-				}
-				if h, ok := hooks[pc]; ok {
-					h(pc, addr, size, write)
-					rt.Overhead += perRef
-				}
-			}
-			defer func() { m.RefHook = savedHook }()
+		if f.Instr.Prolog() {
+			hooks, perRef = f.Instr.Hooks, f.Instr.PerRefCost
+		} else if nf, _, _ := rt.lookup(f.Start); nf != f {
+			// The prolog declined this execution and asked to be replaced
+			// (analysis finished): re-dispatch to whatever now owns the
+			// PC. A declined entry that leaves the fragment in place (a
+			// burst-sampling skip) runs without its reference hooks,
+			// paying only the prolog conditional already charged above.
+			return rt.execFragment(nf)
 		}
 	}
 
-	for i := 0; i < len(f.Instrs); i++ {
-		in := &f.Instrs[i]
-		pc := f.PCs[i]
-		next, err := m.ExecInstr(in, pc)
-		if err != nil {
-			return 0, false, err
+	start := m.Instrs
+	var next uint64
+	var err error
+	i := 0
+	for {
+		stop := uint64(vm.NoStop)
+		if rt.SamplePeriod > 0 {
+			stop = rt.nextSample
 		}
-		if f.IsTrace {
-			rt.traceInstrs++
-			if rt.traceInstrs&(1<<rt.Cost.TraceCreditShift-1) == 0 {
-				rt.Credit++
-			}
+		var runHooks []MemHook
+		if hooks != nil {
+			runHooks = hooks[i:]
 		}
-		if rt.SamplePeriod > 0 && m.Instrs >= rt.nextSample {
-			rt.nextSample = m.Instrs + rt.SamplePeriod
-			rt.Samples++
-			if f.IsTrace {
-				rt.SampleHits++
-			}
-			rt.Overhead += rt.Cost.SampleEvent
-			if rt.OnSample != nil {
-				if f.IsTrace {
-					rt.OnSample(f)
-				} else {
-					rt.OnSample(nil)
+		var n int
+		n, next, err = m.Exec(f.Instrs[i:], f.PCs[i:], 0, runHooks, stop)
+		if runHooks != nil {
+			for _, h := range runHooks[:n] {
+				if h != nil {
+					rt.Overhead += perRef
 				}
 			}
 		}
-		if m.Halted {
-			return 0, false, nil
+		i += n
+		if err != nil {
+			break
 		}
-		if !in.Op.IsBranch() && i+1 < len(f.Instrs) {
-			// Straight-line code always continues inside the fragment
-			// (runtime-injected instructions may share their neighbour's
-			// application PC, so PC comparison is reserved for branches).
-			continue
+		if rt.SamplePeriod > 0 && m.Instrs >= rt.nextSample {
+			rt.sample(f)
 		}
-		if i+1 < len(f.Instrs) && next == f.PCs[i+1] {
-			continue // untaken or fall-through branch stays inside
+		// A run cut at a sample point resumes in place, and an untaken or
+		// fall-through branch stays inside the fragment (runtime-injected
+		// instructions may share their neighbour's application PC, so PC
+		// comparison is reserved for branches). Anything else leaves.
+		if m.Halted || i == len(f.Instrs) || f.Instrs[i-1].Op.IsBranch() && next != f.PCs[i] {
+			break
 		}
-		// Fragment exit.
-		indirect := in.Op.IsIndirect()
-		rt.observeExit(f, pc, next)
-		return next, indirect, nil
 	}
-	// Fragments always end with a branch, so execution cannot fall off
-	// the end; defend anyway.
-	return f.PCs[len(f.PCs)-1] + isa.InstrBytes, false, nil
+	if f.IsTrace {
+		// Every (1<<shift)-th trace instruction earns a cycle of layout
+		// credit; counting the multiples this entry's instructions cross
+		// charges exactly what a per-instruction count would.
+		t := rt.traceInstrs
+		rt.traceInstrs += m.Instrs - start
+		shift := rt.Cost.TraceCreditShift
+		rt.Credit += rt.traceInstrs>>shift - t>>shift
+	}
+	if err != nil || m.Halted {
+		return next, false, err
+	}
+	// Fragment exit (or, for a block that runs off the end of the image,
+	// a fall-through the next lookup faults on).
+	rt.observeExit(f, f.PCs[i-1], next)
+	return next, f.Instrs[i-1].Op.IsIndirect(), nil
+}
+
+// sample takes one PC sample inside f.
+func (rt *Runtime) sample(f *Fragment) {
+	rt.nextSample = rt.M.Instrs + rt.SamplePeriod
+	rt.Samples++
+	if f.IsTrace {
+		rt.SampleHits++
+	}
+	rt.Overhead += rt.Cost.SampleEvent
+	if rt.OnSample != nil {
+		if f.IsTrace {
+			rt.OnSample(f)
+		} else {
+			rt.OnSample(nil)
+		}
+	}
 }
 
 // observeExit feeds the trace builder: backward branches identify trace
@@ -361,7 +388,7 @@ func (rt *Runtime) observeExit(f *Fragment, branchPC, target uint64) {
 			stop = true
 		case len(rt.recordInstrs) >= rt.MaxTraceLen:
 			stop = true
-		case rt.traces[target] != nil: // reached another trace
+		case rt.traceAt(target) != nil: // reached another trace
 			stop = true
 		case len(f.Instrs) > 0 && f.Instrs[len(f.Instrs)-1].Op.IsIndirect():
 			stop = true // indirect branches end traces
@@ -375,9 +402,10 @@ func (rt *Runtime) observeExit(f *Fragment, branchPC, target uint64) {
 	// branches, and exits of existing traces (side paths of a hot loop
 	// get promoted too — without this, a conditional body inside a hot
 	// loop would never be profiled).
-	if target <= branchPC || f.IsTrace {
-		rt.headCount[target]++
-		if rt.headCount[target] >= rt.HotThreshold && rt.traces[target] == nil {
+	i, ok := rt.Prog.IndexOf(target)
+	if ok && (target <= branchPC || f.IsTrace) {
+		rt.headCount[i]++
+		if rt.headCount[i] >= rt.HotThreshold && rt.traces[i] == nil {
 			rt.recording = true
 			rt.recordHead = target
 			rt.recordInstrs = nil
@@ -414,7 +442,8 @@ func (rt *Runtime) finishRecording() {
 	}
 	rt.nextFragID++
 	rt.recordInstrs, rt.recordPCs, rt.recordBlocks = nil, nil, nil
-	rt.traces[f.Start] = f
+	i, _ := rt.Prog.IndexOf(f.Start)
+	rt.traces[i] = f
 	rt.TracesBuilt++
 	rt.Overhead += rt.Cost.TraceBuild + rt.Cost.TracePerInstr*uint64(len(f.Instrs))
 	rt.EventLog.Emit(tracelog.Event{Type: tracelog.EvTracePromoted,
@@ -447,15 +476,4 @@ func (rt *Runtime) Counters() RuntimeCounters {
 		Samples:         rt.Samples,
 		SampleHits:      rt.SampleHits,
 	}
-}
-
-// CodeCacheInstrs reports the instructions resident in both caches.
-func (rt *Runtime) CodeCacheInstrs() (blocks, traces int) {
-	for _, f := range rt.blocks {
-		blocks += len(f.Instrs)
-	}
-	for _, f := range rt.traces {
-		traces += len(f.Instrs)
-	}
-	return
 }

@@ -146,18 +146,26 @@ func (p *AddressProfile) String() string {
 // static, mirroring the esp/ebp heuristic. With filtering disabled every
 // load/store is selected. Duplicate PCs (a trace can inline the same block
 // twice) are profiled once. maxOps caps the selection (§4.2: 256).
-func selectOps(f *rio.Fragment, filter bool, maxOps int) (pcs []uint64, isLoad []bool, candidates int) {
-	seen := make(map[uint64]bool)
+//
+// It returns the selected operations' PCs and kinds, one profile column
+// each; cols, aligned with f.Instrs, holding each instruction's column
+// (every copy of a repeated PC maps to the same one) or -1 where nothing
+// is profiled; and the number of distinct candidate PCs.
+func selectOps(f *rio.Fragment, filter bool, maxOps int) (pcs []uint64, isLoad []bool, cols []int, candidates int) {
+	seen := make(map[uint64]int) // candidate PC → its column, or -1
+	cols = make([]int, len(f.Instrs))
 	for i := range f.Instrs {
+		cols[i] = -1
 		in := &f.Instrs[i]
 		if !in.Op.IsLoad() && !in.Op.IsStore() {
 			continue
 		}
 		pc := f.PCs[i]
-		if seen[pc] {
+		if col, ok := seen[pc]; ok {
+			cols[i] = col
 			continue
 		}
-		seen[pc] = true
+		seen[pc] = -1
 		candidates++
 		if filter && (in.Mem.IsStackRelative() || in.Mem.IsStatic()) {
 			continue
@@ -165,10 +173,11 @@ func selectOps(f *rio.Fragment, filter bool, maxOps int) (pcs []uint64, isLoad [
 		if len(pcs) >= maxOps {
 			continue
 		}
+		seen[pc], cols[i] = len(pcs), len(pcs)
 		pcs = append(pcs, pc)
 		isLoad = append(isLoad, in.Op.IsLoad())
 	}
-	return pcs, isLoad, candidates
+	return pcs, isLoad, cols, candidates
 }
 
 // DominantStride returns the most frequent successive-address delta in a

@@ -113,6 +113,13 @@ func (p *SharedPrep) QueueDepth() int {
 // QueueBound returns the global pending-job bound.
 func (p *SharedPrep) QueueBound() int { return p.maxQueue }
 
+// Lanes reports the number of attached session pipelines.
+func (p *SharedPrep) Lanes() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.lanes)
+}
+
 // register attaches a session's pipeline and returns its lane.
 func (p *SharedPrep) register(ap *analyzerPool) *prepLane {
 	l := &prepLane{owner: ap}

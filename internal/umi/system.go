@@ -199,7 +199,7 @@ func (s *System) onTrace(f *rio.Fragment) {
 	// Filter accounting (§4.1): what the instrumentor would keep vs. drop
 	// for this trace, counted once at trace creation so the rate is
 	// per-operation, not weighted by reinstrumentation count.
-	kept, _, cand := selectOps(f, s.cfg.FilterOps, s.cfg.AddressProfileOps)
+	kept, _, _, cand := selectOps(f, s.cfg.FilterOps, s.cfg.AddressProfileOps)
 	s.met.CandidatesKept.Add(uint64(len(kept)))
 	s.met.CandidatesFiltered.Add(uint64(cand - len(kept)))
 	if !s.cfg.UseSampling {
@@ -249,7 +249,7 @@ func (s *System) onSample(f *rio.Fragment) {
 // paper's clone-and-patch step.
 func (s *System) instrument(ts *traceState) {
 	wallStart := time.Now()
-	ops, isLoad, _ := selectOps(ts.clean, s.cfg.FilterOps, s.cfg.AddressProfileOps)
+	ops, isLoad, cols, _ := selectOps(ts.clean, s.cfg.FilterOps, s.cfg.AddressProfileOps)
 	if len(ops) == 0 {
 		ts.barren = true
 		s.met.TracesBarren.Inc()
@@ -292,14 +292,14 @@ func (s *System) instrument(ts *traceState) {
 		s.profiledPCs[pc] = true
 	}
 
-	colOf := make(map[uint64]int, len(ops))
-	for i, pc := range ops {
-		colOf[pc] = i
-	}
-	hooks := make(map[uint64]rio.MemHook, len(ops))
-	for pc, col := range colOf {
-		col := col
-		hooks[pc] = func(hpc, addr uint64, size uint8, write bool) {
+	// One hook per profiled instruction, aligned with the clone's code,
+	// recording into the instruction's profile column.
+	hooks := make([]rio.MemHook, len(cols))
+	for i, col := range cols {
+		if col < 0 {
+			continue
+		}
+		hooks[i] = func(_, addr uint64, _ uint8, _ bool) {
 			if ts.rowOpen {
 				ts.profile.Record(ts.curRow, col, addr)
 				s.met.FillRefs.Inc()

@@ -115,7 +115,7 @@ func TestSelectOpsFiltering(t *testing.T) {
 		{Op: isa.OpJmp, Imm: 0x400000, Mem: isa.NoMem},
 	}
 	f := makeTrace(instrs)
-	pcs, isLoad, candidates := selectOps(f, true, 256)
+	pcs, isLoad, _, candidates := selectOps(f, true, 256)
 	if candidates != 5 {
 		t.Errorf("candidates = %d, want 5", candidates)
 	}
@@ -126,12 +126,12 @@ func TestSelectOpsFiltering(t *testing.T) {
 		t.Errorf("isLoad = %v, want [true false]", isLoad)
 	}
 	// Filtering off: all five memory ops selected.
-	pcs, _, _ = selectOps(f, false, 256)
+	pcs, _, _, _ = selectOps(f, false, 256)
 	if len(pcs) != 5 {
 		t.Errorf("unfiltered selected = %d, want 5", len(pcs))
 	}
 	// Cap respected.
-	pcs, _, _ = selectOps(f, false, 3)
+	pcs, _, _, _ = selectOps(f, false, 3)
 	if len(pcs) != 3 {
 		t.Errorf("capped selected = %d, want 3", len(pcs))
 	}
@@ -142,9 +142,13 @@ func TestSelectOpsDeduplicates(t *testing.T) {
 	f := makeTrace([]isa.Instr{ld, ld, isa.Instr{Op: isa.OpJmp, Mem: isa.NoMem}})
 	// Same PC appearing twice (unrolled trace): force duplicate PCs.
 	f.PCs[1] = f.PCs[0]
-	pcs, _, candidates := selectOps(f, true, 256)
+	pcs, _, cols, candidates := selectOps(f, true, 256)
 	if len(pcs) != 1 || candidates != 1 {
 		t.Errorf("selected=%d candidates=%d, want 1, 1", len(pcs), candidates)
+	}
+	// Both copies record into the one column; the jump records nothing.
+	if len(cols) != 3 || cols[0] != 0 || cols[1] != 0 || cols[2] != -1 {
+		t.Errorf("cols = %v, want [0 0 -1]", cols)
 	}
 }
 

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"umi/internal/isa"
 	"umi/internal/program"
@@ -31,7 +32,10 @@ type NTModel interface {
 
 // InstrFetchModel is implemented by memory models that charge for
 // instruction fetches (an instruction cache). The machine consults it
-// once per executed instruction when attached.
+// once per executed instruction when attached — unless the model also has
+// a FetchesInstrs() bool method reporting false when the machine is built
+// or reset (a hierarchy with no instruction cache, where every fetch is
+// free).
 type InstrFetchModel interface {
 	FetchInstr(pc uint64) (stall uint64)
 }
@@ -59,8 +63,9 @@ type Machine struct {
 	// single-cycle memory.
 	Model MemModel
 
-	// fetch is Model's instruction-fetch view, cached at Reset time to
-	// avoid a type assertion per instruction.
+	// fetch is Model's instruction-fetch view, latched at Reset time (nil
+	// when the model charges nothing for fetches) to avoid a type
+	// assertion per instruction.
 	fetch InstrFetchModel
 	// nt is Model's non-temporal view, if any.
 	nt NTModel
@@ -76,23 +81,30 @@ type Machine struct {
 	Halted bool
 }
 
+// NoStop is the Exec stop count that never ends a run early.
+const NoStop = math.MaxUint64
+
 // New creates a machine for the program with data segments installed,
 // SP/BP initialized, and PC at the entry point.
 func New(p *program.Program, model MemModel) *Machine {
-	m := &Machine{Prog: p, Mem: NewMemory(), Model: model}
-	if f, ok := model.(InstrFetchModel); ok {
-		m.fetch = f
-	}
-	if n, ok := model.(NTModel); ok {
-		m.nt = n
-	}
+	m := &Machine{Prog: p, Model: model}
 	m.Reset()
 	return m
 }
 
 // Reset rewinds the machine to the program's initial state, reinstalling
-// data segments into a fresh memory.
+// data segments into a fresh memory and re-reading the model's optional
+// views.
 func (m *Machine) Reset() {
+	m.fetch, m.nt = nil, nil
+	if f, ok := m.Model.(InstrFetchModel); ok {
+		if g, ok := f.(interface{ FetchesInstrs() bool }); !ok || g.FetchesInstrs() {
+			m.fetch = f
+		}
+	}
+	if n, ok := m.Model.(NTModel); ok {
+		m.nt = n
+	}
 	m.Mem = NewMemory()
 	for _, seg := range m.Prog.Data {
 		m.Mem.WriteBytes(seg.Addr, seg.Bytes)
@@ -121,128 +133,181 @@ func (m *Machine) EA(ref isa.MemRef) uint64 {
 	return ea + uint64(ref.Disp)
 }
 
-// ExecInstr executes one instruction whose original application PC is pc,
-// updating registers, memory, cycle and instruction counters, and returns
-// the next PC. It does not touch m.PC: callers (Step, and the rio
+// Exec is the interpreter: it executes code in order, updating
+// registers, memory and the cycle and instruction counters, until an
+// instruction that may change control flow (a branch or halt) retires, an
+// instruction faults, m.Instrs reaches stop, or code runs out. Instruction
+// i stands at application PC pcs[i] or, when pcs is nil, at
+// pc + i*isa.InstrBytes. Exec returns how many instructions retired and
+// the PC execution continues at — the faulting instruction's own PC on
+// error. It does not touch m.PC: callers (Step, Run, and the rio
 // dispatcher, which executes instructions out of code-cache fragments)
 // manage control flow themselves.
+//
+// hooks, when non-nil, is aligned with code: a non-nil hooks[i] observes
+// instruction i's reference after RefHook does. m.Cycles and m.Instrs are
+// brought up to date when Exec returns, not while hooks run.
+func (m *Machine) Exec(code []isa.Instr, pcs []uint64, pc uint64, hooks []RefHook, stop uint64) (int, uint64, error) {
+	cycles, instrs := m.Cycles, m.Instrs
+	for i := range code {
+		in := &code[i]
+		if pcs != nil {
+			pc = pcs[i]
+		}
+		next := pc + isa.InstrBytes
+		cost := in.BaseCost()
+		if m.fetch != nil {
+			cost += m.fetch.FetchInstr(pc)
+		}
+		branch := false
+		switch in.Op {
+		case isa.OpNop:
+		case isa.OpHalt:
+			m.Halted = true
+			branch = true
+		case isa.OpAdd:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] + m.Regs[in.Rs2]
+		case isa.OpSub:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] - m.Regs[in.Rs2]
+		case isa.OpMul:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] * m.Regs[in.Rs2]
+		case isa.OpDiv:
+			if m.Regs[in.Rs2] == 0 {
+				m.Cycles, m.Instrs = cycles, instrs
+				return i, pc, fmt.Errorf("%w at pc %#x", ErrDivideByZero, pc)
+			}
+			m.Regs[in.Rd] = uint64(int64(m.Regs[in.Rs1]) / int64(m.Regs[in.Rs2]))
+		case isa.OpAnd:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] & m.Regs[in.Rs2]
+		case isa.OpOr:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] | m.Regs[in.Rs2]
+		case isa.OpXor:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] ^ m.Regs[in.Rs2]
+		case isa.OpShl:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] << (m.Regs[in.Rs2] & 63)
+		case isa.OpShr:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] >> (m.Regs[in.Rs2] & 63)
+		case isa.OpAddI:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] + uint64(in.Imm)
+		case isa.OpMulI:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] * uint64(in.Imm)
+		case isa.OpAndI:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] & uint64(in.Imm)
+		case isa.OpShrI:
+			m.Regs[in.Rd] = m.Regs[in.Rs1] >> (uint64(in.Imm) & 63)
+		case isa.OpMov:
+			m.Regs[in.Rd] = m.Regs[in.Rs1]
+		case isa.OpMovI:
+			m.Regs[in.Rd] = uint64(in.Imm)
+		case isa.OpLoad:
+			ea := m.EA(in.Mem)
+			if m.RefHook != nil {
+				m.RefHook(pc, ea, in.Size, false)
+			}
+			if hooks != nil && hooks[i] != nil {
+				hooks[i](pc, ea, in.Size, false)
+			}
+			if in.NT && m.nt != nil {
+				cost += m.nt.AccessNT(ea, in.Size, false)
+			} else if m.Model != nil {
+				cost += m.Model.Access(ea, in.Size, false)
+			}
+			m.Regs[in.Rd] = m.Mem.Read(ea, in.Size)
+		case isa.OpStore:
+			ea := m.EA(in.Mem)
+			if m.RefHook != nil {
+				m.RefHook(pc, ea, in.Size, true)
+			}
+			if hooks != nil && hooks[i] != nil {
+				hooks[i](pc, ea, in.Size, true)
+			}
+			if in.NT && m.nt != nil {
+				cost += m.nt.AccessNT(ea, in.Size, true)
+			} else if m.Model != nil {
+				cost += m.Model.Access(ea, in.Size, true)
+			}
+			m.Mem.Write(ea, in.Size, m.Regs[in.Rs1])
+		case isa.OpPrefetch:
+			if pf, ok := m.Model.(PrefetchModel); ok {
+				pf.Prefetch(m.EA(in.Mem))
+			}
+		case isa.OpJmp:
+			next = uint64(in.Imm)
+			branch = true
+		case isa.OpBr:
+			if in.Cond.Eval(m.Regs[in.Rs1], m.Regs[in.Rs2]) {
+				next = uint64(in.Imm)
+			}
+			branch = true
+		case isa.OpBrI:
+			if in.Cond.Eval(m.Regs[in.Rs1], uint64(in.Imm2)) {
+				next = uint64(in.Imm)
+			}
+			branch = true
+		case isa.OpCall:
+			m.Regs[isa.LR] = next
+			next = uint64(in.Imm)
+			branch = true
+		case isa.OpRet:
+			next = m.Regs[isa.LR]
+			branch = true
+		case isa.OpJmpInd:
+			next = m.Regs[in.Rs1]
+			branch = true
+		default:
+			m.Cycles, m.Instrs = cycles, instrs
+			return i, pc, fmt.Errorf("vm: unimplemented opcode %v at pc %#x", in.Op, pc)
+		}
+		cycles += cost
+		instrs++
+		if branch || instrs >= stop {
+			m.Cycles, m.Instrs = cycles, instrs
+			return i + 1, next, nil
+		}
+		pc = next
+	}
+	m.Cycles, m.Instrs = cycles, instrs
+	return len(code), pc, nil
+}
+
+// ExecInstr executes one instruction whose original application PC is pc
+// and returns the next PC (pc itself on error). Like Exec, it does not
+// touch m.PC.
 func (m *Machine) ExecInstr(in *isa.Instr, pc uint64) (uint64, error) {
-	next := pc + isa.InstrBytes
-	cost := in.BaseCost()
-	if m.fetch != nil {
-		cost += m.fetch.FetchInstr(pc)
-	}
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpHalt:
-		m.Halted = true
-	case isa.OpAdd:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] + m.Regs[in.Rs2]
-	case isa.OpSub:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] - m.Regs[in.Rs2]
-	case isa.OpMul:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] * m.Regs[in.Rs2]
-	case isa.OpDiv:
-		if m.Regs[in.Rs2] == 0 {
-			return pc, fmt.Errorf("%w at pc %#x", ErrDivideByZero, pc)
-		}
-		m.Regs[in.Rd] = uint64(int64(m.Regs[in.Rs1]) / int64(m.Regs[in.Rs2]))
-	case isa.OpAnd:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] & m.Regs[in.Rs2]
-	case isa.OpOr:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] | m.Regs[in.Rs2]
-	case isa.OpXor:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] ^ m.Regs[in.Rs2]
-	case isa.OpShl:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] << (m.Regs[in.Rs2] & 63)
-	case isa.OpShr:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] >> (m.Regs[in.Rs2] & 63)
-	case isa.OpAddI:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] + uint64(in.Imm)
-	case isa.OpMulI:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] * uint64(in.Imm)
-	case isa.OpAndI:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] & uint64(in.Imm)
-	case isa.OpShrI:
-		m.Regs[in.Rd] = m.Regs[in.Rs1] >> (uint64(in.Imm) & 63)
-	case isa.OpMov:
-		m.Regs[in.Rd] = m.Regs[in.Rs1]
-	case isa.OpMovI:
-		m.Regs[in.Rd] = uint64(in.Imm)
-	case isa.OpLoad:
-		ea := m.EA(in.Mem)
-		if m.RefHook != nil {
-			m.RefHook(pc, ea, in.Size, false)
-		}
-		if in.NT && m.nt != nil {
-			cost += m.nt.AccessNT(ea, in.Size, false)
-		} else if m.Model != nil {
-			cost += m.Model.Access(ea, in.Size, false)
-		}
-		m.Regs[in.Rd] = m.Mem.Read(ea, in.Size)
-	case isa.OpStore:
-		ea := m.EA(in.Mem)
-		if m.RefHook != nil {
-			m.RefHook(pc, ea, in.Size, true)
-		}
-		if in.NT && m.nt != nil {
-			cost += m.nt.AccessNT(ea, in.Size, true)
-		} else if m.Model != nil {
-			cost += m.Model.Access(ea, in.Size, true)
-		}
-		m.Mem.Write(ea, in.Size, m.Regs[in.Rs1])
-	case isa.OpPrefetch:
-		if pf, ok := m.Model.(PrefetchModel); ok {
-			pf.Prefetch(m.EA(in.Mem))
-		}
-	case isa.OpJmp:
-		next = uint64(in.Imm)
-	case isa.OpBr:
-		if in.Cond.Eval(m.Regs[in.Rs1], m.Regs[in.Rs2]) {
-			next = uint64(in.Imm)
-		}
-	case isa.OpBrI:
-		if in.Cond.Eval(m.Regs[in.Rs1], uint64(in.Imm2)) {
-			next = uint64(in.Imm)
-		}
-	case isa.OpCall:
-		m.Regs[isa.LR] = next
-		next = uint64(in.Imm)
-	case isa.OpRet:
-		next = m.Regs[isa.LR]
-	case isa.OpJmpInd:
-		next = m.Regs[in.Rs1]
-	default:
-		return pc, fmt.Errorf("vm: unimplemented opcode %v at pc %#x", in.Op, pc)
-	}
-	m.Cycles += cost
-	m.Instrs++
-	return next, nil
+	code := [1]isa.Instr{*in}
+	_, next, err := m.Exec(code[:], nil, pc, nil, NoStop)
+	return next, err
 }
 
 // Step fetches and executes the instruction at the current PC.
 func (m *Machine) Step() error {
-	in, ok := m.Prog.InstrAt(m.PC)
+	i, ok := m.Prog.IndexOf(m.PC)
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrBadPC, m.PC)
 	}
-	next, err := m.ExecInstr(in, m.PC)
-	if err != nil {
-		return err
-	}
+	_, next, err := m.Exec(m.Prog.Instrs[i:i+1], nil, m.PC, nil, NoStop)
 	m.PC = next
-	return nil
+	return err
 }
 
 // Run executes until the program halts or maxInstrs instructions retire.
 // It returns ErrNotHalted if the budget is exhausted first.
 func (m *Machine) Run(maxInstrs uint64) error {
-	start := m.Instrs
+	stop := m.Instrs + maxInstrs
+	if stop < m.Instrs {
+		stop = NoStop
+	}
 	for !m.Halted {
-		if m.Instrs-start >= maxInstrs {
+		if m.Instrs >= stop {
 			return fmt.Errorf("%w (%d instructions)", ErrNotHalted, maxInstrs)
 		}
-		if err := m.Step(); err != nil {
+		i, ok := m.Prog.IndexOf(m.PC)
+		if !ok {
+			return fmt.Errorf("%w: %#x", ErrBadPC, m.PC)
+		}
+		_, next, err := m.Exec(m.Prog.Instrs[i:], nil, m.PC, nil, stop)
+		m.PC = next
+		if err != nil {
 			return err
 		}
 	}

@@ -6,44 +6,89 @@
 // running a program with a hardware cache model attached and nothing else.
 package vm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
+
+	// The page table spans the 32-bit guest layout (code, globals, heap
+	// and stack all sit below 4 GiB): a directory of dirSize chunks, each
+	// mapping chunkSize consecutive pages (4 MiB of guest space).
+	chunkShift = 10
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+	dirSize    = 1 << (32 - pageShift - chunkShift)
+	// tablePages is the first page number the table does not cover.
+	tablePages = dirSize * chunkSize
 )
 
+// frame is one page of guest memory.
+type frame [pageSize]byte
+
+type chunk [chunkSize]*frame
+
 // Memory is a sparse, paged, byte-addressed guest memory. Pages materialize
-// zero-filled on first touch. Multi-byte accesses are little endian and may
+// zero-filled on first write. Multi-byte accesses are little endian and may
 // straddle page boundaries.
+//
+// Pages below 4 GiB live in a two-level page table; the rare page at or
+// above it (only hand-written programs reach there) lives in a map.
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
+	dir   [dirSize]*chunk
+	high  map[uint64]*frame
+	pages int
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte)}
+func NewMemory() *Memory { return &Memory{} }
+
+// lookup returns the page holding addr, nil if it was never written.
+func (m *Memory) lookup(addr uint64) *frame {
+	pn := addr >> pageShift
+	if pn >= tablePages {
+		return m.high[pn]
+	}
+	if c := m.dir[pn>>chunkShift]; c != nil {
+		return c[pn&chunkMask]
+	}
+	return nil
 }
 
-func (m *Memory) page(addr uint64) *[pageSize]byte {
-	pn := addr >> pageShift
-	p, ok := m.pages[pn]
-	if !ok {
-		p = new([pageSize]byte)
-		m.pages[pn] = p
+// page returns the page holding addr, materializing it.
+func (m *Memory) page(addr uint64) *frame {
+	if p := m.lookup(addr); p != nil {
+		return p
 	}
+	p := new(frame)
+	m.pages++
+	pn := addr >> pageShift
+	if pn >= tablePages {
+		if m.high == nil {
+			m.high = make(map[uint64]*frame)
+		}
+		m.high[pn] = p
+		return p
+	}
+	c := m.dir[pn>>chunkShift]
+	if c == nil {
+		c = new(chunk)
+		m.dir[pn>>chunkShift] = c
+	}
+	c[pn&chunkMask] = p
 	return p
 }
 
 // ByteAt returns the byte at addr.
 func (m *Memory) ByteAt(addr uint64) byte {
-	pn := addr >> pageShift
-	p, ok := m.pages[pn]
-	if !ok {
-		return 0
+	if p := m.lookup(addr); p != nil {
+		return p[addr&pageMask]
 	}
-	return p[addr&pageMask]
+	return 0
 }
 
 // SetByte stores b at addr.
@@ -56,14 +101,20 @@ func (m *Memory) SetByte(addr uint64, b byte) {
 func (m *Memory) Read(addr uint64, size uint8) uint64 {
 	off := addr & pageMask
 	if off+uint64(size) <= pageSize {
-		if p, ok := m.pages[addr>>pageShift]; ok {
-			var v uint64
-			for i := uint8(0); i < size; i++ {
-				v |= uint64(p[off+uint64(i)]) << (8 * i)
-			}
-			return v
+		p := m.lookup(addr)
+		if p == nil {
+			return 0
 		}
-		return 0
+		switch size {
+		case 8:
+			return binary.LittleEndian.Uint64(p[off:])
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(p[off:]))
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(p[off:]))
+		case 1:
+			return uint64(p[off])
+		}
 	}
 	var v uint64
 	for i := uint8(0); i < size; i++ {
@@ -77,10 +128,20 @@ func (m *Memory) Write(addr uint64, size uint8, v uint64) {
 	off := addr & pageMask
 	if off+uint64(size) <= pageSize {
 		p := m.page(addr)
-		for i := uint8(0); i < size; i++ {
-			p[off+uint64(i)] = byte(v >> (8 * i))
+		switch size {
+		case 8:
+			binary.LittleEndian.PutUint64(p[off:], v)
+			return
+		case 4:
+			binary.LittleEndian.PutUint32(p[off:], uint32(v))
+			return
+		case 2:
+			binary.LittleEndian.PutUint16(p[off:], uint16(v))
+			return
+		case 1:
+			p[off] = byte(v)
+			return
 		}
-		return
 	}
 	for i := uint8(0); i < size; i++ {
 		m.SetByte(addr+uint64(i), byte(v>>(8*i)))
@@ -108,9 +169,9 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 
 // PageCount reports the number of materialized pages (for tests and memory
 // footprint accounting).
-func (m *Memory) PageCount() int { return len(m.pages) }
+func (m *Memory) PageCount() int { return m.pages }
 
 // String summarizes the memory for debugging.
 func (m *Memory) String() string {
-	return fmt.Sprintf("vm.Memory{%d pages, %d KiB resident}", len(m.pages), len(m.pages)*pageSize/1024)
+	return fmt.Sprintf("vm.Memory{%d pages, %d KiB resident}", m.pages, m.pages*pageSize/1024)
 }

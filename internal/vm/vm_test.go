@@ -320,29 +320,69 @@ func TestDeterminismQuick(t *testing.T) {
 }
 
 // TestMemoryAgainstMapModel drives the paged memory and a trivially
-// correct map-of-bytes model with identical random operations.
+// correct map-of-bytes model with identical operations: a sweep of every
+// access size at the tail of a page, then random operations around the
+// page table's edges, and finally the exact count of materialized pages.
 func TestMemoryAgainstMapModel(t *testing.T) {
 	mem := NewMemory()
 	model := make(map[uint64]byte)
+	pages := make(map[uint64]bool) // pages holding a written byte
+	write := func(addr uint64, size uint8, v uint64) {
+		mem.Write(addr, size, v)
+		for b := uint8(0); b < size; b++ {
+			model[addr+uint64(b)] = byte(v >> (8 * b))
+			pages[(addr+uint64(b))>>pageShift] = true
+		}
+	}
+	check := func(op int, addr uint64, size uint8) {
+		t.Helper()
+		var want uint64
+		for b := uint8(0); b < size; b++ {
+			want |= uint64(model[addr+uint64(b)]) << (8 * b)
+		}
+		if got := mem.Read(addr, size); got != want {
+			t.Fatalf("op %d: Read(%#x, %d) = %#x, want %#x", op, addr, size, got, want)
+		}
+	}
+
 	r := rand.New(rand.NewSource(31))
+	// Offsets 4089-4095: from there on 8-, then 4-, then 2-byte accesses
+	// straddle into the next page.
+	for off := uint64(pageSize - 7); off < pageSize; off++ {
+		for _, size := range []uint8{1, 2, 4, 8} {
+			addr := 5*pageSize + off
+			check(-1, addr, size)
+			write(addr, size, r.Uint64())
+			check(-1, addr, size)
+		}
+	}
+
+	const chunkBytes = chunkSize * pageSize
+	regions := []func() uint64{
+		// a small, heavily overlapping window
+		func() uint64 { return uint64(r.Intn(1 << 16)) },
+		// page tails
+		func() uint64 { return uint64(r.Intn(64))*pageSize + pageSize - 8 + uint64(r.Intn(8)) },
+		// page-directory chunk boundaries, low, middle and last
+		func() uint64 {
+			k := []uint64{1, 2, 3, dirSize / 2, dirSize - 1}[r.Intn(5)]
+			return k*chunkBytes - 8 + uint64(r.Intn(16))
+		},
+		// the page table's 4 GiB edge, straddled into the map fallback
+		func() uint64 { return 1<<32 - 8 + uint64(r.Intn(16)) },
+		// pages far above the table, map only
+		func() uint64 { return 1<<40 + uint64(r.Intn(3*pageSize)) },
+	}
 	for i := 0; i < 30_000; i++ {
-		addr := uint64(r.Intn(1 << 16)) // heavy overlap
+		addr := regions[r.Intn(len(regions))]()
 		size := uint8(1 << r.Intn(4))
 		if r.Intn(2) == 0 {
-			v := r.Uint64()
-			mem.Write(addr, size, v)
-			for b := uint8(0); b < size; b++ {
-				model[addr+uint64(b)] = byte(v >> (8 * b))
-			}
+			write(addr, size, r.Uint64())
 		} else {
-			got := mem.Read(addr, size)
-			var want uint64
-			for b := uint8(0); b < size; b++ {
-				want |= uint64(model[addr+uint64(b)]) << (8 * b)
-			}
-			if got != want {
-				t.Fatalf("op %d: Read(%#x, %d) = %#x, want %#x", i, addr, size, got, want)
-			}
+			check(i, addr, size)
 		}
+	}
+	if mem.PageCount() != len(pages) {
+		t.Errorf("PageCount = %d, want %d", mem.PageCount(), len(pages))
 	}
 }
