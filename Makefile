@@ -18,14 +18,18 @@ test:
 
 # check is the pre-merge gate: static vetting, the zero-allocation tests in
 # a plain pass (they are !race — the detector's instrumentation skews
-# allocation counts), then the full suite under the race detector (the
-# analyzer pipeline and harness fan-out are concurrent; -race is what
-# validates their synchronization). The harness package runs every
-# experiment driver; under the race detector's ~10x slowdown that outgrows
-# go test's default 10m per-package timeout.
+# allocation counts; TestRunQueueZeroAllocs is the reference queue's), the
+# machine's hand-off to its model worker at one P and at more Ps than
+# cores (the transparency and run-lifecycle tests under -cpu 1,4), then
+# the full suite under the race detector (the reference queue, analyzer
+# pipeline and harness fan-out are concurrent; -race is what validates
+# their synchronization). The harness package runs every experiment
+# driver; under the race detector's ~10x slowdown that outgrows go test's
+# default 10m per-package timeout.
 check:
 	$(GO) vet ./...
 	$(GO) test -run ZeroAllocs ./internal/cache ./internal/umi ./internal/vm ./internal/rio
+	$(GO) test -cpu 1,4 -run 'TestDifferentialRandomPrograms|TestRunLifecycle' ./internal/rio
 	$(GO) test -race -timeout 30m ./...
 
 bench:

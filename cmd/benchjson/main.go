@@ -111,14 +111,17 @@ func parse(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// headline picks the metric a regression check compares: per-reference cost
-// when the benchmark reports it, per-op wall time otherwise.
+// headlineUnits are the metrics a regression check compares, most
+// specific first: cost per simulated reference, then per guest
+// instruction, then per-op wall time.
+var headlineUnits = []string{"ns/ref", "ns/instr", "ns/op"}
+
+// headline picks the first of headlineUnits the benchmark reports.
 func headline(r Result) (string, float64, bool) {
-	if v, ok := r.Metrics["ns/ref"]; ok {
-		return "ns/ref", v, true
-	}
-	if v, ok := r.Metrics["ns/op"]; ok {
-		return "ns/op", v, true
+	for _, unit := range headlineUnits {
+		if v, ok := r.Metrics[unit]; ok {
+			return unit, v, true
+		}
 	}
 	return "", 0, false
 }

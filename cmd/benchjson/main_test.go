@@ -49,6 +49,26 @@ func TestParseAggregatesAndSorts(t *testing.T) {
 	}
 }
 
+// A benchmark's headline is its most specific cost: per reference, then
+// per guest instruction (BenchmarkPipelineEndToEnd), then per op.
+func TestHeadlinePrefersPerUnitCost(t *testing.T) {
+	cases := []struct {
+		metrics map[string]float64
+		unit    string
+	}{
+		{map[string]float64{"ns/op": 9e6, "ns/instr": 15.2, "ns/ref": 17}, "ns/ref"},
+		{map[string]float64{"ns/op": 9e6, "ns/instr": 15.2, "B/op": 512}, "ns/instr"},
+		{map[string]float64{"ns/op": 21, "B/op": 0}, "ns/op"},
+		{map[string]float64{"B/op": 0}, ""},
+	}
+	for _, c := range cases {
+		unit, v, ok := headline(Result{Metrics: c.metrics})
+		if unit != c.unit || ok != (c.unit != "") || ok && v != c.metrics[c.unit] {
+			t.Errorf("headline(%v) = %q %v %v, want %q", c.metrics, unit, v, ok, c.unit)
+		}
+	}
+}
+
 func TestCompareWarnsPastThreshold(t *testing.T) {
 	baseline, _ := parse(strings.NewReader(
 		"BenchmarkCacheAccess-8 100 20.0 ns/op\nBenchmarkGone-8 100 5.0 ns/op\n"))

@@ -249,6 +249,17 @@ func (s *Server) Serve(addr string) (string, func(), error) {
 // in flight before closing their connections.
 const stopGrace = 2 * time.Second
 
+// The header and idle timeouts bound what a silent client can hold: a
+// connection that stalls inside its request header, or idles between
+// requests, is closed instead of pinning a goroutine for good. There is
+// deliberately no read or write timeout: live-tailed ingest bodies stream
+// for a whole guest run, and /run responses wait for one. Variables so
+// tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveHandler binds addr, serves h on a background goroutine, and
 // returns the bound address plus a stop function that shuts the server
 // down and waits for the serving goroutine to exit.
@@ -257,7 +268,7 @@ func serveHandler(addr string, h http.Handler) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

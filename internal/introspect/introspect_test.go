@@ -2,9 +2,12 @@ package introspect
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -458,5 +461,32 @@ func TestStopFinishesInFlightResponses(t *testing.T) {
 	stop()
 	if g := <-got; g != body {
 		t.Fatalf("stopped mid-response: client read %.60q, want the %d-byte body", g, len(body))
+	}
+}
+
+// TestStalledHeaderIsClosed: a client that sends half a request header
+// and goes silent (slowloris) must lose its connection once the header
+// timeout passes, in umid and umiprof -http alike, instead of holding a
+// connection and its goroutine forever.
+func TestStalledHeaderIsClosed(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	addr, stop, err := serveHandler("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: umi\r\nX-Stall: "); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := io.Copy(io.Discard, conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection still open 5s into a stalled header (read %d bytes)", n)
 	}
 }

@@ -20,6 +20,11 @@ import (
 // on — down to the modelled cycle count, the ordered reference stream and
 // the error it ends with. DynamoRIO's transparency is the paper's
 // foundation; this is the substrate's half of the determinism contract.
+//
+// Both runs queue the hierarchy's work to a worker goroutine. A third arm
+// drives the program with Machine.Step, which applies every reference to
+// the hierarchy before the next instruction runs: the queue must leave
+// the clock and the hierarchy exactly where that reference does.
 
 // transparencySeeds is the fixed corpus: the seeds the test always runs
 // and the fuzz target starts from.
@@ -40,7 +45,8 @@ func FuzzRioTransparency(f *testing.F) {
 
 // genProgram builds a random but bounded program: a sequence of counted
 // loops with random ALU/memory bodies, helper calls, and an ending that
-// halts, jumps out of the code image, or divides by zero.
+// halts, jumps out of the code image, or divides by zero. About a quarter
+// of its loads and stores are non-temporal.
 func genProgram(r *rand.Rand) *program.Program {
 	b := program.NewBuilder(fmt.Sprintf("diff%d", r.Int63()))
 	e := b.Block("entry")
@@ -85,6 +91,11 @@ func genProgram(r *rand.Rand) *program.Program {
 	if err != nil {
 		panic(err)
 	}
+	for i := range p.Instrs {
+		if op := p.Instrs[i].Op; (op.IsLoad() || op.IsStore()) && r.Intn(4) == 0 {
+			p.Instrs[i].NT = true
+		}
+	}
 	return p
 }
 
@@ -95,7 +106,7 @@ func emitRandomBody(r *rand.Rand, blk *program.BlockBuilder) {
 	for i := 0; i < n; i++ {
 		rd := isa.Reg(3 + r.Intn(9)) // r3..r11: avoid loop/base registers
 		rs := isa.Reg(3 + r.Intn(9))
-		switch r.Intn(10) {
+		switch r.Intn(11) {
 		case 0:
 			blk.Add(rd, rd, rs)
 		case 1:
@@ -125,6 +136,9 @@ func emitRandomBody(r *rand.Rand, blk *program.BlockBuilder) {
 			}
 		case 9:
 			blk.Call(fmt.Sprintf("helper%d", r.Intn(3)))
+		case 10: // software prefetch, in or beyond the heap window
+			blk.AndI(isa.R12, rs, (1<<18)-1)
+			blk.Prefetch(isa.MemIdx(isa.R2, isa.R12, 8, 0))
 		}
 	}
 }
@@ -143,7 +157,7 @@ type outcome struct {
 	instrs, cycles uint64
 	pages          int
 	mem            uint64
-	l1, l2         cache.LevelStats
+	l1, l1i, l2    cache.LevelStats
 	refs           []ref
 	err            error
 }
@@ -162,10 +176,15 @@ func memChecksum(m *vm.Machine) uint64 {
 	return sum
 }
 
-// newMachine builds the machine both sides run on: the Pentium 4
-// hierarchy as the model, and a global RefHook recording the stream.
-func newMachine(p *program.Program) (*vm.Machine, *cache.Hierarchy, *[]ref) {
+// newMachine builds the machine every arm runs on: the Pentium 4
+// hierarchy as the model, with an instruction cache when icache is set
+// (every instruction then queues a fetch), and a global RefHook recording
+// the stream.
+func newMachine(p *program.Program, icache bool) (*vm.Machine, *cache.Hierarchy, *[]ref) {
 	h := harness.P4.Hierarchy(false)
+	if icache {
+		h.EnableICache(cache.P4L1I)
+	}
 	m := vm.New(p, h)
 	refs := new([]ref)
 	m.RefHook = func(pc, addr uint64, size uint8, write bool) {
@@ -176,13 +195,29 @@ func newMachine(p *program.Program) (*vm.Machine, *cache.Hierarchy, *[]ref) {
 
 func settle(m *vm.Machine, h *cache.Hierarchy, refs []ref, err error) outcome {
 	return outcome{regs: m.Regs, pc: m.PC, instrs: m.Instrs, cycles: m.Cycles,
-		pages: m.Mem.PageCount(), mem: memChecksum(m), l1: h.L1Stats, l2: h.L2Stats,
+		pages: m.Mem.PageCount(), mem: memChecksum(m), l1: h.L1Stats, l1i: h.L1IStats, l2: h.L2Stats,
 		refs: refs, err: err}
 }
 
-func runNative(p *program.Program, budget uint64) outcome {
-	m, h, refs := newMachine(p)
+func runNative(p *program.Program, icache bool, budget uint64) outcome {
+	m, h, refs := newMachine(p, icache)
 	err := m.Run(budget)
+	return settle(m, h, *refs, err)
+}
+
+// runStep is the reference that never queues across instructions: each
+// Step's Exec applies the hierarchy's work before it returns. It stops on
+// the budget as Run does.
+func runStep(p *program.Program, icache bool, budget uint64) outcome {
+	m, h, refs := newMachine(p, icache)
+	var err error
+	for !m.Halted && err == nil {
+		if m.Instrs >= budget {
+			err = fmt.Errorf("%w (%d instructions)", vm.ErrNotHalted, budget)
+			break
+		}
+		err = m.Step()
+	}
 	return settle(m, h, *refs, err)
 }
 
@@ -229,8 +264,8 @@ var rioModes = []rioMode{
 // bounded program accrues stays far below it.
 const perRefCost = 1 << 32
 
-func runRIO(p *program.Program, budget uint64, mode rioMode, r *rand.Rand) (outcome, []*hookLog, uint64) {
-	m, h, refs := newMachine(p)
+func runRIO(p *program.Program, icache bool, budget uint64, mode rioMode, r *rand.Rand) (outcome, []*hookLog, uint64) {
+	m, h, refs := newMachine(p, icache)
 	rt := rio.NewRuntime(m)
 	rt.BlockCacheCap = mode.blockCap
 	var logs []*hookLog
@@ -305,13 +340,15 @@ func runRIO(p *program.Program, budget uint64, mode rioMode, r *rand.Rand) (outc
 func checkTransparency(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	p := genProgram(r)
+	icache := seed%2 != 0
 	const budget = 10_000_000
-	want := runNative(p, budget)
+	want := runNative(p, icache, budget)
 	if want.err != nil && !errors.Is(want.err, vm.ErrBadPC) && !errors.Is(want.err, vm.ErrDivideByZero) {
 		t.Fatalf("native: %v", want.err)
 	}
+	compareOutcomes(t, "step", want, runStep(p, icache, budget))
 	for _, mode := range rioModes {
-		got, logs, charged := runRIO(p, budget, mode, r)
+		got, logs, charged := runRIO(p, icache, budget, mode, r)
 		compareOutcomes(t, mode.name, want, got)
 		// Each hook delivers native references at its PC, in order, each
 		// as the machine's RefHook saw it; the covered mode delivers all
@@ -342,12 +379,13 @@ func checkTransparency(t *testing.T, seed int64) {
 		return
 	}
 	small := 1 + uint64(r.Int63n(int64(want.instrs-1)))
-	cut := runNative(p, small)
+	cut := runNative(p, icache, small)
 	if !errors.Is(cut.err, vm.ErrNotHalted) || cut.instrs != small {
 		t.Fatalf("native at budget %d: %v after %d instrs", small, cut.err, cut.instrs)
 	}
+	compareOutcomes(t, fmt.Sprintf("step at budget %d", small), cut, runStep(p, icache, small))
 	for _, mode := range rioModes {
-		got, _, _ := runRIO(p, small, mode, r)
+		got, _, _ := runRIO(p, icache, small, mode, r)
 		if !errors.Is(got.err, rio.ErrNotHalted) && !(got.instrs == want.instrs && sameErr(got.err, want.err)) {
 			t.Fatalf("%s at budget %d: %v, want rio.ErrNotHalted", mode.name, small, got.err)
 		}
@@ -369,8 +407,9 @@ func compareOutcomes(t *testing.T, name string, want, got outcome) {
 			name, want.regs, want.pc, want.instrs, want.cycles, want.pages, want.mem,
 			got.regs, got.pc, got.instrs, got.cycles, got.pages, got.mem)
 	}
-	if got.l1 != want.l1 || got.l2 != want.l2 {
-		t.Fatalf("%s: hierarchy saw L1 %+v L2 %+v, native L1 %+v L2 %+v", name, got.l1, got.l2, want.l1, want.l2)
+	if got.l1 != want.l1 || got.l1i != want.l1i || got.l2 != want.l2 {
+		t.Fatalf("%s: hierarchy saw L1 %+v L1I %+v L2 %+v, native L1 %+v L1I %+v L2 %+v",
+			name, got.l1, got.l1i, got.l2, want.l1, want.l1i, want.l2)
 	}
 	if len(got.refs) != len(want.refs) {
 		t.Fatalf("%s: %d references, native %d", name, len(got.refs), len(want.refs))
@@ -383,9 +422,9 @@ func compareOutcomes(t *testing.T, name string, want, got outcome) {
 }
 
 // sameErr reports whether two run errors are the same outcome: both nil,
-// or both the same fault.
+// or both the same fault or budget stop.
 func sameErr(a, b error) bool {
-	for _, target := range []error{vm.ErrBadPC, vm.ErrDivideByZero} {
+	for _, target := range []error{vm.ErrBadPC, vm.ErrDivideByZero, vm.ErrNotHalted} {
 		if errors.Is(a, target) || errors.Is(b, target) {
 			return errors.Is(a, target) && errors.Is(b, target) && a.Error() == b.Error()
 		}

@@ -139,8 +139,10 @@ func NewRuntime(m *vm.Machine) *Runtime {
 }
 
 // TotalCycles returns the modelled running time under the code cache:
-// guest cycles plus runtime overhead minus trace-layout credit.
+// guest cycles plus runtime overhead minus trace-layout credit. It syncs
+// the machine, so it is exact also during a run.
 func (rt *Runtime) TotalCycles() uint64 {
+	rt.M.Sync()
 	t := rt.M.Cycles + rt.Overhead
 	if rt.Credit >= t {
 		return 0
@@ -186,8 +188,13 @@ func (rt *Runtime) ReplaceTrace(frag *Fragment) {
 // retire, checking the budget at fragment boundaries. Control reaching a
 // PC outside the code image fails with an error wrapping vm.ErrBadPC, as
 // it does under plain interpretation. On return M.PC is where execution
-// stopped.
+// stopped. Like vm.Machine.Run the run is one Drive: callbacks that read
+// M.Cycles or the memory model must call M.Sync first.
 func (rt *Runtime) Run(maxInstrs uint64) error {
+	return rt.M.Drive(func() error { return rt.run(maxInstrs) })
+}
+
+func (rt *Runtime) run(maxInstrs uint64) error {
 	pc := rt.M.PC
 	defer func() { rt.M.PC = pc }()
 	start := rt.M.Instrs
@@ -268,8 +275,7 @@ func (rt *Runtime) buildBlock(i int) *Fragment {
 		// Cache full: flush everything and start over (DynamoRIO's
 		// all-at-once eviction). Links into flushed blocks resolve by
 		// target PC, so traces are unaffected.
-		rt.EventLog.Emit(tracelog.Event{Type: tracelog.EvBlockCacheFlush,
-			Cycles: rt.M.Cycles, Arg1: uint64(rt.blockInstrs)})
+		rt.emit(tracelog.Event{Type: tracelog.EvBlockCacheFlush, Arg1: uint64(rt.blockInstrs)})
 		clear(rt.blocks)
 		rt.blockInstrs = 0
 		rt.BlockFlushes++
@@ -446,11 +452,21 @@ func (rt *Runtime) finishRecording() {
 	rt.traces[i] = f
 	rt.TracesBuilt++
 	rt.Overhead += rt.Cost.TraceBuild + rt.Cost.TracePerInstr*uint64(len(f.Instrs))
-	rt.EventLog.Emit(tracelog.Event{Type: tracelog.EvTracePromoted,
-		Cycles: rt.M.Cycles, TracePC: f.Start, Arg1: uint64(len(f.Instrs))})
+	rt.emit(tracelog.Event{Type: tracelog.EvTracePromoted, TracePC: f.Start, Arg1: uint64(len(f.Instrs))})
 	if rt.OnTrace != nil {
 		rt.OnTrace(f)
 	}
+}
+
+// emit records ev in EventLog stamped with the guest clock. Without a log
+// it neither syncs the machine nor reads the clock.
+func (rt *Runtime) emit(ev tracelog.Event) {
+	if rt.EventLog == nil {
+		return
+	}
+	rt.M.Sync()
+	ev.Cycles = rt.M.Cycles
+	rt.EventLog.Emit(ev)
 }
 
 // RuntimeCounters is a copy of the runtime's event counters, taken at a

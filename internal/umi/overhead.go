@@ -84,7 +84,7 @@ func (r *OverheadReport) Stage(name string) StageCost {
 // guest-owned state. Guest thread only; called at analyzer-invocation
 // boundaries, at Finish, and at snapshot points.
 func (s *System) syncGuestMirrors() {
-	s.met.GuestCycles.Set(int64(s.rt.M.Cycles))
+	s.met.GuestCycles.Set(int64(s.now()))
 	s.met.GuestOverheadCyc.Set(int64(s.rt.Overhead))
 	s.met.GuestWallNs.Set(int64(time.Since(s.wallStart)))
 }

@@ -279,9 +279,8 @@ func (s *System) instrument(ts *traceState) {
 			s.met.RecycleMisses.Inc()
 		} else {
 			s.met.RecycleHits.Inc()
-			s.tlog.Emit(tracelog.Event{Type: tracelog.EvPipelineRecycle,
-				Cycles: s.rt.M.Cycles, TracePC: ts.clean.Start,
-				Arg1: uint64(capRows)})
+			s.emit(tracelog.Event{Type: tracelog.EvPipelineRecycle,
+				TracePC: ts.clean.Start, Arg1: uint64(capRows)})
 		}
 	case len(ts.profile.Ops) != len(ops) || ts.profile.rowCap != capRows:
 		ts.profile.Reinit(ops, isLoad, capRows)
@@ -319,9 +318,8 @@ func (s *System) instrument(ts *traceState) {
 					s.met.GlobalFills.Inc()
 					global = 1
 				}
-				s.tlog.Emit(tracelog.Event{Type: tracelog.EvProfileFill,
-					Cycles: s.rt.M.Cycles, TracePC: ts.clean.Start,
-					Arg1: uint64(ts.profile.Rows()), Arg2: global})
+				s.emit(tracelog.Event{Type: tracelog.EvProfileFill,
+					TracePC: ts.clean.Start, Arg1: uint64(ts.profile.Rows()), Arg2: global})
 				s.runAnalyzer(ts)
 				return false
 			}
@@ -371,8 +369,8 @@ func (s *System) instrument(ts *traceState) {
 	ts.instr = inst
 	s.instrumentEvents++
 	s.met.TracesInstrumented.Inc()
-	s.tlog.Emit(tracelog.Event{Type: tracelog.EvTraceInstrumented,
-		Cycles: s.rt.M.Cycles, TracePC: ts.clean.Start, Arg1: uint64(len(ops))})
+	s.emit(tracelog.Event{Type: tracelog.EvTraceInstrumented,
+		TracePC: ts.clean.Start, Arg1: uint64(len(ops))})
 	s.rt.AddOverhead(s.cfg.InstrumentCost)
 	s.rt.ReplaceTrace(inst)
 	ns := uint64(time.Since(wallStart))
@@ -419,22 +417,25 @@ func (s *System) asyncActive() bool {
 // runAnalyzer performs one profile-analyzer invocation: it mini-simulates
 // every live profile (inline, or via the pipeline hand-off), labels
 // delinquent loads, swaps every analyzed trace back to its clean clone,
-// and charges the modelled analysis cost.
+// and charges the modelled analysis cost. The invocation is stamped with
+// the synced guest clock, which no guest instruction moves until it
+// returns.
 func (s *System) runAnalyzer(trigger *traceState) {
+	now := s.now()
 	live := s.liveTraces()
-	s.emitInvocation(live)
+	s.emitInvocation(now, live)
 	s.tlog.Emit(tracelog.Event{Type: tracelog.EvAnalyzerBegin,
-		Cycles: s.rt.M.Cycles, Arg1: uint64(len(live))})
+		Cycles: now, Arg1: uint64(len(live))})
 	if s.asyncActive() {
-		s.submitAnalysis(live)
+		s.submitAnalysis(now, live)
 	} else {
-		s.analyzeInline(live)
+		s.analyzeInline(now, live)
 	}
 	if s.cfg.Adaptive {
 		trigger.alpha = s.cfg.clampAlpha(trigger.alpha - s.cfg.DelinquencyStep)
 		s.met.AdaptiveAlphaSteps.Inc()
 		s.tlog.Emit(tracelog.Event{Type: tracelog.EvAdaptiveStep,
-			Cycles: s.rt.M.Cycles, TracePC: trigger.clean.Start,
+			Cycles: now, TracePC: trigger.clean.Start,
 			Arg1: math.Float64bits(trigger.alpha)})
 	}
 	s.globalRows = 0
@@ -444,7 +445,7 @@ func (s *System) runAnalyzer(trigger *traceState) {
 
 // analyzeInline is the synchronous path: the guest thread runs the full
 // mini-simulation before continuing, as in the paper.
-func (s *System) analyzeInline(live []*traceState) {
+func (s *System) analyzeInline(startCycles uint64, live []*traceState) {
 	if s.cfg.AnalyzerWorkers >= 2 {
 		// A pipeline was requested but this invocation could not use it
 		// (synchronous hook, or post-Finish): the guest is paying the
@@ -452,7 +453,6 @@ func (s *System) analyzeInline(live []*traceState) {
 		s.met.SyncFallbacks.Inc()
 	}
 	start := time.Now()
-	startCycles := s.rt.M.Cycles
 	refs0, miss0 := s.an.SimulatedRefs, s.an.totalMiss
 	cost := s.cfg.AnalyzerFixed
 	s.an.BeginInvocation(startCycles)
@@ -497,8 +497,7 @@ func (s *System) analyzeInline(live []*traceState) {
 // computed from the profile's recorded-cell count — the same reference
 // count the simulation replays — so the guest-visible overhead stream is
 // identical to the inline path's.
-func (s *System) submitAnalysis(live []*traceState) {
-	cycles := s.rt.M.Cycles
+func (s *System) submitAnalysis(cycles uint64, live []*traceState) {
 	cost := s.cfg.AnalyzerFixed
 	jobs := make([]*analysisJob, 0, len(live))
 	for _, ts := range live {
@@ -548,8 +547,8 @@ func (s *System) deinstrument(ts *traceState) {
 	ts.instr = nil
 	ts.rowOpen = false
 	s.met.TracesDeinstrumented.Inc()
-	s.tlog.Emit(tracelog.Event{Type: tracelog.EvTraceDeinstrumented,
-		Cycles: s.rt.M.Cycles, TracePC: ts.clean.Start, Arg1: uint64(ts.analyses + 1)})
+	s.emit(tracelog.Event{Type: tracelog.EvTraceDeinstrumented,
+		TracePC: ts.clean.Start, Arg1: uint64(ts.analyses + 1)})
 	ts.everAnalyzed = true
 	ts.analyses++
 	ts.lastAnalyzed = s.rt.M.Instrs
@@ -577,6 +576,24 @@ func (s *System) Finish() {
 		s.poolClosed = true
 	}
 	s.syncGuestMirrors()
+}
+
+// now syncs the machine and reads the guest clock. Every read of the
+// clock goes through it: during a run the machine's hierarchy works
+// beside the interpreter, and Cycles lags until a sync.
+func (s *System) now() uint64 {
+	s.rt.M.Sync()
+	return s.rt.M.Cycles
+}
+
+// emit records a guest-thread event stamped with the guest clock. Without
+// a log it neither syncs the machine nor reads the clock.
+func (s *System) emit(ev tracelog.Event) {
+	if s.tlog == nil {
+		return
+	}
+	ev.Cycles = s.now()
+	s.tlog.Emit(ev)
 }
 
 // Report summarizes a UMI run.

@@ -177,12 +177,12 @@ func (s *System) EnableWireEmit(enc *wire.Encoder) { s.wenc = enc }
 // Emit-stage wall attribution covers the encoder and, through it, any
 // synchronous LiveShipper write — everything the guest thread pays for
 // telemetry; the stage's modelled cost is 0 (emission is observational).
-func (s *System) emitInvocation(live []*traceState) {
+func (s *System) emitInvocation(cycles uint64, live []*traceState) {
 	if s.wenc == nil {
 		return
 	}
 	start := time.Now()
-	s.wenc.Invocation(s.rt.M.Cycles, len(live))
+	s.wenc.Invocation(cycles, len(live))
 	for _, ts := range live {
 		s.wenc.Profile(wireProfile(ts.profile, ts.alpha))
 	}

@@ -12,7 +12,10 @@ import (
 // MemModel supplies memory-hierarchy latency for the machine's loads and
 // stores. Access reports the stall cycles beyond the instruction's base
 // cost. The model is the "hardware": a cache hierarchy with performance
-// counters implements this interface.
+// counters implements this interface. The machine calls it, and its
+// optional views below, through the reference queue (queue.go): in program
+// order, but during a run on a worker goroutine and after the instruction
+// has retired.
 type MemModel interface {
 	Access(addr uint64, size uint8, write bool) (stall uint64)
 }
@@ -31,8 +34,8 @@ type NTModel interface {
 }
 
 // InstrFetchModel is implemented by memory models that charge for
-// instruction fetches (an instruction cache). The machine consults it
-// once per executed instruction when attached — unless the model also has
+// instruction fetches (an instruction cache). The machine queues one
+// fetch per executed instruction when attached — unless the model also has
 // a FetchesInstrs() bool method reporting false when the machine is built
 // or reset (a hierarchy with no instruction cache, where every fetch is
 // free).
@@ -60,22 +63,27 @@ type Machine struct {
 	Mem  *Memory
 
 	// Model provides load/store stall cycles. Nil means a perfect
-	// single-cycle memory.
+	// single-cycle memory. Its optional views are latched by Reset (and
+	// so by New): call Reset after replacing it.
 	Model MemModel
 
 	// fetch is Model's instruction-fetch view, latched at Reset time (nil
 	// when the model charges nothing for fetches) to avoid a type
 	// assertion per instruction.
 	fetch InstrFetchModel
-	// nt is Model's non-temporal view, if any.
+	// nt and pf are Model's non-temporal and prefetch views, if any.
 	nt NTModel
+	pf PrefetchModel
+	// q queues Model's work for apply (queue.go).
+	q refQueue
 
 	// RefHook, when non-nil, observes every load and store.
 	RefHook RefHook
 
 	// Cycles is the modelled execution time; Instrs counts retired guest
 	// instructions (both exclude any runtime-system overhead, which the
-	// rio layer accounts separately).
+	// rio layer accounts separately). During a run Cycles lacks the stalls
+	// of references still queued: call Sync before reading it.
 	Cycles uint64
 	Instrs uint64
 	Halted bool
@@ -94,16 +102,20 @@ func New(p *program.Program, model MemModel) *Machine {
 
 // Reset rewinds the machine to the program's initial state, reinstalling
 // data segments into a fresh memory and re-reading the model's optional
-// views.
+// views. References still queued (from an Exec a hook panicked out of)
+// reach the model first.
 func (m *Machine) Reset() {
-	m.fetch, m.nt = nil, nil
+	m.Sync()
+	m.fetch, m.nt, m.pf = nil, nil, nil
 	if f, ok := m.Model.(InstrFetchModel); ok {
 		if g, ok := f.(interface{ FetchesInstrs() bool }); !ok || g.FetchesInstrs() {
 			m.fetch = f
 		}
 	}
-	if n, ok := m.Model.(NTModel); ok {
-		m.nt = n
+	m.nt, _ = m.Model.(NTModel)
+	m.pf, _ = m.Model.(PrefetchModel)
+	if m.q.cur == nil {
+		m.q.cur = new(batch)
 	}
 	m.Mem = NewMemory()
 	for _, seg := range m.Prog.Data {
@@ -144,20 +156,32 @@ func (m *Machine) EA(ref isa.MemRef) uint64 {
 // dispatcher, which executes instructions out of code-cache fragments)
 // manage control flow themselves.
 //
+// Exec charges base costs to m.Cycles and queues the model's work (see
+// Sync); outside a run it applies the queue before returning, so Cycles
+// is then exact.
+//
 // hooks, when non-nil, is aligned with code: a non-nil hooks[i] observes
-// instruction i's reference after RefHook does. m.Cycles and m.Instrs are
-// brought up to date when Exec returns, not while hooks run.
+// instruction i's reference after RefHook does. Hooks run with m.Instrs
+// and the base costs in m.Cycles brought up to the previous instruction.
 func (m *Machine) Exec(code []isa.Instr, pcs []uint64, pc uint64, hooks []RefHook, stop uint64) (int, uint64, error) {
-	cycles, instrs := m.Cycles, m.Instrs
+	var cycles uint64 // base cost not yet added to m.Cycles
+	instrs := m.Instrs
+	// Records are queued inline (a call per reference costs more than the
+	// store): flush the full batch, then append. The mask only spares the
+	// bounds check.
+	q := &m.q
 	for i := range code {
 		in := &code[i]
 		if pcs != nil {
 			pc = pcs[i]
 		}
 		next := pc + isa.InstrBytes
-		cost := in.BaseCost()
 		if m.fetch != nil {
-			cost += m.fetch.FetchInstr(pc)
+			if q.n == batchLen {
+				m.flush()
+			}
+			q.cur.recs[q.n&(batchLen-1)] = ref{pc, 0, refFetch}
+			q.n++
 		}
 		branch := false
 		switch in.Op {
@@ -173,7 +197,7 @@ func (m *Machine) Exec(code []isa.Instr, pcs []uint64, pc uint64, hooks []RefHoo
 			m.Regs[in.Rd] = m.Regs[in.Rs1] * m.Regs[in.Rs2]
 		case isa.OpDiv:
 			if m.Regs[in.Rs2] == 0 {
-				m.Cycles, m.Instrs = cycles, instrs
+				m.fault(cycles, instrs)
 				return i, pc, fmt.Errorf("%w at pc %#x", ErrDivideByZero, pc)
 			}
 			m.Regs[in.Rd] = uint64(int64(m.Regs[in.Rs1]) / int64(m.Regs[in.Rs2]))
@@ -201,35 +225,47 @@ func (m *Machine) Exec(code []isa.Instr, pcs []uint64, pc uint64, hooks []RefHoo
 			m.Regs[in.Rd] = uint64(in.Imm)
 		case isa.OpLoad:
 			ea := m.EA(in.Mem)
-			if m.RefHook != nil {
-				m.RefHook(pc, ea, in.Size, false)
+			if m.RefHook != nil || hooks != nil && hooks[i] != nil {
+				m.Cycles, m.Instrs, cycles = m.Cycles+cycles, instrs, 0
+				m.observe(hooks, i, pc, ea, in.Size, false)
 			}
-			if hooks != nil && hooks[i] != nil {
-				hooks[i](pc, ea, in.Size, false)
-			}
-			if in.NT && m.nt != nil {
-				cost += m.nt.AccessNT(ea, in.Size, false)
-			} else if m.Model != nil {
-				cost += m.Model.Access(ea, in.Size, false)
+			if m.Model != nil {
+				kind := refLoad
+				if in.NT && m.nt != nil {
+					kind = refLoadNT
+				}
+				if q.n == batchLen {
+					m.flush()
+				}
+				q.cur.recs[q.n&(batchLen-1)] = ref{ea, in.Size, kind}
+				q.n++
 			}
 			m.Regs[in.Rd] = m.Mem.Read(ea, in.Size)
 		case isa.OpStore:
 			ea := m.EA(in.Mem)
-			if m.RefHook != nil {
-				m.RefHook(pc, ea, in.Size, true)
+			if m.RefHook != nil || hooks != nil && hooks[i] != nil {
+				m.Cycles, m.Instrs, cycles = m.Cycles+cycles, instrs, 0
+				m.observe(hooks, i, pc, ea, in.Size, true)
 			}
-			if hooks != nil && hooks[i] != nil {
-				hooks[i](pc, ea, in.Size, true)
-			}
-			if in.NT && m.nt != nil {
-				cost += m.nt.AccessNT(ea, in.Size, true)
-			} else if m.Model != nil {
-				cost += m.Model.Access(ea, in.Size, true)
+			if m.Model != nil {
+				kind := refStore
+				if in.NT && m.nt != nil {
+					kind = refStoreNT
+				}
+				if q.n == batchLen {
+					m.flush()
+				}
+				q.cur.recs[q.n&(batchLen-1)] = ref{ea, in.Size, kind}
+				q.n++
 			}
 			m.Mem.Write(ea, in.Size, m.Regs[in.Rs1])
 		case isa.OpPrefetch:
-			if pf, ok := m.Model.(PrefetchModel); ok {
-				pf.Prefetch(m.EA(in.Mem))
+			if m.pf != nil {
+				if q.n == batchLen {
+					m.flush()
+				}
+				q.cur.recs[q.n&(batchLen-1)] = ref{m.EA(in.Mem), 0, refPrefetch}
+				q.n++
 			}
 		case isa.OpJmp:
 			next = uint64(in.Imm)
@@ -255,19 +291,50 @@ func (m *Machine) Exec(code []isa.Instr, pcs []uint64, pc uint64, hooks []RefHoo
 			next = m.Regs[in.Rs1]
 			branch = true
 		default:
-			m.Cycles, m.Instrs = cycles, instrs
+			m.fault(cycles, instrs)
 			return i, pc, fmt.Errorf("vm: unimplemented opcode %v at pc %#x", in.Op, pc)
 		}
-		cycles += cost
+		cycles += in.BaseCost()
 		instrs++
 		if branch || instrs >= stop {
-			m.Cycles, m.Instrs = cycles, instrs
+			m.retire(cycles, instrs)
 			return i + 1, next, nil
 		}
 		pc = next
 	}
-	m.Cycles, m.Instrs = cycles, instrs
+	m.retire(cycles, instrs)
 	return len(code), pc, nil
+}
+
+// observe delivers one reference to RefHook and to the instruction's own
+// hook.
+func (m *Machine) observe(hooks []RefHook, i int, pc, ea uint64, size uint8, write bool) {
+	if m.RefHook != nil {
+		m.RefHook(pc, ea, size, write)
+	}
+	if hooks != nil && hooks[i] != nil {
+		hooks[i](pc, ea, size, write)
+	}
+}
+
+// retire brings the counters up to date as Exec returns and, outside a
+// run, applies the queue.
+func (m *Machine) retire(cycles, instrs uint64) {
+	m.Cycles += cycles
+	m.Instrs = instrs
+	if !m.q.running {
+		m.Sync()
+	}
+}
+
+// fault retires what ran before a faulting instruction. The instruction
+// costs nothing, but its fetch, the last record queued, still reaches
+// the model.
+func (m *Machine) fault(cycles, instrs uint64) {
+	if m.fetch != nil {
+		m.q.cur.recs[m.q.n-1].kind = refFetchFaulted
+	}
+	m.retire(cycles, instrs)
 }
 
 // ExecInstr executes one instruction whose original application PC is pc
@@ -291,8 +358,14 @@ func (m *Machine) Step() error {
 }
 
 // Run executes until the program halts or maxInstrs instructions retire.
-// It returns ErrNotHalted if the budget is exhausted first.
+// It returns ErrNotHalted if the budget is exhausted first. The run is one
+// Drive: the model works beside the interpreter, and Cycles and the model
+// are exact when Run returns.
 func (m *Machine) Run(maxInstrs uint64) error {
+	return m.Drive(func() error { return m.run(maxInstrs) })
+}
+
+func (m *Machine) run(maxInstrs uint64) error {
 	stop := m.Instrs + maxInstrs
 	if stop < m.Instrs {
 		stop = NoStop

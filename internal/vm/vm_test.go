@@ -161,6 +161,20 @@ func TestCycleAccounting(t *testing.T) {
 	}
 }
 
+// fetchModel charges a fixed stall per access and per instruction fetch,
+// and counts the fetches it sees.
+type fetchModel struct{ fetches int }
+
+func (f *fetchModel) Access(addr uint64, size uint8, write bool) uint64 { return 10 }
+
+func (f *fetchModel) FetchInstr(pc uint64) uint64 {
+	f.fetches++
+	return 100
+}
+
+// A faulting instruction costs nothing, but the model still sees its
+// fetch: the queued fetch reaches the model without its stall reaching
+// the clock, whether a run's worker or Step applies the queue.
 func TestDivideByZero(t *testing.T) {
 	b := program.NewBuilder("div0")
 	blk := b.Block("entry")
@@ -172,9 +186,26 @@ func TestDivideByZero(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Assemble: %v", err)
 	}
-	m := New(p, nil)
-	if err := m.Run(10); !errors.Is(err, ErrDivideByZero) {
-		t.Errorf("Run = %v, want ErrDivideByZero", err)
+	drives := map[string]func(*Machine) error{
+		"Run": func(m *Machine) error { return m.Run(10) },
+		"Step": func(m *Machine) error {
+			for {
+				if err := m.Step(); err != nil {
+					return err
+				}
+			}
+		},
+	}
+	for name, drive := range drives {
+		fm := &fetchModel{}
+		m := New(p, fm)
+		if err := drive(m); !errors.Is(err, ErrDivideByZero) {
+			t.Fatalf("%s = %v, want ErrDivideByZero", name, err)
+		}
+		if fm.fetches != 3 || m.Instrs != 2 || m.Cycles != 2*(1+100) {
+			t.Errorf("%s: model saw %d fetches, machine %d instrs %d cycles; want 3, 2, %d",
+				name, fm.fetches, m.Instrs, m.Cycles, 2*(1+100))
+		}
 	}
 }
 
