@@ -25,29 +25,6 @@ func TestAccessZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestAccessBatchZeroAllocs(t *testing.T) {
-	for _, pol := range []Policy{LRU, FIFO, PLRU} {
-		cfg := P4L2
-		cfg.Policy = pol
-		c := New(cfg)
-		for i := uint64(0); i < uint64(cfg.Size/cfg.LineSize)*2; i++ {
-			c.Access(i * 64)
-		}
-		addrs := make([]uint64, 512)
-		res := make([]AccessResult, 512)
-		base := uint64(0)
-		if n := testing.AllocsPerRun(100, func() {
-			for i := range addrs {
-				addrs[i] = base + uint64(i)*64
-			}
-			base += 512 * 64
-			c.AccessBatch(addrs, res)
-		}); n != 0 {
-			t.Errorf("%v: AccessBatch allocated %v times per batch on the fused path", pol, n)
-		}
-	}
-}
-
 func TestAccessSlowPathZeroAllocs(t *testing.T) {
 	for _, pol := range []Policy{FIFO, Random, PLRU} {
 		c := New(Config{Name: "t", Size: 32 * 1024, Assoc: 4, LineSize: 64, Policy: pol})

@@ -125,7 +125,7 @@ type Cache struct {
 	clock     uint64
 
 	// coldActive is true while any cold entry is non-zero, so the fused
-	// demand fast paths can skip prefetch bookkeeping entirely while false.
+	// LRU demand paths can skip prefetch bookkeeping entirely while false.
 	// coldLive counts those entries exactly: it rises when a prefetch
 	// installs state and falls when a demand hit consumes it or an eviction
 	// overwrites it, so coldActive clears — and the fast path re-engages —
@@ -133,8 +133,8 @@ type Cache struct {
 	coldActive bool
 	coldLive   int
 
-	// fast caches the fused-path selection (policy × layout × coldActive)
-	// as a single byte, so Access pays one load and one switch instead of
+	// fast caches the demand-path selection (layout × coldActive) as a
+	// single byte, so Access pays one load and one switch instead of
 	// re-deriving the choice per call. refast() recomputes it at every
 	// coldActive transition.
 	fast uint8
@@ -153,18 +153,15 @@ type Cache struct {
 	// fifoNext is FIFO's round-robin victim lane: ways fill in index order
 	// (fills always take the lowest invalid way and lines only invalidate
 	// wholesale at Flush), so once a set is full its oldest line is exactly
-	// the way this pointer names — no install-time scan needed. Every
-	// install path advances it to victim+1 mod assoc, which keeps it equal
-	// to the min-install-time scan the slow path used to do.
+	// the way this pointer names — no install-time scan needed. install
+	// advances it to victim+1 mod assoc, which keeps it equal to a
+	// min-install-time scan.
 	fifoNext []int32
 
-	// PLRU dispatch tables, built once per New: plruVict maps a set's tree
-	// bits straight to the victim way (assoc ≤ plruTableMaxAssoc only —
-	// the table is 2^(assoc-1) entries); plruOn/plruOff are per-way touch
-	// masks replacing the level-by-level tree walk on every touch.
-	plruVict []uint8
-	plruOn   []uint64
-	plruOff  []uint64
+	// plruOn/plruOff are PLRU's per-way touch masks, built once per New,
+	// replacing the level-by-level tree walk on every touch.
+	plruOn  []uint64
+	plruOff []uint64
 
 	stats Stats
 }
@@ -175,8 +172,7 @@ type Cache struct {
 // single owner; the UMI layer mirrors these into its atomic registry at
 // synchronization points. Flush keeps the counts running (the analyzer's
 // periodic flush is part of one logical run); Reset zeroes them along with
-// everything else; Clone copies them so a clone's deltas start from the
-// template's totals.
+// everything else.
 type Stats struct {
 	Accesses  uint64
 	Misses    uint64
@@ -194,12 +190,8 @@ func (c *Cache) Stats() Stats {
 }
 
 // rngSeed is the initial xorshift state for the Random policy; fixed so
-// fresh, Reset, and Cloned caches replay identically.
+// fresh and Reset caches replay identically.
 const rngSeed = 0x9E3779B97F4A7C15
-
-// plruTableMaxAssoc bounds the bits→victim lookup table: 16 ways is a
-// 32KiB table (2^15 entries); larger trees fall back to the walk.
-const plruTableMaxAssoc = 16
 
 // New builds a cache from the config, panicking on invalid geometry
 // (configurations are build-time constants in this codebase).
@@ -245,9 +237,6 @@ func New(cfg Config) *Cache {
 	case PLRU:
 		c.plruBits = make([]uint64, cfg.Sets())
 		c.plruOn, c.plruOff = plruTouchMasks(cfg.Assoc)
-		if cfg.Assoc <= plruTableMaxAssoc {
-			c.plruVict = plruVictimTable(cfg.Assoc)
-		}
 	case FIFO:
 		c.fifoNext = make([]int32, cfg.Sets())
 	}
@@ -277,45 +266,32 @@ type AccessResult struct {
 	Late bool
 }
 
-// Fused-path selector values (Cache.fast). fpSlow is the zero value so a
+// Demand-path selector values (Cache.fast). fpSlow is the zero value so a
 // cache that never calls refast stays on the always-correct general path.
 const (
 	fpSlow uint8 = iota
 	fpLRU8
 	fpLRUNarrow
-	fpLRUWide
-	fpFIFO
-	fpPLRU
 )
 
-// refast recomputes the fused-path selector. Call after anything that
+// refast recomputes the demand-path selector. Call after anything that
 // changes its inputs — in practice only coldActive transitions (policy and
-// layout are fixed at New).
+// layout are fixed at New). Only LRU at 8 ways or fewer has fused bodies:
+// that is every level the Pentium 4 hierarchy and the default
+// mini-simulator run. FIFO, Random, PLRU and wider LRU take accessSlow,
+// which implements each of them exactly.
 func (c *Cache) refast() {
-	if c.coldActive {
+	switch {
+	case c.coldActive || c.ages == nil:
 		c.fast = fpSlow
-		return
-	}
-	switch c.policy {
-	case LRU:
-		switch {
-		case c.assoc == 8 && c.lineShift+c.setBits > 0:
-			// The 8-way path's exact sign-AND miss test needs invalidTag to
-			// be unreachable as a lookup tag, which one bit of shift
-			// guarantees (tag < 2^63). A degenerate 1-byte-line single-set
-			// geometry falls back to the generic narrow path.
-			c.fast = fpLRU8
-		case c.ages != nil:
-			c.fast = fpLRUNarrow
-		default:
-			c.fast = fpLRUWide
-		}
-	case FIFO:
-		c.fast = fpFIFO
-	case PLRU:
-		c.fast = fpPLRU
-	default: // Random: victim choice consumes RNG state per access
-		c.fast = fpSlow
+	case c.assoc == 8 && c.lineShift+c.setBits > 0:
+		// The 8-way path's exact sign-AND miss test needs invalidTag to be
+		// unreachable as a lookup tag, which one bit of shift guarantees
+		// (tag < 2^63). A degenerate 1-byte-line single-set geometry falls
+		// back to the generic narrow path.
+		c.fast = fpLRU8
+	default:
+		c.fast = fpLRUNarrow
 	}
 }
 
@@ -327,12 +303,6 @@ func (c *Cache) Access(addr uint64) AccessResult {
 		return c.accessLRU8(addr)
 	case fpLRUNarrow:
 		return c.accessLRUNarrow(addr)
-	case fpLRUWide:
-		return c.accessLRUWide(addr)
-	case fpFIFO:
-		return c.accessFIFODemand(addr)
-	case fpPLRU:
-		return c.accessPLRUDemand(addr)
 	}
 	return c.accessSlow(addr)
 }
@@ -377,307 +347,10 @@ func (c *Cache) accessLRUNarrow(addr uint64) AccessResult {
 	return AccessResult{}
 }
 
-// accessLRUWide is the fused LRU demand path for assoc > 8: the recency
-// stack no longer fits one SWAR word, so per-way packed timestamps in the
-// lastUse lane with a linear minimum scan take over.
-func (c *Cache) accessLRUWide(addr uint64) AccessResult {
-	c.clock++
-	l := addr >> c.lineShift
-	set := l & c.setMask
-	tag := l >> c.setBits
-	base := int(set) * c.assoc
-	tags := c.tags[base : base+c.assoc : base+c.assoc]
-	vm := c.valid[set]
-	if vm == c.wayMask {
-		if missAllFull(tags, tag) {
-			c.stats.Misses++
-			c.stats.Evictions++
-			use := c.lastUse[base : base+c.assoc : base+c.assoc]
-			way := minWay(use, c.wayBits)
-			tags[way] = tag
-			use[way] = packUse(c.clock, c.wayBits, way)
-			return AccessResult{}
-		}
-		way := bits.TrailingZeros64(matchWays(tags, tag, vm))
-		c.lastUse[base+way] = packUse(c.clock, c.wayBits, way)
-		return AccessResult{Hit: true}
-	}
-	if m := matchWays(tags, tag, vm); m != 0 {
-		way := bits.TrailingZeros64(m)
-		c.lastUse[base+way] = packUse(c.clock, c.wayBits, way)
-		return AccessResult{Hit: true}
-	}
-	c.stats.Misses++
-	way := bits.TrailingZeros64(^vm & c.wayMask)
-	c.valid[set] = vm | 1<<uint(way)
-	tags[way] = tag
-	c.lastUse[base+way] = packUse(c.clock, c.wayBits, way)
-	return AccessResult{}
-}
-
-// accessFIFODemand is FIFO's fused demand path: hits touch nothing (the
-// recency lane is an LRU-only structure), and a full set's victim comes
-// straight off the fifoNext pointer — no install-time scan at all.
-func (c *Cache) accessFIFODemand(addr uint64) AccessResult {
-	c.clock++
-	l := addr >> c.lineShift
-	set := l & c.setMask
-	tag := l >> c.setBits
-	base := int(set) * c.assoc
-	tags := c.tags[base : base+c.assoc : base+c.assoc]
-	vm := c.valid[set]
-	if vm == c.wayMask {
-		if !missAllFull(tags, tag) {
-			return AccessResult{Hit: true}
-		}
-		c.stats.Misses++
-		c.stats.Evictions++
-		way := int(c.fifoNext[set])
-		next := int32(way) + 1
-		if int(next) == c.assoc {
-			next = 0
-		}
-		c.fifoNext[set] = next
-		tags[way] = tag
-		return AccessResult{}
-	}
-	if matchWays(tags, tag, vm) != 0 {
-		return AccessResult{Hit: true}
-	}
-	c.stats.Misses++
-	way := bits.TrailingZeros64(^vm & c.wayMask)
-	c.valid[set] = vm | 1<<uint(way)
-	next := int32(way) + 1
-	if int(next) == c.assoc {
-		next = 0
-	}
-	c.fifoNext[set] = next
-	tags[way] = tag
-	return AccessResult{}
-}
-
-// accessPLRUDemand is PLRU's fused demand path: the victim comes from the
-// bits→way table (or the tree walk past plruTableMaxAssoc ways) and the
-// touch is two precomputed mask operations instead of a level walk.
-func (c *Cache) accessPLRUDemand(addr uint64) AccessResult {
-	c.clock++
-	l := addr >> c.lineShift
-	set := l & c.setMask
-	tag := l >> c.setBits
-	base := int(set) * c.assoc
-	tags := c.tags[base : base+c.assoc : base+c.assoc]
-	vm := c.valid[set]
-	if m := matchWays(tags, tag, vm); m != 0 {
-		way := bits.TrailingZeros64(m)
-		c.plruBits[set] = c.plruBits[set]&^c.plruOff[way] | c.plruOn[way]
-		return AccessResult{Hit: true}
-	}
-	c.stats.Misses++
-	var way int
-	if inv := ^vm & c.wayMask; inv != 0 {
-		way = bits.TrailingZeros64(inv)
-		c.valid[set] = vm | 1<<uint(way)
-	} else {
-		way = c.plruVictim(set)
-		c.stats.Evictions++
-	}
-	tags[way] = tag
-	c.plruBits[set] = c.plruBits[set]&^c.plruOff[way] | c.plruOn[way]
-	return AccessResult{}
-}
-
-// AccessBatch performs one demand access per element of addrs, in order,
-// writing the i-th outcome into res[i]. It is exactly equivalent to
-// calling Access once per element — same results, statistics, clock
-// stamps, and replacement state — but amortizes the policy dispatch and
-// the clock/statistics read-modify-writes across the whole batch, which
-// is what lets the analyzer replay a profile column-by-column without
-// paying per-reference entry overhead. res must be at least as long as
-// addrs; excess entries are untouched.
-func (c *Cache) AccessBatch(addrs []uint64, res []AccessResult) {
-	res = res[:len(addrs)]
-	switch c.fast {
-	case fpLRU8:
-		c.batchLRU8(addrs, res)
-		return
-	case fpLRUNarrow, fpLRUWide:
-		c.batchLRU(addrs, res)
-		return
-	case fpFIFO:
-		c.batchFIFO(addrs, res)
-		return
-	case fpPLRU:
-		c.batchPLRU(addrs, res)
-		return
-	}
-	// General path: Random policy, or live prefetch state. Dispatch per
-	// element through Access, not accessSlow — draining the last cold
-	// entry mid-batch re-arms the fused path exactly as scalar calls would.
-	for i, a := range addrs {
-		res[i] = c.Access(a)
-	}
-}
-
-// batchLRU runs the LRU demand paths over a batch with the clock and
-// statistics hoisted into locals.
-func (c *Cache) batchLRU(addrs []uint64, res []AccessResult) {
-	clock := c.clock
-	var misses, evicts uint64
-	if c.ages != nil { // narrow: SWAR age vectors
-		for i, addr := range addrs {
-			clock++
-			l := addr >> c.lineShift
-			set := l & c.setMask
-			tag := l >> c.setBits
-			base := int(set) * c.assoc
-			tags := c.tags[base : base+c.assoc : base+c.assoc]
-			vm := c.valid[set]
-			if vm == c.wayMask && missAllFull(tags, tag) {
-				misses++
-				evicts++
-				way := ageEvictWay(c.ages[set], c.ageVict, c.ageGE)
-				tags[way] = tag
-				c.ages[set] = ageInstall(c.ages[set], way, c.ageInc)
-				res[i] = AccessResult{}
-				continue
-			}
-			if m := matchWays(tags, tag, vm); m != 0 {
-				way := bits.TrailingZeros64(m)
-				c.ages[set] = ageTouch(c.ages[set], way, c.ageInc, c.ageGE)
-				res[i] = AccessResult{Hit: true}
-				continue
-			}
-			misses++
-			way := bits.TrailingZeros64(^vm & c.wayMask)
-			c.valid[set] = vm | 1<<uint(way)
-			tags[way] = tag
-			c.ages[set] = ageInstall(c.ages[set], way, c.ageInc)
-			res[i] = AccessResult{}
-		}
-	} else { // wide: packed timestamps
-		for i, addr := range addrs {
-			clock++
-			l := addr >> c.lineShift
-			set := l & c.setMask
-			tag := l >> c.setBits
-			base := int(set) * c.assoc
-			tags := c.tags[base : base+c.assoc : base+c.assoc]
-			vm := c.valid[set]
-			if vm == c.wayMask && missAllFull(tags, tag) {
-				misses++
-				evicts++
-				use := c.lastUse[base : base+c.assoc : base+c.assoc]
-				way := minWay(use, c.wayBits)
-				tags[way] = tag
-				use[way] = packUse(clock, c.wayBits, way)
-				res[i] = AccessResult{}
-				continue
-			}
-			if m := matchWays(tags, tag, vm); m != 0 {
-				way := bits.TrailingZeros64(m)
-				c.lastUse[base+way] = packUse(clock, c.wayBits, way)
-				res[i] = AccessResult{Hit: true}
-				continue
-			}
-			misses++
-			way := bits.TrailingZeros64(^vm & c.wayMask)
-			c.valid[set] = vm | 1<<uint(way)
-			tags[way] = tag
-			c.lastUse[base+way] = packUse(clock, c.wayBits, way)
-			res[i] = AccessResult{}
-		}
-	}
-	c.clock = clock
-	c.stats.Misses += misses
-	c.stats.Evictions += evicts
-}
-
-// batchFIFO is accessFIFODemand over a batch.
-func (c *Cache) batchFIFO(addrs []uint64, res []AccessResult) {
-	clock := c.clock
-	var misses, evicts uint64
-	for i, addr := range addrs {
-		clock++
-		l := addr >> c.lineShift
-		set := l & c.setMask
-		tag := l >> c.setBits
-		base := int(set) * c.assoc
-		tags := c.tags[base : base+c.assoc : base+c.assoc]
-		vm := c.valid[set]
-		if vm == c.wayMask {
-			if !missAllFull(tags, tag) {
-				res[i] = AccessResult{Hit: true}
-				continue
-			}
-			misses++
-			evicts++
-			way := int(c.fifoNext[set])
-			next := int32(way) + 1
-			if int(next) == c.assoc {
-				next = 0
-			}
-			c.fifoNext[set] = next
-			tags[way] = tag
-			res[i] = AccessResult{}
-			continue
-		}
-		if matchWays(tags, tag, vm) != 0 {
-			res[i] = AccessResult{Hit: true}
-			continue
-		}
-		misses++
-		way := bits.TrailingZeros64(^vm & c.wayMask)
-		c.valid[set] = vm | 1<<uint(way)
-		next := int32(way) + 1
-		if int(next) == c.assoc {
-			next = 0
-		}
-		c.fifoNext[set] = next
-		tags[way] = tag
-		res[i] = AccessResult{}
-	}
-	c.clock = clock
-	c.stats.Misses += misses
-	c.stats.Evictions += evicts
-}
-
-// batchPLRU is accessPLRUDemand over a batch.
-func (c *Cache) batchPLRU(addrs []uint64, res []AccessResult) {
-	clock := c.clock
-	var misses, evicts uint64
-	for i, addr := range addrs {
-		clock++
-		l := addr >> c.lineShift
-		set := l & c.setMask
-		tag := l >> c.setBits
-		base := int(set) * c.assoc
-		tags := c.tags[base : base+c.assoc : base+c.assoc]
-		vm := c.valid[set]
-		if m := matchWays(tags, tag, vm); m != 0 {
-			way := bits.TrailingZeros64(m)
-			c.plruBits[set] = c.plruBits[set]&^c.plruOff[way] | c.plruOn[way]
-			res[i] = AccessResult{Hit: true}
-			continue
-		}
-		misses++
-		var way int
-		if inv := ^vm & c.wayMask; inv != 0 {
-			way = bits.TrailingZeros64(inv)
-			c.valid[set] = vm | 1<<uint(way)
-		} else {
-			way = c.plruVictim(set)
-			evicts++
-		}
-		tags[way] = tag
-		c.plruBits[set] = c.plruBits[set]&^c.plruOff[way] | c.plruOn[way]
-		res[i] = AccessResult{}
-	}
-	c.clock = clock
-	c.stats.Misses += misses
-	c.stats.Evictions += evicts
-}
-
-// accessSlow is the general demand access: any policy, prefetch state live.
+// accessSlow is the general demand access: any policy and width, prefetch
+// state live or not. It is the only body for FIFO, Random, PLRU and LRU
+// wider than 8 ways, and the reference the fused LRU bodies are
+// equivalence-tested against.
 func (c *Cache) accessSlow(addr uint64) AccessResult {
 	c.clock++
 	set, tag := c.setAndTag(addr)
@@ -780,7 +453,7 @@ func (c *Cache) install(set, tag uint64, prefetched bool, readyAt uint64) {
 	c.plruTouch(set, victim)
 }
 
-// coldDec retires one live cold entry, re-arming the fused demand fast
+// coldDec retires one live cold entry, re-arming the fused LRU demand
 // paths the moment the last one is gone.
 func (c *Cache) coldDec() {
 	c.coldLive--
@@ -791,8 +464,8 @@ func (c *Cache) coldDec() {
 }
 
 // PrefetchResident counts lines still carrying prefetch state (coverage
-// marks or in-flight fill deadlines); the demand fast path is available
-// exactly while this is zero.
+// marks or in-flight fill deadlines); the fused LRU demand paths are
+// available exactly while this is zero.
 func (c *Cache) PrefetchResident() int { return c.coldLive }
 
 // Flush invalidates the entire cache, including replacement-policy recency
@@ -827,32 +500,6 @@ func (c *Cache) Flush() {
 	c.coldActive = false
 	c.coldLive = 0
 	c.refast()
-}
-
-// Clone returns a deep copy of the cache: geometry, line contents, the
-// recency clock, and policy state (PLRU tree bits, FIFO pointers, Random
-// RNG state) are all duplicated, so the copy replays any access sequence
-// exactly as the original would. Per-worker simulators in parallel
-// experiment cells clone a warmed template instead of re-warming from
-// cold; the original and the clone share nothing afterwards. (The PLRU
-// dispatch tables are immutable after construction and rebuilt by New,
-// identical by construction.)
-func (c *Cache) Clone() *Cache {
-	n := New(c.cfg)
-	n.clock = c.clock
-	n.rngState = c.rngState
-	n.stats = c.stats
-	n.coldActive = c.coldActive
-	n.coldLive = c.coldLive
-	n.refast()
-	copy(n.tags, c.tags)
-	copy(n.lastUse, c.lastUse)
-	copy(n.ages, c.ages)
-	copy(n.valid, c.valid)
-	copy(n.cold, c.cold)
-	copy(n.plruBits, c.plruBits)
-	copy(n.fifoNext, c.fifoNext)
-	return n
 }
 
 // Reset restores the cache to its just-constructed state: contents

@@ -4,15 +4,22 @@ import "testing"
 
 // FuzzCacheConfig throws random geometries and access sequences at the
 // cache and checks the structural invariants the rest of the stack leans
-// on: Validate rejects unrealizable shapes before New can panic, Clone is
-// an exact fork (identical hit/miss stream and statistics from the fork
-// point), and Reset returns a cache to a state indistinguishable from
-// freshly constructed.
+// on: Validate rejects unrealizable shapes before New can panic, Access
+// agrees exactly with the general path, and Reset returns a cache to a
+// state indistinguishable from freshly constructed.
 func FuzzCacheConfig(f *testing.F) {
 	f.Add(uint8(3), uint8(7), uint8(3), uint8(0), []byte{0, 1, 2, 3, 0, 1, 255, 128})
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), []byte{9, 9, 9})
 	f.Add(uint8(5), uint8(3), uint8(2), uint8(2), []byte{1, 2, 4, 8, 16, 32, 64, 128})
 	f.Add(uint8(2), uint8(1), uint8(1), uint8(3), []byte{7, 7, 7, 7, 200, 100})
+	// 4-way LRU (the narrow body), 16 sets: five and six lines cycle
+	// through sets 0 and 1, so fills, hits and LRU evictions all occur.
+	f.Add(uint8(4), uint8(3), uint8(3), uint8(0),
+		[]byte{0, 32, 64, 96, 0, 32, 128, 0, 2, 34, 66, 98, 130, 2, 160, 96, 0})
+	// 16-way LRU (wide, packed timestamps), 4 sets: seventeen lines of set
+	// 0, then re-references of evicted and resident lines.
+	f.Add(uint8(2), uint8(15), uint8(3), uint8(0),
+		[]byte{0, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120, 128, 0, 8, 136, 8, 32, 0})
 	f.Fuzz(func(t *testing.T, setExp, assocRaw, lineExp, polRaw uint8, addrBytes []byte) {
 		cfg := Config{
 			Name:     "fuzz",
@@ -50,24 +57,19 @@ func FuzzCacheConfig(f *testing.F) {
 			t.Fatalf("evictions %d exceed demand misses %d", st.Evictions, st.Misses)
 		}
 
-		// Clone equivalence: fork at the midpoint, run the tail on both;
-		// original, clone, and the uninterrupted run must agree exactly.
-		orig := New(cfg)
-		half := len(seq) / 2
-		for i := 0; i < half; i++ {
-			orig.Access(seq[i])
-		}
-		fork := orig.Clone()
-		for i := half; i < len(seq); i++ {
-			or, fr := orig.Access(seq[i]), fork.Access(seq[i])
-			if or != want[i] || fr != want[i] {
-				t.Fatalf("access %d: original %+v, clone %+v, uninterrupted %+v",
-					i, or, fr, want[i])
+		// Fast ≡ slow: a cache pinned to the general path (cold entries stay
+		// all zero, so it is exactly the fused bodies' precondition) must
+		// replay the same results and statistics.
+		slow := New(cfg)
+		slow.coldActive = true
+		slow.refast()
+		for i, a := range seq {
+			if got := slow.Access(a); got != want[i] {
+				t.Fatalf("access %d: general path %+v, Access %+v", i, got, want[i])
 			}
 		}
-		if orig.Stats() != st || fork.Stats() != st {
-			t.Fatalf("stats diverged: original %+v, clone %+v, uninterrupted %+v",
-				orig.Stats(), fork.Stats(), st)
+		if slow.Stats() != st {
+			t.Fatalf("stats diverged: general path %+v, Access %+v", slow.Stats(), st)
 		}
 
 		// Reset equivalence: a Reset cache must replay exactly like a fresh

@@ -2,9 +2,9 @@ package cache
 
 import "math/bits"
 
-// Hot-path primitives shared by the fused demand paths and the batch
-// loops. The lane layout (tags / valid / per-set recency, see cache.go)
-// makes every one of these a straight walk over contiguous uint64 words.
+// Hot-path primitives shared by the demand paths. The lane layout (tags /
+// valid / per-set recency, see cache.go) makes every one of these a
+// straight walk over contiguous uint64 words.
 //
 // LRU recency comes in two representations:
 //
@@ -186,63 +186,4 @@ func (c *Cache) accessLRU8(addr uint64) AccessResult {
 	ge := ((aw*lowBytes | highBytes) - ag) & highBytes
 	ages[set] = (ag + ge>>7) &^ (0xff << (8 * uint(w)))
 	return AccessResult{Hit: true}
-}
-
-// batchLRU8 is accessLRU8 over a batch with the clock and statistics
-// hoisted into locals.
-func (c *Cache) batchLRU8(addrs []uint64, res []AccessResult) {
-	clock := c.clock
-	var misses, evicts uint64
-	valid := c.valid
-	ages := c.ages
-	// Same lane-size guard as accessLRU8, hoisted out of the loop.
-	if len(valid) == 0 || len(ages) < len(valid) {
-		return
-	}
-	for i, addr := range addrs {
-		clock++
-		l := addr >> c.lineShift
-		set := l & uint64(len(valid)-1)
-		tag := l >> c.setBits
-		base := int(set) * 8
-		t := (*[8]uint64)(c.tags[base:])
-		d0 := t[0] ^ tag
-		d1 := t[1] ^ tag
-		d2 := t[2] ^ tag
-		d3 := t[3] ^ tag
-		d4 := t[4] ^ tag
-		d5 := t[5] ^ tag
-		d6 := t[6] ^ tag
-		d7 := t[7] ^ tag
-		acc := (d0 | -d0) & (d1 | -d1) & (d2 | -d2) & (d3 | -d3) &
-			(d4 | -d4) & (d5 | -d5) & (d6 | -d6) & (d7 | -d7)
-		ag := ages[set]
-		if acc>>63 != 0 { // no way matched: miss
-			misses++
-			vm := valid[set]
-			var w int
-			if vm == 0xff { // full set: evict the age-7 way
-				evicts++
-				x := ag ^ 0x0707070707070707
-				w = bits.TrailingZeros64((x-lowBytes)&^x&highBytes) >> 3 & 7
-			} else { // fill the lowest invalid way
-				w = bits.TrailingZeros64(^vm&0xff) & 7
-				valid[set] = vm | 1<<uint(w)
-			}
-			t[w] = tag
-			ages[set] = (ag + lowBytes) &^ (0xff << (8 * uint(w)))
-			res[i] = AccessResult{}
-			continue
-		}
-		m := isZero64(d0) | isZero64(d1)<<1 | isZero64(d2)<<2 | isZero64(d3)<<3 |
-			isZero64(d4)<<4 | isZero64(d5)<<5 | isZero64(d6)<<6 | isZero64(d7)<<7
-		w := bits.TrailingZeros64(m)
-		aw := ag >> (8 * uint(w)) & 0xff
-		ge := ((aw*lowBytes | highBytes) - ag) & highBytes
-		ages[set] = (ag + ge>>7) &^ (0xff << (8 * uint(w)))
-		res[i] = AccessResult{Hit: true}
-	}
-	c.clock = clock
-	c.stats.Misses += misses
-	c.stats.Evictions += evicts
 }

@@ -65,13 +65,8 @@ func (c *Cache) victim(set uint64, base int) int {
 // plruVictim resolves the PLRU victim for the set. The tree is stored as
 // assoc-1 bits per set in plruBits; a 0 bit points left, 1 points right,
 // and the victim is found by following the bits *away* from recent use.
-// Caches up to plruTableMaxAssoc ways resolve the whole walk with one
-// table lookup on the bits word; wider trees walk level by level.
 func (c *Cache) plruVictim(set uint64) int {
 	tree := c.plruBits[set]
-	if c.plruVict != nil {
-		return int(c.plruVict[tree])
-	}
 	node, idx := 0, 0
 	// Walk log2(assoc) levels. assoc is a power of two for PLRU use; the
 	// constructor validates this.
@@ -116,21 +111,4 @@ func plruTouchMasks(assoc int) (on, off []uint64) {
 		}
 	}
 	return on, off
-}
-
-// plruVictimTable enumerates every possible tree-bits word and records the
-// victim the walk would choose, so victim selection becomes one indexed
-// load. 2^(assoc-1) entries: 32KiB at the 16-way limit.
-func plruVictimTable(assoc int) []uint8 {
-	t := make([]uint8, 1<<uint(assoc-1))
-	for b := range t {
-		node, idx := 0, 0
-		for levelSize := assoc / 2; levelSize >= 1; levelSize /= 2 {
-			bit := (uint64(b) >> uint(node)) & 1
-			idx = idx*2 + int(bit)
-			node = node*2 + 1 + int(bit)
-		}
-		t[b] = uint8(idx)
-	}
-	return t
 }

@@ -49,9 +49,8 @@ func TestAnalyzeProfileZeroAllocs(t *testing.T) {
 }
 
 // TestAnalyzeProfileSparseZeroAllocs is the sparse-replay twin of the test
-// above: unrecorded cells force the analyzer off the dense row-aligned
-// batch path and onto the gather path (batchAddrs/batchCols scratch), which
-// must be equally allocation-free once warm.
+// above: the replay loop must skip unrecorded cells and stay equally
+// allocation-free once warm.
 func TestAnalyzeProfileSparseZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig(cache.P4L2)
 	an := NewAnalyzer(&cfg)
@@ -69,7 +68,7 @@ func TestAnalyzeProfileSparseZeroAllocs(t *testing.T) {
 		}
 	}
 	if prof.Recorded() == prof.Rows()*len(ops) {
-		t.Fatal("profile must be sparse to exercise the gather path")
+		t.Fatal("profile must be sparse to exercise unrecorded cells")
 	}
 	cycles := uint64(0)
 	runOnce := func() {

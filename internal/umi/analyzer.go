@@ -72,12 +72,6 @@ type Analyzer struct {
 	// Per-invocation scratch, keyed by column, reused across profiles.
 	invAcc  []uint64
 	invMiss []uint64
-	// Batch-replay scratch: gathered addresses, their column indexes
-	// (sparse profiles only), and the per-access results, reused across
-	// invocations so steady-state analysis stays allocation-free.
-	batchAddrs []uint64
-	batchCols  []int32
-	batchRes   []cache.AccessResult
 	// prep is the inline path's reusable preparation buffer (the pipeline
 	// hands in precomputed preps instead and recycles its own buffers).
 	prep prepBuf
@@ -199,11 +193,6 @@ func (a *Analyzer) AnalyzeProfile(p *AddressProfile, alpha float64) uint64 {
 	return a.analyzeWithPrep(p, alpha, nil)
 }
 
-// batchChunkRefs is the target number of references per AccessBatch call
-// during profile replay: large enough to amortize the batch entry overhead
-// to noise, small enough that the result buffer stays cache-resident.
-const batchChunkRefs = 4096
-
 // analyzeWithPrep is AnalyzeProfile with the stateless column work
 // optionally precomputed (nil means compute inline). Results are identical
 // either way; the merge visits columns in trace order, so a fixed profile
@@ -226,120 +215,26 @@ func (a *Analyzer) analyzeWithPrep(p *AddressProfile, alpha float64, preps []col
 		a.invAcc[i], a.invMiss[i] = 0, 0
 	}
 
-	// Replay rows through the cache's batch entry point, which amortizes
-	// policy dispatch and clock/statistics updates across a whole chunk.
-	// Results are identical to per-cell Access calls (AccessBatch is
-	// equivalence-tested against the scalar path); only the merge
-	// bookkeeping differs between the two layouts here:
-	//
-	//   - dense profiles (every cell recorded — the steady state once a
-	//     profile's rows have all executed) feed row-aligned windows of the
-	//     flat cell array straight to AccessBatch, no gather copy, and hoist
-	//     the per-column access counts out of the loop entirely (each column
-	//     sees exactly one access per post-warmup row);
-	//   - sparse profiles gather recorded cells and their column indexes
-	//     into the reusable batch buffers, then merge per result.
+	// Replay the recorded cells in recording order — rows in order,
+	// operations in trace order — through the logical cache. Warm-up rows
+	// are simulated only; every later recorded cell is charged to its
+	// column.
 	refs := uint64(0)
-	cells := p.cells[:p.Rows()*nOps]
-	warmEnd := a.cfg.WarmupRows * nOps
-	if warmEnd > len(cells) {
-		warmEnd = len(cells)
-	}
-	// Row-aligned chunk size: at least one row, and as many whole rows as
-	// fit the target window.
-	rowsPer := batchChunkRefs / nOps
-	if rowsPer < 1 {
-		rowsPer = 1
-	}
-	chunk := rowsPer * nOps
-	if cap(a.batchRes) < chunk {
-		a.batchAddrs = make([]uint64, chunk)
-		a.batchCols = make([]int32, chunk)
-		a.batchRes = make([]cache.AccessResult, chunk)
-	}
-	if p.recorded == len(cells) { // dense
-		// Warm-up rows: simulate only, no accounting.
-		for base := 0; base < warmEnd; base += chunk {
-			end := base + chunk
-			if end > warmEnd {
-				end = warmEnd
-			}
-			a.cache.AccessBatch(cells[base:end], a.batchRes[:end-base])
-		}
-		for base := warmEnd; base < len(cells); base += chunk {
-			end := base + chunk
-			if end > len(cells) {
-				end = len(cells)
-			}
-			res := a.batchRes[:end-base]
-			a.cache.AccessBatch(cells[base:end], res)
-			for rb := 0; rb < len(res); rb += nOps {
-				row := res[rb : rb+nOps]
-				for c := range row {
-					if !row[c].Hit {
-						a.invMiss[c]++
-					}
-				}
-			}
-		}
-		refs = uint64(len(cells))
-		postRows := uint64((len(cells) - warmEnd) / nOps)
-		var missSum uint64
-		for c := 0; c < nOps; c++ {
-			a.invAcc[c] = postRows
-			missSum += a.invMiss[c]
-		}
-		a.totalAcc += postRows * uint64(nOps)
-		a.totalMiss += missSum
-	} else { // sparse: gather recorded cells, then merge per result
-		na := 0
-		for _, addr := range cells[:warmEnd] {
+	for r := 0; r < p.Rows(); r++ {
+		counted := r >= a.cfg.WarmupRows
+		for c, addr := range p.cells[r*nOps : (r+1)*nOps] {
 			if addr == noAddr {
 				continue
 			}
-			a.batchAddrs[na] = addr
-			na++
-			if na == chunk {
-				a.cache.AccessBatch(a.batchAddrs[:na], a.batchRes[:na])
-				refs += uint64(na)
-				na = 0
+			refs++
+			hit := a.cache.Access(addr).Hit
+			if !counted {
+				continue
 			}
-		}
-		if na > 0 {
-			a.cache.AccessBatch(a.batchAddrs[:na], a.batchRes[:na])
-			refs += uint64(na)
-			na = 0
-		}
-		flush := func() {
-			a.cache.AccessBatch(a.batchAddrs[:na], a.batchRes[:na])
-			for j := 0; j < na; j++ {
-				c := a.batchCols[j]
-				a.invAcc[c]++
-				if !a.batchRes[j].Hit {
-					a.invMiss[c]++
-					a.totalMiss++
-				}
+			a.invAcc[c]++
+			if !hit {
+				a.invMiss[c]++
 			}
-			refs += uint64(na)
-			a.totalAcc += uint64(na)
-			na = 0
-		}
-		for base := warmEnd; base < len(cells); base += nOps {
-			row := cells[base : base+nOps]
-			for c, addr := range row {
-				if addr == noAddr {
-					continue
-				}
-				a.batchAddrs[na] = addr
-				a.batchCols[na] = int32(c)
-				na++
-				if na == chunk {
-					flush()
-				}
-			}
-		}
-		if na > 0 {
-			flush()
 		}
 	}
 	a.SimulatedRefs += refs
@@ -356,6 +251,8 @@ func (a *Analyzer) analyzeWithPrep(p *AddressProfile, alpha float64, preps []col
 		}
 		st.Accesses += a.invAcc[c]
 		st.Misses += a.invMiss[c]
+		a.totalAcc += a.invAcc[c]
+		a.totalMiss += a.invMiss[c]
 		if p.IsLoadOp[c] && a.invAcc[c] > 0 {
 			ratio := float64(a.invMiss[c]) / float64(a.invAcc[c])
 			if ratio > alpha {

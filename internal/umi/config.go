@@ -117,7 +117,7 @@ type Config struct {
 	// AnalyzerWorkers sets the width of the asynchronous profile-analysis
 	// pipeline. At 0 or 1 the analyzer runs inline on the guest thread
 	// (the paper's synchronous model). At N ≥ 2 filled profiles are handed
-	// off over bounded channels to N stateless preparation workers feeding
+	// off over bounded queues to N stateless preparation workers feeding
 	// a single sequencer goroutine that owns the logical cache, so the
 	// guest keeps executing while profiles are analyzed; the sequencer
 	// replays profiles in the fixed PC-sorted submission order, so results
@@ -127,9 +127,10 @@ type Config struct {
 	AnalyzerWorkers int
 
 	// SharedPrep, when non-nil, routes the pipeline's preparation stage
-	// through a multi-session shared worker pool instead of spawning
-	// private workers: the daemon shape, where many concurrent sessions
-	// share one worker fleet with round-robin fairness. Only consulted
+	// through a multi-session shared worker pool instead of a private one
+	// the pipeline starts for itself: the daemon shape, where many
+	// concurrent sessions share one worker fleet with round-robin
+	// fairness. Only consulted
 	// when AnalyzerWorkers ≥ 2 selects the asynchronous pipeline at all;
 	// the sequencer stays per-session either way, so reports remain
 	// byte-identical to a standalone run.

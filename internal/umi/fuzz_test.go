@@ -13,13 +13,34 @@ import (
 // random density, random addresses, random alpha — through the profile
 // analyzer and checks the numeric contract every consumer assumes: no
 // panic, every miss ratio in [0,1] and never NaN, stride confidences in
-// [0,1], and the delinquent set restricted to profiled loads. A second
-// analyzer replaying the same profile must land on identical results
-// (determinism is what makes the pipeline's out-of-band analysis legal).
+// [0,1], and the delinquent set restricted to profiled loads. The counts
+// must equal a naive cell-by-cell replay through a fresh mini-simulator,
+// and a second analyzer replaying the same profile must land on identical
+// results (determinism is what makes the pipeline's out-of-band analysis
+// legal).
 func FuzzAnalyzerProfile(f *testing.F) {
 	f.Add(uint8(2), uint8(8), uint8(30), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add(uint8(1), uint8(1), uint8(0), []byte{})
 	f.Add(uint8(7), uint8(31), uint8(100), []byte{255, 0, 255, 0, 128, 64, 32, 16})
+	// A dense profile (every cell recorded), three loads by six rows: a
+	// fixed-address column, a two-line column and a streaming one.
+	dense := []byte{1, 2, 3}
+	for r := 0; r < 6; r++ {
+		dense = append(dense, 1, 0, 0, 1, 0, byte(8*(r%2)), 1, byte(r), 0)
+	}
+	f.Add(uint8(2), uint8(5), uint8(50), dense)
+	// The same shape with every third cell unrecorded (sparse).
+	sparse := []byte{1, 2, 3}
+	for r := 0; r < 6; r++ {
+		for c := 0; c < 3; c++ {
+			if (r+c)%3 == 0 {
+				sparse = append(sparse, 0)
+				continue
+			}
+			sparse = append(sparse, 1, byte(r%4), byte(16*c))
+		}
+	}
+	f.Add(uint8(2), uint8(5), uint8(50), sparse)
 	f.Fuzz(func(t *testing.T, nOpsRaw, rowsRaw, alphaRaw uint8, data []byte) {
 		nOps := 1 + int(nOpsRaw%8)
 		rows := 1 + int(rowsRaw%32)
@@ -100,6 +121,49 @@ func FuzzAnalyzerProfile(f *testing.F) {
 			if si.Stride == 0 {
 				t.Fatalf("load %#x: zero stride should not be recorded", pc)
 			}
+		}
+
+		// Counts: every op's accesses and misses, and the overall miss
+		// ratio, must equal a cell-by-cell replay of the profile through a
+		// fresh mini-simulator with the warm-up rows uncounted.
+		ref := cache.New(cfg.MiniSimCache)
+		wantAcc := make([]uint64, nOps)
+		wantMiss := make([]uint64, nOps)
+		var totAcc, totMiss uint64
+		for r := 0; r < p.Rows(); r++ {
+			for c := 0; c < nOps; c++ {
+				addr, ok := p.At(r, c)
+				if !ok {
+					continue
+				}
+				hit := ref.Access(addr).Hit
+				if r < cfg.WarmupRows {
+					continue
+				}
+				wantAcc[c]++
+				totAcc++
+				if !hit {
+					wantMiss[c]++
+					totMiss++
+				}
+			}
+		}
+		for c, pc := range ops {
+			var st OpStat
+			if s := an.OpStats()[pc]; s != nil {
+				st = *s
+			}
+			if st.Accesses != wantAcc[c] || st.Misses != wantMiss[c] {
+				t.Fatalf("op %#x: %d accesses / %d misses, naive replay %d / %d",
+					pc, st.Accesses, st.Misses, wantAcc[c], wantMiss[c])
+			}
+		}
+		wantRatio := 0.0
+		if totAcc > 0 {
+			wantRatio = float64(totMiss) / float64(totAcc)
+		}
+		if an.MissRatio() != wantRatio {
+			t.Fatalf("miss ratio %v, naive replay %v (%d/%d)", an.MissRatio(), wantRatio, totMiss, totAcc)
 		}
 
 		// Determinism: an independent analyzer over the same profile must

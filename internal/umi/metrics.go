@@ -54,7 +54,7 @@ type Metrics struct {
 	// Pipeline (pool.go).
 	Submits       *metrics.Counter
 	SyncFallbacks *metrics.Counter // invocations forced inline despite workers >= 2
-	PrepQueue     *metrics.Gauge   // prepQ depth at submit (value / high-water)
+	PrepQueue     *metrics.Gauge   // prep queue depth at submit (value / high-water)
 	SeqBacklog    *metrics.Gauge   // whole invocations queued behind the sequencer
 	RecycleQueue  *metrics.Gauge   // idle recycled buffers
 	RecycleHits   *metrics.Counter // instrumentations served from a recycled buffer

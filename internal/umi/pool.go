@@ -26,14 +26,14 @@ import (
 // with the guest double-buffering profiles across the hand-off: the
 // submitted buffer is owned by the pipeline until analyzed, and the
 // trace's next instrumentation records into a recycled or fresh buffer.
-// Bounded channels give backpressure end to end: a guest far ahead of the
+// Bounded queues give backpressure end to end: a guest far ahead of the
 // sequencer blocks on submit rather than queueing unbounded work.
 //
-// Memory visibility is by channel discipline alone, no locks: the guest's
-// writes to a profile happen before the send into prepQ; a preparation
-// worker's writes to job.prep happen before close(job.ready); the
-// sequencer's writes to analyzer state happen before a barrier or close
-// acknowledgement is observed by the guest.
+// Memory visibility follows the hand-offs: the guest's writes to a profile
+// happen before the SharedPrep enqueue (a mutex hand-off to the worker that
+// pops it); a preparation worker's writes to job.prep happen before
+// close(job.ready); the sequencer's writes to analyzer state happen before
+// a barrier or close acknowledgement is observed by the guest.
 
 // analysisJob is one filled profile handed from the guest thread to the
 // pipeline, with the delinquency threshold captured at hand-off time.
@@ -64,9 +64,10 @@ type invocation struct {
 	barrier chan struct{}
 }
 
-// Pipeline queue depths. prepQ scales with the worker count; seqDepth
-// bounds how many whole invocations the guest may run ahead of the
-// sequencer; recycleDepth bounds the idle-buffer pool.
+// Pipeline queue depths. The preparation queue bound scales with the
+// worker count (newAnalyzerPool); seqDepth bounds how many whole
+// invocations the guest may run ahead of the sequencer; recycleDepth
+// bounds the idle-buffer pool.
 const (
 	seqDepth     = 4
 	recycleDepth = 8
@@ -76,24 +77,22 @@ const (
 // between start and drain points: the guest must not touch analyzer state
 // while invocations are in flight.
 //
-// Preparation runs in one of two places: a private worker fleet owned by
-// this pool (the standalone, one-session-per-process shape), or a
-// SharedPrep pool serving many sessions at once (the daemon shape, with
-// round-robin fairness across sessions). The sequencer, the hand-off
-// protocol, and every visible result are identical either way.
+// Preparation always runs on a SharedPrep lane: the pool serving many
+// sessions at once when Config.SharedPrep names one (the daemon shape,
+// with round-robin fairness across sessions), or a private one this pool
+// starts and stops (the standalone, one-session-per-process shape). The
+// sequencer, the hand-off protocol, and every visible result are
+// identical either way.
 type analyzerPool struct {
 	an        *Analyzer
 	consumers []ProfileConsumer
 	met       *Metrics
 	tlog      *tracelog.Log
 
-	// shared/lane route preparation through a multi-session SharedPrep
-	// instead of the private prepQ workers; exactly one of the two
-	// preparation paths is active per pool.
-	shared *SharedPrep
-	lane   *prepLane
+	prep     *SharedPrep
+	lane     *prepLane
+	ownsPrep bool // prep is private: close stops it
 
-	prepQ   chan *analysisJob
 	seqQ    chan invocation
 	recycle chan *AddressProfile
 	// prepBufs recycles preparation buffers from the sequencer (which
@@ -103,35 +102,29 @@ type analyzerPool struct {
 	// worker allocates, a full one lets the GC take the buffer.
 	prepBufs chan *prepBuf
 
-	prepWG sync.WaitGroup
 	seqWG  sync.WaitGroup
 	closed bool
 }
 
+// newAnalyzerPool starts the pipeline. With shared nil it starts a private
+// SharedPrep of the given worker count, whose queue bound of two jobs per
+// worker is the backpressure point for a guest outrunning preparation.
 func newAnalyzerPool(an *Analyzer, consumers []ProfileConsumer, met *Metrics, tlog *tracelog.Log, workers int, shared *SharedPrep) *analyzerPool {
-	bufWorkers := workers
-	if shared != nil {
-		bufWorkers = shared.Workers()
-	}
 	p := &analyzerPool{
 		an:        an,
 		consumers: consumers,
 		met:       met,
 		tlog:      tlog,
+		prep:      shared,
 		seqQ:      make(chan invocation, seqDepth),
 		recycle:   make(chan *AddressProfile, recycleDepth),
-		prepBufs:  make(chan *prepBuf, 2*bufWorkers+seqDepth),
 	}
-	if shared != nil {
-		p.shared = shared
-		p.lane = shared.register(p)
-	} else {
-		p.prepQ = make(chan *analysisJob, 2*workers)
-		p.prepWG.Add(workers)
-		for i := 0; i < workers; i++ {
-			go p.prepWorker()
-		}
+	if shared == nil {
+		p.prep = NewSharedPrep(workers, 2*workers)
+		p.ownsPrep = true
 	}
+	p.prepBufs = make(chan *prepBuf, 2*p.prep.Workers()+seqDepth)
+	p.lane = p.prep.register(p)
 	p.seqWG.Add(1)
 	go p.sequencer()
 	return p
@@ -139,7 +132,7 @@ func newAnalyzerPool(an *Analyzer, consumers []ProfileConsumer, met *Metrics, tl
 
 // prepareJob runs the stateless half of one job's analysis — column
 // materialization and stride discovery — and signals the sequencer. Called
-// by a private prep worker or a SharedPrep worker; never by the sequencer.
+// by a SharedPrep worker; never by the sequencer.
 func (p *analyzerPool) prepareJob(job *analysisJob) {
 	start := time.Now()
 	select {
@@ -152,17 +145,6 @@ func (p *analyzerPool) prepareJob(job *analysisJob) {
 	p.met.PrepBusyNs.Add(ns)
 	p.met.PrepLatency.Observe(ns)
 	close(job.ready)
-}
-
-// prepWorker drains the preparation queue. Workers never block on anything
-// but the queue itself, which is what makes the pipeline deadlock-free:
-// prepQ always drains, so submit always completes, so the sequencer's
-// wait on job.ready is always satisfied.
-func (p *analyzerPool) prepWorker() {
-	defer p.prepWG.Done()
-	for job := range p.prepQ {
-		p.prepareJob(job)
-	}
 }
 
 // sequencer is the single goroutine that owns the analyzer's logical
@@ -222,28 +204,24 @@ func (p *analyzerPool) sequencer() {
 // submit hands one invocation to the pipeline. jobs must already be in
 // the fixed merge order; ownership of every job's profile transfers to
 // the pipeline. The call blocks when the bounded queues are full — the
-// backpressure that keeps the guest from racing ahead of analysis.
-func (p *analyzerPool) submit(cycles, cost uint64, jobs []*analysisJob) {
+// backpressure that keeps the guest from racing ahead of analysis. It
+// returns the preparation queue depth it recorded in the PrepQueue gauge,
+// for the caller's pipeline.submit event.
+func (p *analyzerPool) submit(cycles, cost uint64, jobs []*analysisJob) int {
 	for _, job := range jobs {
 		job.ready = make(chan struct{})
-		if p.shared != nil {
-			p.shared.enqueue(p.lane, job)
-		} else {
-			p.prepQ <- job
-		}
+		p.prep.enqueue(p.lane, job)
 	}
 	p.seqQ <- invocation{cycles: cycles, cost: cost, jobs: jobs}
 	p.met.Submits.Inc()
-	// Channel lengths are instantaneous, but the gauges' high-water marks
-	// are what the self-overhead report cares about: sustained depth at
-	// submit time means the guest is outrunning analysis. With a shared
-	// pool the relevant depth is the fleet-wide pending total.
-	if p.shared != nil {
-		p.met.PrepQueue.Set(int64(p.shared.QueueDepth()))
-	} else {
-		p.met.PrepQueue.Set(int64(len(p.prepQ)))
-	}
+	// Queue depths are instantaneous, but the gauges' high-water marks are
+	// what the self-overhead report cares about: sustained depth at submit
+	// time means the guest is outrunning analysis. With a daemon-wide pool
+	// the depth is the fleet-wide pending total.
+	depth := p.prep.QueueDepth()
+	p.met.PrepQueue.Set(int64(depth))
 	p.met.SeqBacklog.Set(int64(len(p.seqQ)))
+	return depth
 }
 
 // drain blocks until every invocation submitted so far has been fully
@@ -256,23 +234,21 @@ func (p *analyzerPool) drain() {
 }
 
 // close drains the pipeline and stops its goroutines. The pool must not
-// be used afterwards. With a SharedPrep attached the shared workers stay
-// up (they serve other sessions); only this session's lane is detached,
-// after the sequencer's shutdown has consumed every outstanding job.
+// be used afterwards. This session's lane is detached after the
+// sequencer's shutdown has consumed every outstanding job; a private
+// SharedPrep is then closed, while a daemon-wide one stays up for the
+// other sessions it serves.
 func (p *analyzerPool) close() {
 	if p.closed {
 		return
 	}
 	p.closed = true
-	if p.shared == nil {
-		close(p.prepQ)
-		p.prepWG.Wait()
-	}
 	close(p.seqQ)
 	p.seqWG.Wait()
-	if p.shared != nil {
-		p.shared.unregister(p.lane)
-		p.lane = nil
+	p.prep.unregister(p.lane)
+	p.lane = nil
+	if p.ownsPrep {
+		p.prep.Close()
 	}
 }
 

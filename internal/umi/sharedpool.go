@@ -2,13 +2,14 @@ package umi
 
 import "sync"
 
-// SharedPrep is a daemon-wide pool of stateless preparation workers shared
-// by many concurrent profiling sessions — the multi-tenant form of the
-// pipeline in pool.go. Each session keeps its own sequencer (the logical
-// cache is order-sensitive per session and cannot be shared), but the
-// stateless half of analysis — column materialization and dominant-stride
-// discovery — carries no session state at all, so one worker fleet can
-// serve every session.
+// SharedPrep is a pool of stateless preparation workers that many
+// concurrent profiling sessions can share. Every analysis pipeline
+// (pool.go) prepares through one: a daemon-wide pool, or a private pool
+// the pipeline starts for its session alone. Each session keeps its own
+// sequencer (the logical cache is order-sensitive per session and cannot
+// be shared), but the stateless half of analysis — column materialization
+// and dominant-stride discovery — carries no session state at all, so one
+// worker fleet can serve every session.
 //
 // Two properties shape the implementation:
 //

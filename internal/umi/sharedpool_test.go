@@ -3,8 +3,13 @@ package umi
 import (
 	"sync"
 	"testing"
+	"time"
 
+	"umi/internal/cache"
 	"umi/internal/program"
+	"umi/internal/rio"
+	"umi/internal/tracelog"
+	"umi/internal/vm"
 )
 
 // TestSharedPrepEquivalence is the multi-tenant form of the pipeline's
@@ -209,5 +214,85 @@ func TestSharedPrepUnregisterMidFleet(t *testing.T) {
 	p.mu.Unlock()
 	if got == nil || lane != lanes[2] {
 		t.Error("next() failed to find the surviving lane's job")
+	}
+}
+
+// TestPipelineSubmitQueueDepth pins the pipeline.submit event's prep-queue
+// reading (Arg2) to the QueueDepth reading the PrepQueue gauge records. The
+// session's SharedPrep starts with its worker held back, and the worker is
+// released only once the first submit is logged, so every job of that
+// invocation is still queued: Arg2 must equal the event's job count (Arg1),
+// and so must the gauge. The queue bound is that job count, so the next
+// submit blocks until the release and cannot move the gauge first.
+func TestPipelineSubmitQueueDepth(t *testing.T) {
+	// The global trace-profile trigger hands off several traces at once:
+	// six jobs in the first invocation.
+	prog := manyLoopsWorkload(t, 20, 400)
+	firstSubmit := func(l *tracelog.Log) (tracelog.Event, bool) {
+		for _, e := range l.Events() {
+			if e.Type == tracelog.EvPipelineSubmit {
+				return e, true
+			}
+		}
+		return tracelog.Event{}, false
+	}
+
+	cfg := testConfig()
+	cfg.UseSampling = false
+	cfg.AddressProfileRows = 1 << 14
+	cfg.TraceProfileLen = 2048
+	cfg.AnalyzerWorkers = 4
+	_, _, probe := runUMITraced(t, prog, cfg, 1<<16)
+	e, ok := firstSubmit(probe)
+	if !ok || e.Arg1 < 2 {
+		t.Fatalf("probe run must hand off several jobs at once (found %v, %+v)", ok, e)
+	}
+	jobs := int(e.Arg1)
+
+	held := &SharedPrep{workers: 1, maxQueue: jobs}
+	held.cond = sync.NewCond(&held.mu)
+	cfg.SharedPrep = held
+	rt := rio.NewRuntime(vm.New(prog, cache.NewP4(false)))
+	s := Attach(rt, cfg)
+	l := s.EnableEventTrace(1 << 16)
+
+	type reading struct {
+		ev    tracelog.Event
+		gauge int64
+		ok    bool
+	}
+	got := make(chan reading, 1)
+	go func() {
+		var r reading
+		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+			if r.ev, r.ok = firstSubmit(l); r.ok {
+				r.gauge = s.met.PrepQueue.Load()
+				break
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		// Release the worker either way, so a run that never logs a
+		// submit still finishes.
+		held.wg.Add(1)
+		go held.worker()
+		got <- r
+	}()
+	if err := rt.Run(50_000_000); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	s.Finish()
+	held.Close()
+	r := <-got
+	if !r.ok {
+		t.Fatal("no pipeline.submit event logged")
+	}
+	if r.ev.Arg1 != uint64(jobs) {
+		t.Fatalf("first submit carries %d jobs, probe run %d", r.ev.Arg1, jobs)
+	}
+	if r.ev.Arg2 != r.ev.Arg1 {
+		t.Errorf("pipeline.submit prep queue = %d with all %d jobs queued", r.ev.Arg2, r.ev.Arg1)
+	}
+	if r.gauge != int64(r.ev.Arg1) {
+		t.Errorf("PrepQueue gauge = %d with all %d jobs queued", r.gauge, r.ev.Arg1)
 	}
 }

@@ -508,10 +508,10 @@ func (s *System) submitAnalysis(cycles uint64, live []*traceState) {
 		s.met.ProfilesCollected.Inc()
 		s.deinstrument(ts)
 	}
-	s.pool.submit(cycles, cost, jobs)
+	depth := s.pool.submit(cycles, cost, jobs)
 	s.tlog.Emit(tracelog.Event{Type: tracelog.EvPipelineSubmit,
 		Cycles: cycles, Arg1: uint64(len(jobs)),
-		Arg2: uint64(len(s.pool.prepQ)), Arg3: uint64(len(s.pool.seqQ))})
+		Arg2: uint64(depth), Arg3: uint64(len(s.pool.seqQ))})
 	s.met.AnalyzeCycles.Add(cost)
 	s.rt.AddOverhead(cost)
 }
