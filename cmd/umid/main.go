@@ -1,8 +1,9 @@
 // Command umid is the UMI profiling daemon: a long-lived service
 // multiplexing many concurrent guest profiling sessions over one shared
 // analyzer pool. Clients create sessions over HTTP, run registered
-// workloads or submitted address-trace streams, and scrape per-session
-// reports, history, and a fleet-wide Prometheus exposition.
+// workloads or submitted address-trace streams, and scrape every
+// session's views (report, metrics, history, overhead, events) and a
+// fleet-wide Prometheus exposition.
 //
 // Usage:
 //

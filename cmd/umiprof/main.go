@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	historyOut := fs.String("history-out", "",
 		"write the profile-history snapshot as JSON to this file")
 	httpAddr := fs.String("http", "",
-		"serve live introspection (/metrics, /events, /debug/pprof) on this address during the run")
+		"serve live introspection of the run as session s1 (/sessions/s1/metrics, /sessions/s1/events, ...) on this address")
 	httpLinger := fs.Duration("http-linger", 0,
 		"keep the -http server up this long after the report prints (0: stop immediately)")
 	emitOut := fs.String("emit", "",
@@ -93,6 +93,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *emitFormat != 1 && *emitFormat != 2 {
 		fmt.Fprintf(stderr, "umiprof: -emit-format must be 1 or 2, got %d\n", *emitFormat)
+		return 2
+	}
+	if *machine != "p4" && *machine != "k7" {
+		fmt.Fprintf(stderr, "umiprof: -machine must be p4 or k7, got %q\n", *machine)
 		return 2
 	}
 	newEncoder := func(w io.Writer) *wire.Encoder {
@@ -187,19 +191,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceOut != "" || *httpAddr != "" {
 		elog = sys.EnableEventTrace(0)
 	}
+	// -http serves the run as the one session of an in-process daemon, so
+	// it answers the same views as any umid session; its report appears
+	// once the run is done.
+	var finish func(*introspect.RunResult)
 	if *httpAddr != "" {
-		srv := &introspect.Server{
-			Metrics:  sys.LiveMetricsSnapshot,
-			Events:   elog,
-			History:  sys.LiveHistory,
-			Overhead: sys.LiveOverhead,
-		}
-		addr, stop, err := srv.Serve(*httpAddr)
+		d := introspect.NewDaemon(introspect.DaemonConfig{MaxSessions: 1, PrepWorkers: 1})
+		defer d.Shutdown()
+		// A fresh daemon always admits its first session.
+		id, fin, _ := d.Adopt(w.Name, sys)
+		finish = fin
+		addr, stop, err := d.Serve(*httpAddr)
 		if err != nil {
 			fmt.Fprintf(stderr, "umiprof: http: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "umiprof: introspection server at http://%s/\n", addr)
+		fmt.Fprintf(stderr, "umiprof: introspection server at http://%s/sessions/%s/\n", addr, id)
 		defer stop()
 	}
 	var opt *prefetch.Optimizer
@@ -269,6 +276,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	rep := sys.Report()
+	if finish != nil {
+		finish(&introspect.RunResult{Report: rep, History: sys.History(),
+			HWMissRatio: h.L2Stats.MissRatio(), Cycles: rt.TotalCycles(), Instrs: m.Instrs})
+	}
 
 	fmt.Fprintf(stdout, "workload:   %s (%s; %s)\n", w.Name, w.Suite, w.Class)
 	fmt.Fprintf(stdout, "platform:   %s (hw prefetch %v)\n", plat.Name, *hwpf && plat.HasHWPrefetch)

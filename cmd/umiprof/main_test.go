@@ -53,6 +53,10 @@ func TestE2EBadInvocations(t *testing.T) {
 		!strings.Contains(errs, "unknown workload") {
 		t.Errorf("unknown workload: exit %d, stderr %q; want 1 with diagnosis", code, errs)
 	}
+	if code, out, errs := runCLI(t, "-machine", "x86", "-emit", filepath.Join(t.TempDir(), "f"), "em3d"); code != 2 ||
+		!strings.Contains(errs, "-machine must be p4 or k7") || out != "" {
+		t.Errorf("unknown machine: exit %d, stdout %q, stderr %q; want 2 with diagnosis", code, out, errs)
+	}
 }
 
 func TestE2EReportShape(t *testing.T) {
@@ -213,71 +217,118 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestE2EHTTP drives the live introspection endpoint end to end: the
-// server comes up on an ephemeral port, serves /metrics and /events while
-// the CLI lingers, and stdout stays byte-identical to a plain run.
-func TestE2EHTTP(t *testing.T) {
-	_, plain, _ := runCLI(t, "470.lbm")
-	var out bytes.Buffer
+// startHTTPRun runs 470.lbm under -http with a linger and returns the
+// server's address once it appears on stderr, the run's stdout, and the
+// channel its exit code arrives on.
+func startHTTPRun(t *testing.T) (string, *bytes.Buffer, chan int) {
+	t.Helper()
+	out := new(bytes.Buffer)
 	var errb syncBuffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-http", "127.0.0.1:0", "-http-linger", "3s", "470.lbm"}, &out, &errb)
+		done <- run([]string{"-http", "127.0.0.1:0", "-http-linger", "3s", "470.lbm"}, out, &errb)
 	}()
-
-	addrRe := regexp.MustCompile(`http://(127\.0\.0\.1:\d+)/`)
-	var addr string
+	addrRe := regexp.MustCompile(`http://(127\.0\.0\.1:\d+)/sessions/s1/`)
 	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
+	for {
+		if m := addrRe.FindStringSubmatch(errb.String()); m != nil {
+			return m[1], out, done
+		}
 		if time.Now().After(deadline) {
 			t.Fatalf("server address never appeared on stderr: %q", errb.String())
 		}
-		if m := addrRe.FindStringSubmatch(errb.String()); m != nil {
-			addr = m[1]
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
+		time.Sleep(10 * time.Millisecond)
 	}
+}
 
+// httpGet fetches path and returns its status and body.
+func httpGet(t *testing.T, addr, path string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestE2EHTTP drives the live introspection endpoint end to end: the run
+// is session s1 of a one-session daemon on an ephemeral port, serving its
+// views while the CLI lingers; once the run is done its report is the
+// RunResult that -emit then -ingest print for the same workload, and
+// stdout stays byte-identical to a plain run.
+func TestE2EHTTP(t *testing.T) {
+	_, plain, _ := runCLI(t, "470.lbm")
+	stream := filepath.Join(t.TempDir(), "stream.bin")
+	if code, _, errs := runCLI(t, "-emit", stream, "470.lbm"); code != 0 {
+		t.Fatalf("emit: exit %d, stderr %q", code, errs)
+	}
+	_, ingested, _ := runCLI(t, "-ingest", stream)
+
+	addr, out, done := startHTTPRun(t)
 	get := func(path string) []byte {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		t.Helper()
+		code, body := httpGet(t, addr, path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, code)
 		}
 		return body
 	}
 
 	var snap metrics.Snapshot
-	if err := json.Unmarshal(get("/metrics"), &snap); err != nil {
-		t.Fatalf("/metrics is not a Snapshot: %v", err)
+	if err := json.Unmarshal(get("/sessions/s1/metrics"), &snap); err != nil {
+		t.Fatalf("metrics is not a Snapshot: %v", err)
 	}
 	var events struct {
 		Events []map[string]any `json:"events"`
 	}
-	if err := json.Unmarshal(get("/events?n=50"), &events); err != nil {
-		t.Fatalf("/events is not valid JSON: %v", err)
+	if err := json.Unmarshal(get("/sessions/s1/events?n=50"), &events); err != nil {
+		t.Fatalf("events is not valid JSON: %v", err)
 	}
-	if !bytes.HasPrefix(get("/events/timeline"), []byte("timeline:")) {
-		t.Error("/events/timeline missing header")
+	if !bytes.HasPrefix(get("/sessions/s1/events/timeline"), []byte("timeline:")) {
+		t.Error("events/timeline missing header")
 	}
 	var ovh umi.OverheadReport
-	if err := json.Unmarshal(get("/overhead"), &ovh); err != nil {
-		t.Fatalf("/overhead is not an OverheadReport: %v", err)
+	if err := json.Unmarshal(get("/sessions/s1/overhead"), &ovh); err != nil {
+		t.Fatalf("overhead is not an OverheadReport: %v", err)
 	}
 	if ovh.Schema != umi.OverheadSchema || len(ovh.Stages) == 0 {
-		t.Errorf("/overhead payload = %+v, want a schema-stamped staged report", ovh)
+		t.Errorf("overhead payload = %+v, want a schema-stamped staged report", ovh)
+	}
+	if code, _ := httpGet(t, addr, "/sessions/s1/run"); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET run: status %d, want 405", code)
+	}
+	resp, err := http.Post("http://"+addr+"/sessions", "application/json", strings.NewReader(`{"workload":"em3d"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("POST /sessions on the one-session daemon: status %d, want 429", resp.StatusCode)
+	}
+
+	// The report appears once the run is done; the linger keeps it served.
+	var report []byte
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		code, body := httpGet(t, addr, "/sessions/s1/report")
+		if code == http.StatusOK {
+			report = body
+			break
+		}
+		if code != http.StatusConflict || time.Now().After(deadline) {
+			t.Fatalf("report: status %d, body %s", code, body)
+		}
+	}
+	if string(report) != ingested {
+		t.Errorf("/sessions/s1/report differs from -emit then -ingest (%d vs %d bytes)", len(report), len(ingested))
 	}
 
 	if code := <-done; code != 0 {
-		t.Fatalf("-http run exited %d, stderr %q", code, errb.String())
+		t.Fatalf("-http run exited %d", code)
 	}
 	if out.String() != plain {
 		t.Errorf("-http perturbed stdout:\n--- plain ---\n%s--- http ---\n%s", plain, out.String())
@@ -393,30 +444,10 @@ func TestE2EOverheadFlag(t *testing.T) {
 }
 
 // TestE2EPromScrape scrapes /metrics/prom off a live run: the exposition
-// must parse (TYPE-declared families, parseable sample values) and carry
-// the stable counter names dashboards pin.
+// must parse (TYPE-declared families, parseable sample values), label the
+// run's samples session="s1", and carry the stable names dashboards pin.
 func TestE2EPromScrape(t *testing.T) {
-	var out bytes.Buffer
-	var errb syncBuffer
-	done := make(chan int, 1)
-	go func() {
-		done <- run([]string{"-http", "127.0.0.1:0", "-http-linger", "3s", "470.lbm"}, &out, &errb)
-	}()
-
-	addrRe := regexp.MustCompile(`http://(127\.0\.0\.1:\d+)/`)
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("server address never appeared on stderr: %q", errb.String())
-		}
-		if m := addrRe.FindStringSubmatch(errb.String()); m != nil {
-			addr = m[1]
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
+	addr, _, done := startHTTPRun(t)
 	resp, err := http.Get("http://" + addr + "/metrics/prom")
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
@@ -461,6 +492,9 @@ func TestE2EPromScrape(t *testing.T) {
 			t.Errorf("family %s = %q, want %q; all: %v", name, types[name], typ, types)
 		}
 	}
+	if !strings.Contains(string(body), `umi_phase_windows_total{session="s1"} `) {
+		t.Errorf("phase-history counter not labeled session=\"s1\":\n%s", body)
+	}
 	var haveCounter, haveGauge, haveHist bool
 	for _, typ := range types {
 		switch typ {
@@ -478,7 +512,7 @@ func TestE2EPromScrape(t *testing.T) {
 	}
 
 	if code := <-done; code != 0 {
-		t.Fatalf("-http run exited %d, stderr %q", code, errb.String())
+		t.Fatalf("-http run exited %d", code)
 	}
 }
 

@@ -43,6 +43,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *machine != "p4" && *machine != "k7" {
+		fmt.Fprintf(stderr, "umisim: -machine must be p4 or k7, got %q\n", *machine)
+		return 2
+	}
 
 	if *list {
 		for _, w := range workloads.All() {

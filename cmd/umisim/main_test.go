@@ -41,6 +41,10 @@ func TestE2EBadInvocations(t *testing.T) {
 	if code, _, _ := runCLI(t, "-replay", filepath.Join(t.TempDir(), "absent.umi")); code != 1 {
 		t.Errorf("missing replay file: exit %d, want 1", code)
 	}
+	if code, out, errs := runCLI(t, "-machine", "x86", "470.lbm"); code != 2 ||
+		!strings.Contains(errs, "-machine must be p4 or k7") || out != "" {
+		t.Errorf("unknown machine: exit %d, stdout %q, stderr %q; want 2 with diagnosis", code, out, errs)
+	}
 }
 
 func TestE2EReportShape(t *testing.T) {

@@ -12,13 +12,12 @@
 //	GET    /sessions             list sessions with state
 //	POST   /sessions/{id}/run    execute to completion, return the result
 //	POST   /sessions/{id}/ingest replay a umi-profile/v1|v2 stream (?live=1 to tail)
-//	GET    /sessions/{id}/report completed RunResult (409 until done)
-//	GET    /sessions/{id}/history  live profile-history windows
-//	GET    /sessions/{id}/metrics  live self-observability snapshot
+//	GET    /sessions/{id}/...    the session views (package comment)
 //	DELETE /sessions/{id}        remove the session
 //	GET    /metrics/prom         fleet Prometheus exposition (session label)
 //	GET    /fleet/delinquent     cross-session delinquent-set union/intersection
 //	GET    /fleet/phases         cross-session phase-change correlation
+//	GET    /debug/pprof/         the daemon process's Go runtime profiles
 //
 // Admission control: creates past MaxSessions and runs past the shared
 // queue's high-water mark are rejected with 429 so a saturated daemon
@@ -27,13 +26,17 @@
 package introspect
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	_ "net/http/pprof"
 	"sort"
+	"strconv"
 	"sync"
 
 	"umi/internal/metrics"
+	"umi/internal/tracelog"
 	"umi/internal/umi"
 )
 
@@ -44,6 +47,10 @@ const (
 	// maxConfigBytes bounds a POST /sessions body; MaxTraceAddrs addresses
 	// at ~20 JSON bytes each fit with ample slack.
 	maxConfigBytes = 1 << 20
+	// sessionEvents is the event-ring size of a daemon-run session.
+	// Reference runs emit a few hundred events, so the ring keeps a whole
+	// run while MaxSessions bounds the rings' total memory.
+	sessionEvents = 4096
 )
 
 // DaemonConfig sizes a Daemon.
@@ -93,13 +100,16 @@ type session struct {
 
 	mu     sync.Mutex
 	state  sessionState
-	sys    *umi.System // live once a run has attached; kept after finish
+	sys    *umi.System // live once a run attaches (adopted: from the start); kept after finish
 	ing    *ingestState
 	result *RunResult
 	runErr error
 	// deleted latches on DELETE, so an ingest still in flight then
 	// closes its replay when it finishes.
 	deleted bool
+	// prev is the snapshot the previous metrics/delta scrape took, so
+	// each scrape reports one interval.
+	prev metrics.Snapshot
 }
 
 // release marks the session deleted and returns the ingest replay to
@@ -116,49 +126,62 @@ func (s *session) release() *umi.Replay {
 	return s.ing.replay
 }
 
-// liveMetrics snapshots the session's registry if a run has attached one.
-// Ingest sessions serve their replayer's registry instead.
-func (s *session) liveMetrics() metrics.Snapshot {
+// sources resolves what the session's views read: the guest System (nil
+// before a run attaches, and for ingest sessions), the ingest replayer,
+// and the completed result.
+func (s *session) sources() (*umi.System, *umi.Replay, *RunResult) {
 	s.mu.Lock()
-	sys, ing := s.sys, s.ing
-	s.mu.Unlock()
-	if sys != nil {
-		return sys.LiveMetricsSnapshot()
+	defer s.mu.Unlock()
+	var rp *umi.Replay
+	if s.ing != nil {
+		rp = s.ing.replay
 	}
-	if ing != nil && ing.replay != nil {
-		return ing.replay.Metrics().Snapshot()
+	return s.sys, rp, s.result
+}
+
+// snapshot copies the guest's registry, or the ingest replayer's.
+func (s *session) snapshot() metrics.Snapshot {
+	sys, rp, _ := s.sources()
+	switch {
+	case sys != nil:
+		return sys.LiveMetricsSnapshot()
+	case rp != nil:
+		return rp.Metrics().Snapshot()
 	}
 	return metrics.Snapshot{}
 }
 
-// liveOverhead assembles the session's per-stage self-overhead report when
-// a live run is attached. Ingest sessions have no guest (the replayer pays
-// its own costs on daemon time), so they serve nothing here.
-func (s *session) liveOverhead() *umi.OverheadReport {
-	s.mu.Lock()
-	sys := s.sys
-	s.mu.Unlock()
-	if sys != nil {
+// history snapshots the guest's history ring. Ingest sessions serve the
+// merged streamed history from the last completed shard (their replayer
+// has no live ring of its own to scrape without draining it).
+func (s *session) history() umi.HistoryView {
+	sys, _, res := s.sources()
+	switch {
+	case sys != nil:
+		return sys.LiveHistory()
+	case res != nil:
+		return res.History
+	}
+	return (*umi.History)(nil).View()
+}
+
+// overhead assembles the guest's per-stage self-overhead report. Ingest
+// sessions have no guest (the replayer pays its own costs on daemon
+// time), so they report nil.
+func (s *session) overhead() *umi.OverheadReport {
+	if sys, _, _ := s.sources(); sys != nil {
 		return sys.LiveOverhead()
 	}
 	return nil
 }
 
-// liveHistory snapshots the session's history ring if a run has attached.
-// Ingest sessions serve the merged streamed history from the last
-// completed shard (their replayer has no live ring of its own to scrape
-// without draining it).
-func (s *session) liveHistory() umi.HistoryView {
-	s.mu.Lock()
-	sys, res := s.sys, s.result
-	s.mu.Unlock()
-	if sys != nil {
-		return sys.LiveHistory()
+// events is the guest's event ring, or nil — which every view reads as an
+// empty ring — when there is no guest.
+func (s *session) events() *tracelog.Log {
+	if sys, _, _ := s.sources(); sys != nil {
+		return sys.EventLog()
 	}
-	if res != nil {
-		return res.History
-	}
-	return (*umi.History)(nil).View()
+	return nil
 }
 
 // Daemon multiplexes sessions over one shared preparation pool.
@@ -239,13 +262,29 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("GET /sessions", d.listSessions)
 	mux.HandleFunc("POST /sessions/{id}/run", d.runSession)
 	mux.HandleFunc("POST /sessions/{id}/ingest", d.ingestSession)
-	mux.HandleFunc("GET /sessions/{id}/report", d.sessionReport)
-	mux.HandleFunc("GET /sessions/{id}/history", d.sessionHistory)
-	mux.HandleFunc("GET /sessions/{id}/metrics", d.sessionMetrics)
 	mux.HandleFunc("DELETE /sessions/{id}", d.deleteSession)
+	view := func(name string, serve func(*session, http.ResponseWriter, *http.Request)) {
+		mux.HandleFunc("GET /sessions/{id}/"+name, func(w http.ResponseWriter, r *http.Request) {
+			if s, ok := d.lookup(r.PathValue("id")); ok {
+				serve(s, w, r)
+			} else {
+				http.NotFound(w, r)
+			}
+		})
+	}
+	view("report", (*session).serveReport)
+	view("metrics", (*session).serveMetrics)
+	view("metrics/delta", (*session).serveDelta)
+	view("history", (*session).serveHistory)
+	view("overhead", (*session).serveOverhead)
+	view("events", (*session).serveEvents)
+	view("events/timeline", (*session).serveTimeline)
+	view("events/trace", (*session).serveTrace)
 	mux.HandleFunc("GET /metrics/prom", d.fleetProm)
 	mux.HandleFunc("GET /fleet/delinquent", d.fleetDelinquent)
 	mux.HandleFunc("GET /fleet/phases", d.fleetPhases)
+	// Importing net/http/pprof registers its handlers on the default mux.
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	return mux
 }
 
@@ -257,13 +296,20 @@ POST   /sessions             create a session (SessionConfig JSON)
 GET    /sessions             list sessions
 POST   /sessions/{id}/run    run to completion, returns the result
 POST   /sessions/{id}/ingest replay a umi-profile/v1|v2 stream (?live=1 to tail)
-GET    /sessions/{id}/report completed run result
-GET    /sessions/{id}/history  profile-history windows
-GET    /sessions/{id}/metrics  self-observability snapshot
 DELETE /sessions/{id}        remove a session
 GET    /metrics/prom         fleet Prometheus exposition
 GET    /fleet/delinquent     delinquent-set union/intersection
 GET    /fleet/phases         phase-change correlation
+GET    /debug/pprof/         Go runtime profiles
+
+GET    /sessions/{id}/report           completed run result
+GET    /sessions/{id}/metrics          self-observability snapshot
+GET    /sessions/{id}/metrics/delta    change since the previous delta scrape
+GET    /sessions/{id}/history          profile-history windows
+GET    /sessions/{id}/overhead         per-stage self-overhead attribution
+GET    /sessions/{id}/events           recent lifecycle events (?n=100 limits)
+GET    /sessions/{id}/events/timeline  deterministic plain-text timeline
+GET    /sessions/{id}/events/trace     Chrome trace-event JSON (open in Perfetto)
 `)
 }
 
@@ -326,27 +372,55 @@ func (d *Daemon) createSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	d.mu.Lock()
-	if d.draining {
-		d.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "daemon is draining")
+	s, code, err := d.admit(cfg, nil)
+	if err != nil {
+		httpError(w, code, "%v", err)
 		return
 	}
-	if len(d.sessions) >= d.cfg.MaxSessions {
-		d.mu.Unlock()
-		httpError(w, http.StatusTooManyRequests, "session limit %d reached", d.cfg.MaxSessions)
-		return
-	}
-	d.nextID++
-	s := &session{id: fmt.Sprintf("s%d", d.nextID), seq: d.nextID, cfg: cfg, state: stateCreated}
-	d.sessions[s.id] = s
-	d.mu.Unlock()
 
 	// The Content-Type must be set before WriteHeader commits the response
 	// head; writeJSON's own Set would land too late to be sent.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
 	writeJSON(w, s.info())
+}
+
+// admit registers a session, refusing it while the daemon drains (503)
+// or at MaxSessions (429). A session adopted with its System is running
+// from the start.
+func (d *Daemon) admit(cfg SessionConfig, sys *umi.System) (*session, int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.draining {
+		return nil, http.StatusServiceUnavailable, errors.New("daemon is draining")
+	}
+	if len(d.sessions) >= d.cfg.MaxSessions {
+		return nil, http.StatusTooManyRequests, fmt.Errorf("session limit %d reached", d.cfg.MaxSessions)
+	}
+	d.nextID++
+	s := &session{id: fmt.Sprintf("s%d", d.nextID), seq: d.nextID, cfg: cfg, state: stateCreated, sys: sys}
+	if sys != nil {
+		s.state = stateRunning
+	}
+	d.sessions[s.id] = s
+	return s, 0, nil
+}
+
+// Adopt registers a System the caller runs itself as a session of the
+// named guest, so its views are served like any daemon session's (this is
+// how `umiprof -http` serves its own run). The session is running until
+// the caller passes the run's result to finish, which makes it done with
+// that report. Adopt fails where POST /sessions would answer 429 or 503.
+func (d *Daemon) Adopt(guest string, sys *umi.System) (id string, finish func(*RunResult), err error) {
+	s, _, err := d.admit(SessionConfig{Workload: guest}, sys)
+	if err != nil {
+		return "", nil, err
+	}
+	return s.id, func(res *RunResult) {
+		s.mu.Lock()
+		s.state, s.result = stateDone, res
+		s.mu.Unlock()
+	}, nil
 }
 
 func (d *Daemon) listSessions(w http.ResponseWriter, r *http.Request) {
@@ -406,6 +480,7 @@ func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request) {
 	// already gives each session its own goroutine, and the client gets
 	// the result as the response body.
 	res, err := runSession(&s.cfg, d.shared, func(sys *umi.System) {
+		sys.EnableEventTrace(sessionEvents)
 		s.mu.Lock()
 		s.sys = sys
 		s.mu.Unlock()
@@ -428,12 +503,7 @@ func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-func (d *Daemon) sessionReport(w http.ResponseWriter, r *http.Request) {
-	s, ok := d.lookup(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
+func (s *session) serveReport(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	res, state, runErr := s.result, s.state, s.runErr
 	s.mu.Unlock()
@@ -448,22 +518,67 @@ func (d *Daemon) sessionReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-func (d *Daemon) sessionHistory(w http.ResponseWriter, r *http.Request) {
-	s, ok := d.lookup(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, s.liveHistory())
+func (s *session) serveMetrics(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.snapshot())
 }
 
-func (d *Daemon) sessionMetrics(w http.ResponseWriter, r *http.Request) {
-	s, ok := d.lookup(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
+func (s *session) serveDelta(w http.ResponseWriter, r *http.Request) {
+	cur := s.snapshot()
+	s.mu.Lock()
+	d := cur.Diff(s.prev)
+	s.prev = cur
+	s.mu.Unlock()
+	writeJSON(w, d)
+}
+
+func (s *session) serveHistory(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.history())
+}
+
+func (s *session) serveOverhead(w http.ResponseWriter, r *http.Request) {
+	rep := s.overhead()
+	if rep == nil {
+		rep = &umi.OverheadReport{Schema: umi.OverheadSchema}
 	}
-	writeJSON(w, s.liveMetrics())
+	writeJSON(w, rep)
+}
+
+// eventsPayload is the events view: ring accounting plus the retained
+// events, oldest first.
+type eventsPayload struct {
+	Total  uint64           `json:"total"`
+	Drops  uint64           `json:"drops"`
+	Cap    int              `json:"cap"`
+	Events []tracelog.Event `json:"events"`
+}
+
+func (s *session) serveEvents(w http.ResponseWriter, r *http.Request) {
+	n := 0
+	if q := r.URL.Query().Get("n"); q != "" {
+		v, err := strconv.Atoi(q)
+		if err != nil || v < 0 {
+			http.Error(w, "n must be a non-negative integer", http.StatusBadRequest)
+			return
+		}
+		n = v
+	}
+	elog := s.events()
+	evs := elog.Recent(n)
+	if evs == nil {
+		evs = []tracelog.Event{}
+	}
+	writeJSON(w, eventsPayload{Total: elog.Total(), Drops: elog.Drops(), Cap: elog.Cap(), Events: evs})
+}
+
+func (s *session) serveTimeline(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	elog := s.events()
+	io.WriteString(w, tracelog.Timeline(elog.Events(), elog.Drops()))
+}
+
+func (s *session) serveTrace(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	tracelog.WriteChromeTrace(w, s.events().Events())
 }
 
 func (d *Daemon) deleteSession(w http.ResponseWriter, r *http.Request) {
@@ -485,25 +600,17 @@ func (d *Daemon) deleteSession(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// fleetProm renders every session's registry as one labeled exposition,
-// plus the daemon's own ingest counters under the reserved label
-// "ingest".
+// fleetProm renders every session's registry, phase history and
+// overhead attribution as one session-labeled exposition, plus the
+// daemon's own ingest counters under the reserved label "ingest".
 func (d *Daemon) fleetProm(w http.ResponseWriter, r *http.Request) {
-	sessions := d.snapshotSessions()
-	labeled := make([]metrics.LabeledSnapshot, 0, len(sessions)+1)
-	labeled = append(labeled, metrics.LabeledSnapshot{Label: "ingest", Snap: d.ingest.reg.Snapshot()})
-	for _, s := range sessions {
-		labeled = append(labeled, metrics.LabeledSnapshot{Label: s.id, Snap: s.liveMetrics()})
+	sets := []metrics.Labeled{{Session: "ingest", Families: d.ingest.reg.Snapshot().Families()}}
+	for _, s := range d.snapshotSessions() {
+		fams := append(s.snapshot().Families(), s.history().Families()...)
+		sets = append(sets, metrics.Labeled{Session: s.id, Families: append(fams, s.overhead().Families()...)})
 	}
 	w.Header().Set("Content-Type", metrics.PromContentType)
-	metrics.WritePrometheusFleet(w, labeled)
-	ovh := make([]umi.LabeledOverhead, 0, len(sessions))
-	for _, s := range sessions {
-		if rep := s.liveOverhead(); rep != nil {
-			ovh = append(ovh, umi.LabeledOverhead{Label: s.id, Report: rep})
-		}
-	}
-	umi.WriteOverheadPromFleet(w, ovh)
+	metrics.WritePrometheus(w, sets...)
 }
 
 // fleetMember pairs a session id with its completed result, the input to
@@ -540,9 +647,10 @@ func (d *Daemon) fleetPhases(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, FormatFleetPhases(d.completedFleet()))
 }
 
-// Serve starts the daemon's HTTP surface on addr; same contract as
-// Server.Serve. The stop function shuts the listener down but does not
-// drain the daemon — call Shutdown for that.
+// Serve starts the daemon's HTTP surface on addr, serving on a background
+// goroutine, and returns the bound address and a stop function. The stop
+// function shuts the listener down and waits for it, but does not drain
+// the daemon — call Shutdown for that.
 func (d *Daemon) Serve(addr string) (string, func(), error) {
 	return serveHandler(addr, d.Handler())
 }

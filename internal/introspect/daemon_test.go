@@ -180,13 +180,15 @@ func TestDaemonLifecycle(t *testing.T) {
 	d, base := startDaemon(t, DaemonConfig{MaxSessions: 4})
 
 	// Unknown session: every per-session route 404s.
-	for _, probe := range []struct{ method, path string }{
+	probes := []struct{ method, path string }{
 		{http.MethodPost, "/sessions/nope/run"},
-		{http.MethodGet, "/sessions/nope/report"},
-		{http.MethodGet, "/sessions/nope/history"},
-		{http.MethodGet, "/sessions/nope/metrics"},
+		{http.MethodPost, "/sessions/nope/ingest"},
 		{http.MethodDelete, "/sessions/nope"},
-	} {
+	}
+	for _, v := range sessionViews {
+		probes = append(probes, struct{ method, path string }{http.MethodGet, "/sessions/nope/" + v})
+	}
+	for _, probe := range probes {
 		if code, _ := doReq(t, probe.method, base+probe.path, nil); code != http.StatusNotFound {
 			t.Errorf("%s %s on unknown id: status %d, want 404", probe.method, probe.path, code)
 		}
@@ -215,6 +217,17 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if code, _ := doReq(t, http.MethodGet, base+"/sessions/"+id+"/metrics", nil); code != http.StatusOK {
 		t.Errorf("metrics: status %d", code)
+	}
+	// A daemon-run session records its events into a fixed-size ring.
+	var ev struct {
+		Total  uint64
+		Cap    int
+		Events []map[string]any
+	}
+	if _, body := doReq(t, http.MethodGet, base+"/sessions/"+id+"/events", nil); json.Unmarshal(body, &ev) != nil ||
+		ev.Cap != sessionEvents || ev.Total == 0 || len(ev.Events) == 0 {
+		t.Errorf("events: cap %d total %d events %d, want a %d-event ring holding the run's events",
+			ev.Cap, ev.Total, len(ev.Events), sessionEvents)
 	}
 
 	// Fleet exposition carries the session label.
@@ -440,11 +453,15 @@ func TestDaemonChurnStress(t *testing.T) {
 	}
 }
 
+// sessionViews is every GET view a session answers under /sessions/{id}/.
+var sessionViews = []string{"report", "metrics", "metrics/delta", "history", "overhead",
+	"events", "events/timeline", "events/trace"}
+
 // TestDaemonScrapeDuringDelete is the swap-safety regression at the
-// daemon level: observers scraping a session's metrics/history while it
-// is deleted (and its id reused by a successor) must see complete
-// responses — 200 from before the delete or 404 after — never a torn
-// state. Run under -race.
+// daemon level: observers scraping every view of a session while it runs
+// and is deleted (and its id reused by a successor) must see complete
+// responses — 200 (or the report's 409 before the run is done) from
+// before the delete, 404 after — never a torn state. Run under -race.
 func TestDaemonScrapeDuringDelete(t *testing.T) {
 	const rounds = 20
 	_, base := startDaemon(t, DaemonConfig{MaxSessions: 8})
@@ -464,10 +481,11 @@ func TestDaemonScrapeDuringDelete(t *testing.T) {
 				}
 				id := fmt.Sprintf("s%d", 1+i%rounds)
 				i++
-				for _, p := range []string{"/metrics", "/history"} {
-					code, _ := doReq(t, http.MethodGet, base+"/sessions/"+id+p, nil)
-					if code != http.StatusOK && code != http.StatusNotFound {
-						t.Errorf("scrape %s%s: status %d", id, p, code)
+				for _, v := range sessionViews {
+					code, _ := doReq(t, http.MethodGet, base+"/sessions/"+id+"/"+v, nil)
+					if code != http.StatusOK && code != http.StatusNotFound &&
+						(v != "report" || code != http.StatusConflict) {
+						t.Errorf("scrape %s/%s: status %d", id, v, code)
 					}
 				}
 			}

@@ -102,11 +102,10 @@ type ingestState struct {
 	// and compacted to the ring cap on render. Streamed rather than
 	// recomputed: optional capture-side consumers (working-set size) feed
 	// fields a replay cannot rebuild.
-	windows      []wire.Window
-	histTotal    uint64
-	histPhases   uint64
-	histCap      int
-	histRendered bool
+	windows    []umi.WindowSummary
+	histTotal  uint64
+	histPhases uint64
+	histCap    int
 
 	// applied records the manifest of every v2 shard folded in, keyed by
 	// shard ID — the duplicate-upload idempotence check. v1 shards carry
@@ -237,9 +236,7 @@ func (st *ingestState) apply(shard *umi.ReplayShard) {
 	if shard.History.Cap != 0 {
 		st.histCap = shard.History.Cap
 	}
-	for _, w := range shard.History.Windows {
-		st.windows = append(st.windows, windowRecord(w))
-	}
+	st.windows = append(st.windows, shard.History.Windows...)
 	// Remember the shard's manifest (v2 streams carry one) so a retried
 	// upload declaring the same manifest is a no-op.
 	if m := tr.Shard; m.ShardID != 0 && st.applied != nil {
@@ -276,42 +273,20 @@ func ReplayStream(body io.Reader, workers int) (*RunResult, error) {
 	return st.result(), nil
 }
 
-// windowRecord round-trips a WindowSummary through its wire record so the
-// accumulator stores the streamed form verbatim.
-func windowRecord(w umi.WindowSummary) wire.Window {
-	return wire.Window{
-		Invocation: w.Invocation, Cycles: w.Cycles, Refs: w.Refs,
-		Accesses: w.Accesses, Misses: w.Misses,
-		WindowMissRatio: w.WindowMissRatio, CumMissRatio: w.CumMissRatio,
-		Delinquent: w.Delinquent, NewDelinquent: w.NewDelinquent,
-		DelinquentHash: w.DelinquentHash, Jaccard: w.Jaccard,
-		PhaseChange: w.PhaseChange, StridedLoads: w.StridedLoads,
-		TopStride: w.TopStride, WSLines: w.WSLines,
-	}
-}
-
 // result assembles the session's merged RunResult: the replayed report
 // with merged run accounting, the compacted streamed history, and the
 // hardware-model ratio recomputed from summed raw counts — for a single
 // shard, byte-identical to the capture process's RunResult.
 func (st *ingestState) result() *RunResult {
 	rep := st.replay.Report(len(st.tracePCs), len(st.candidatePCs), st.instrumentEvents)
-	kept := st.windows
-	if st.histCap > 0 && len(kept) > st.histCap {
-		kept = kept[len(kept)-st.histCap:]
+	ws := st.windows
+	if st.histCap > 0 && len(ws) > st.histCap {
+		ws = ws[len(ws)-st.histCap:]
 	}
-	ws := make([]umi.WindowSummary, len(kept))
-	for i, w := range kept {
-		ws[i] = umi.WindowSummary{
-			Invocation: w.Invocation, Cycles: w.Cycles, Refs: w.Refs,
-			Accesses: w.Accesses, Misses: w.Misses,
-			WindowMissRatio: w.WindowMissRatio, CumMissRatio: w.CumMissRatio,
-			Delinquent: w.Delinquent, NewDelinquent: w.NewDelinquent,
-			DelinquentHash: w.DelinquentHash, Jaccard: w.Jaccard,
-			PhaseChange: w.PhaseChange, StridedLoads: w.StridedLoads,
-			TopStride: w.TopStride, WSLines: w.WSLines,
-		}
-	}
+	// Cap the result's windows at their length: an append to them then
+	// copies instead of writing into the accumulator's spare capacity,
+	// where a later shard's windows land.
+	ws = ws[:len(ws):len(ws)]
 	hv := (*umi.History)(nil).View()
 	hv.Total = st.histTotal
 	hv.Dropped = st.histTotal - uint64(len(ws))

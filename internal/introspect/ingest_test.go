@@ -393,14 +393,32 @@ func TestDaemonRouteContentTypes(t *testing.T) {
 		{"index", http.MethodGet, "/", nil, http.StatusOK, textCT},
 		{"create", http.MethodPost, "/sessions", []byte(`{"workload": "mst"}`), http.StatusCreated, jsonCT},
 		{"list", http.MethodGet, "/sessions", nil, http.StatusOK, jsonCT},
-		{"report", http.MethodGet, "/sessions/" + guestID + "/report", nil, http.StatusOK, jsonCT},
-		{"history", http.MethodGet, "/sessions/" + guestID + "/history", nil, http.StatusOK, jsonCT},
-		{"metrics", http.MethodGet, "/sessions/" + guestID + "/metrics", nil, http.StatusOK, jsonCT},
 		{"ingest", http.MethodPost, "/sessions/" + ingID + "/ingest", stream, http.StatusOK, jsonCT},
 		{"prom", http.MethodGet, "/metrics/prom", nil, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8"},
 		{"fleet-delinquent", http.MethodGet, "/fleet/delinquent", nil, http.StatusOK, textCT},
 		{"fleet-phases", http.MethodGet, "/fleet/phases", nil, http.StatusOK, textCT},
+		{"pprof", http.MethodGet, "/debug/pprof/", nil, http.StatusOK, "text/html; charset=utf-8"},
 		{"error", http.MethodGet, "/sessions/nosuch/report", nil, http.StatusNotFound, textCT},
+	}
+	// Every session view, for the guest session (subtests named by the
+	// view) and for the ingest session, which has no guest and so serves
+	// empty overhead and events payloads under the same types.
+	for _, v := range sessionViews {
+		ct := jsonCT
+		if v == "events/timeline" {
+			ct = textCT
+		}
+		for _, sess := range []struct{ prefix, id string }{{"", guestID}, {"ingest-", ingID}} {
+			cases = append(cases, struct {
+				name     string
+				method   string
+				path     string
+				body     []byte
+				wantCode int
+				wantCT   string
+			}{sess.prefix + strings.ReplaceAll(v, "/", "-"), http.MethodGet,
+				"/sessions/" + sess.id + "/" + v, nil, http.StatusOK, ct})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,12 +5,15 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Prometheus text exposition (format version 0.0.4) of a Snapshot, so any
-// standard scraper can poll the runtime's self-observability registry
-// mid-run. The mapping:
+// Prometheus text exposition (format version 0.0.4), so any standard
+// scraper can poll the runtime mid-run. Every source of metrics — a
+// registry snapshot, a profile history, an overhead report — renders its
+// state as Families, and WritePrometheus is the one writer that turns
+// families into text. A snapshot maps as:
 //
 //   - counters  → counter samples
 //   - gauges    → a gauge sample plus a companion <name>_max gauge for the
@@ -20,12 +23,41 @@ import (
 //     overflow bucket rendered as le="+Inf" and _sum/_count appended
 //
 // Metric names are sanitized to the Prometheus grammar (dots and every
-// other illegal rune become underscores). Output is name-sorted, so a
-// fixed snapshot renders byte-identically.
+// other illegal rune become underscores) as they are written.
 
 // PromContentType is the Content-Type an HTTP handler should serve the
 // exposition under.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// Family is one metric family: its samples share the name and the type
+// ("counter", "gauge" or "histogram").
+type Family struct {
+	Name    string
+	Type    string
+	Samples []Sample
+}
+
+// Sample is one line of a family. Suffix extends the family name (a
+// histogram's "_bucket", "_sum" and "_count"). Label, when its name is
+// set, is a label after the session label, such as {"le", "+Inf"}. Value
+// is the rendered number.
+type Sample struct {
+	Suffix string
+	Label  [2]string
+	Value  string
+}
+
+// Scalar is a family of one unlabeled sample.
+func Scalar(name, typ, value string) Family {
+	return Family{Name: name, Type: typ, Samples: []Sample{{Value: value}}}
+}
+
+// Labeled is one source's families under the value of its session label.
+// An empty Session renders unlabeled samples.
+type Labeled struct {
+	Session  string
+	Families []Family
+}
 
 // promName sanitizes a registry metric name ("umi.traces.seen") into a
 // Prometheus metric name ("umi_traces_seen").
@@ -44,122 +76,105 @@ func promName(name string) string {
 	return sb.String()
 }
 
-// WritePrometheus renders the snapshot as Prometheus text exposition.
-func WritePrometheus(w io.Writer, s Snapshot) {
-	WritePrometheusFleet(w, []LabeledSnapshot{{Snap: s}})
-}
+// labelEscaper escapes a label value per the exposition grammar.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-// LabeledSnapshot pairs one snapshot with the value of its `session`
-// label in a fleet exposition. An empty Label renders unlabeled samples
-// (the single-session exposition).
-type LabeledSnapshot struct {
-	Label string
-	Snap  Snapshot
-}
-
-// labelEscape escapes a label value per the exposition grammar.
-func labelEscape(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
-// sampleLabels renders the label set for one sample: the session label
-// (when present) joined with any extra pre-rendered `k="v"` pairs.
-func sampleLabels(session string, extra ...string) string {
-	parts := make([]string, 0, 1+len(extra))
+// labelSet renders one sample's labels: the session label, if any, then
+// the sample's own label, if any.
+func labelSet(session string, label [2]string) string {
+	var parts []string
 	if session != "" {
-		parts = append(parts, fmt.Sprintf("session=%q", labelEscape(session)))
+		parts = append(parts, `session="`+labelEscaper.Replace(session)+`"`)
 	}
-	parts = append(parts, extra...)
+	if label[0] != "" {
+		parts = append(parts, label[0]+`="`+labelEscaper.Replace(label[1])+`"`)
+	}
 	if len(parts) == 0 {
 		return ""
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// WritePrometheusFleet renders many sessions' snapshots as one valid text
-// exposition: metric families are grouped across sessions — each family's
-// TYPE line appears exactly once, followed by one labeled sample per
-// session carrying it — because the exposition format forbids repeating a
-// family. Sessions render in slice order (the caller sorts by label);
-// family names sort within each metric kind, so a fixed fleet renders
+// WritePrometheus writes sets as one text exposition. The format forbids
+// repeating a family, so a family that several sets carry is written
+// once: its # TYPE line, then every set's samples in set order. Families
+// appear in the order they are first seen, so fixed input renders
 // byte-identically.
-func WritePrometheusFleet(w io.Writer, sessions []LabeledSnapshot) {
-	family := func(collect func(Snapshot) []string) []string {
-		seen := map[string]bool{}
-		var names []string
-		for _, ls := range sessions {
-			for _, n := range collect(ls.Snap) {
-				if !seen[n] {
-					seen[n] = true
-					names = append(names, n)
-				}
-			}
-		}
-		sort.Strings(names)
-		return names
+func WritePrometheus(w io.Writer, sets ...Labeled) {
+	type member struct {
+		session string
+		fam     *Family
 	}
-
-	for _, n := range family(func(s Snapshot) []string { return mapKeys(s.Counters) }) {
-		pn := promName(n)
-		fmt.Fprintf(w, "# TYPE %s counter\n", pn)
-		for _, ls := range sessions {
-			if v, ok := ls.Snap.Counters[n]; ok {
-				fmt.Fprintf(w, "%s%s %d\n", pn, sampleLabels(ls.Label), v)
+	var order []string
+	byName := make(map[string][]member)
+	for _, set := range sets {
+		for i := range set.Families {
+			name := promName(set.Families[i].Name)
+			if _, ok := byName[name]; !ok {
+				order = append(order, name)
 			}
+			byName[name] = append(byName[name], member{set.Session, &set.Families[i]})
 		}
 	}
-
-	for _, n := range family(func(s Snapshot) []string { return mapKeys(s.Gauges) }) {
-		pn := promName(n)
-		fmt.Fprintf(w, "# TYPE %s gauge\n", pn)
-		for _, ls := range sessions {
-			if g, ok := ls.Snap.Gauges[n]; ok {
-				fmt.Fprintf(w, "%s%s %d\n", pn, sampleLabels(ls.Label), g.Value)
+	for _, name := range order {
+		members := byName[name]
+		fmt.Fprintf(w, "# TYPE %s %s\n", name, members[0].fam.Type)
+		for _, m := range members {
+			for _, s := range m.fam.Samples {
+				fmt.Fprintf(w, "%s%s%s %s\n", name, s.Suffix, labelSet(m.session, s.Label), s.Value)
 			}
-		}
-		fmt.Fprintf(w, "# TYPE %s_max gauge\n", pn)
-		for _, ls := range sessions {
-			if g, ok := ls.Snap.Gauges[n]; ok {
-				fmt.Fprintf(w, "%s_max%s %d\n", pn, sampleLabels(ls.Label), g.Max)
-			}
-		}
-	}
-
-	for _, n := range family(func(s Snapshot) []string { return mapKeys(s.Histograms) }) {
-		pn := promName(n)
-		fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
-		for _, ls := range sessions {
-			h, ok := ls.Snap.Histograms[n]
-			if !ok {
-				continue
-			}
-			cum := uint64(0)
-			for _, b := range h.Buckets {
-				cum += b.Count
-				le := "+Inf"
-				if b.Le != math.MaxUint64 {
-					le = fmt.Sprintf("%d", b.Le)
-				}
-				fmt.Fprintf(w, "%s_bucket%s %d\n", pn, sampleLabels(ls.Label, fmt.Sprintf("le=%q", le)), cum)
-			}
-			if len(h.Buckets) == 0 {
-				// An empty bucket list (a zero-valued HistogramValue, e.g.
-				// out of Snapshot.Diff against a never-observed name) still
-				// needs the +Inf bucket for the exposition to be a valid
-				// histogram.
-				fmt.Fprintf(w, "%s_bucket%s %d\n", pn, sampleLabels(ls.Label, `le="+Inf"`), h.Count)
-			}
-			fmt.Fprintf(w, "%s_sum%s %d\n", pn, sampleLabels(ls.Label), h.Sum)
-			fmt.Fprintf(w, "%s_count%s %d\n", pn, sampleLabels(ls.Label), h.Count)
 		}
 	}
 }
 
-func mapKeys[V any](m map[string]V) []string {
+// Families renders the snapshot as exposition families: counters, then
+// gauges (each followed by its _max companion), then histograms, each
+// kind sorted by name.
+func (s Snapshot) Families() []Family {
+	var out []Family
+	for _, n := range sortedKeys(s.Counters) {
+		out = append(out, Scalar(n, "counter", strconv.FormatUint(s.Counters[n], 10)))
+	}
+	for _, n := range sortedKeys(s.Gauges) {
+		g := s.Gauges[n]
+		out = append(out, Scalar(n, "gauge", strconv.FormatInt(g.Value, 10)),
+			Scalar(n+"_max", "gauge", strconv.FormatInt(g.Max, 10)))
+	}
+	for _, n := range sortedKeys(s.Histograms) {
+		h := s.Histograms[n]
+		f := Family{Name: n, Type: "histogram"}
+		bucket := func(le string, count uint64) {
+			f.Samples = append(f.Samples, Sample{Suffix: "_bucket", Label: [2]string{"le", le},
+				Value: strconv.FormatUint(count, 10)})
+		}
+		cum := uint64(0)
+		for _, b := range h.Buckets {
+			cum += b.Count
+			le := "+Inf"
+			if b.Le != math.MaxUint64 {
+				le = strconv.FormatUint(b.Le, 10)
+			}
+			bucket(le, cum)
+		}
+		if len(h.Buckets) == 0 {
+			// An empty bucket list (a zero-valued HistogramValue, e.g. out
+			// of Snapshot.Diff against a never-observed name) still needs
+			// the +Inf bucket for the exposition to be a valid histogram.
+			bucket("+Inf", h.Count)
+		}
+		f.Samples = append(f.Samples,
+			Sample{Suffix: "_sum", Value: strconv.FormatUint(h.Sum, 10)},
+			Sample{Suffix: "_count", Value: strconv.FormatUint(h.Count, 10)})
+		out = append(out, f)
+	}
+	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
+	sort.Strings(out)
 	return out
 }

@@ -100,6 +100,13 @@ func checkExposition(t *testing.T, text string) map[string]string {
 	return types
 }
 
+// render writes one snapshot as an unlabeled exposition.
+func render(s Snapshot) string {
+	var sb strings.Builder
+	WritePrometheus(&sb, Labeled{Families: s.Families()})
+	return sb.String()
+}
+
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("umi.traces.seen").Add(17)
@@ -108,9 +115,7 @@ func TestWritePrometheus(t *testing.T) {
 	for _, v := range []uint64{1, 2, 2, 3, 9, 100} {
 		h.Observe(v)
 	}
-	var sb strings.Builder
-	WritePrometheus(&sb, r.Snapshot())
-	out := sb.String()
+	out := render(r.Snapshot())
 
 	types := checkExposition(t, out)
 	if types["umi_traces_seen"] != "counter" {
@@ -141,9 +146,7 @@ func TestWritePrometheus(t *testing.T) {
 	}
 
 	// Deterministic: a second render is byte-identical.
-	var again strings.Builder
-	WritePrometheus(&again, r.Snapshot())
-	if again.String() != out {
+	if render(r.Snapshot()) != out {
 		t.Error("exposition not deterministic for a fixed snapshot")
 	}
 }
@@ -169,10 +172,8 @@ func TestPromName(t *testing.T) {
 // still produce a well-formed histogram with an +Inf bucket — never a
 // division or a NaN.
 func TestWritePrometheusEmptyAndDiff(t *testing.T) {
-	var sb strings.Builder
-	WritePrometheus(&sb, Snapshot{})
-	if sb.String() != "" {
-		t.Errorf("empty snapshot rendered %q, want empty", sb.String())
+	if out := render(Snapshot{}); out != "" {
+		t.Errorf("empty snapshot rendered %q, want empty", out)
 	}
 
 	r := NewRegistry()
@@ -181,11 +182,6 @@ func TestWritePrometheusEmptyAndDiff(t *testing.T) {
 	h.Observe(5)
 	cur := r.Snapshot()
 
-	render := func(s Snapshot) string {
-		var b strings.Builder
-		WritePrometheus(&b, s)
-		return b.String()
-	}
 	if got, want := render(cur.Diff(Snapshot{})), render(cur); got != want {
 		t.Errorf("diff against empty differs from original:\n%s\nvs\n%s", got, want)
 	}
@@ -218,10 +214,46 @@ func TestPromOverflowBound(t *testing.T) {
 	s := Snapshot{Histograms: map[string]HistogramValue{
 		"h": {Count: 1, Sum: 3, Buckets: []Bucket{{Le: math.MaxUint64, Count: 1}}},
 	}}
-	var sb strings.Builder
-	WritePrometheus(&sb, s)
-	if strings.Contains(sb.String(), fmt.Sprintf("%d", uint64(math.MaxUint64))) {
-		t.Errorf("overflow bound leaked as integer:\n%s", sb.String())
+	out := render(s)
+	if strings.Contains(out, fmt.Sprintf("%d", uint64(math.MaxUint64))) {
+		t.Errorf("overflow bound leaked as integer:\n%s", out)
 	}
-	checkExposition(t, sb.String())
+	checkExposition(t, out)
+}
+
+// TestWritePrometheusSessions: families several sessions carry are
+// declared once, ahead of every session's samples in set order, and every
+// label value — the session's and a sample's own — is escaped per the
+// exposition grammar, not Go's quoting: a tab stays a tab.
+func TestWritePrometheusSessions(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Add(2)
+	r.Histogram("h", ExpBuckets(1, 2)).Observe(1)
+	snap := r.Snapshot()
+	odd := Family{Name: "odd", Type: "gauge", Samples: []Sample{{Label: [2]string{"stage", "tab\there"}, Value: "1"}}}
+	var sb strings.Builder
+	WritePrometheus(&sb,
+		Labeled{Session: "s1", Families: snap.Families()},
+		Labeled{Session: `we"ird\` + "\n", Families: append(snap.Families(), odd)})
+	out := sb.String()
+	want := `# TYPE c counter
+c{session="s1"} 2
+c{session="we\"ird\\\n"} 2
+# TYPE h histogram
+h_bucket{session="s1",le="1"} 1
+h_bucket{session="s1",le="2"} 1
+h_bucket{session="s1",le="+Inf"} 1
+h_sum{session="s1"} 1
+h_count{session="s1"} 1
+h_bucket{session="we\"ird\\\n",le="1"} 1
+h_bucket{session="we\"ird\\\n",le="2"} 1
+h_bucket{session="we\"ird\\\n",le="+Inf"} 1
+h_sum{session="we\"ird\\\n"} 1
+h_count{session="we\"ird\\\n"} 1
+# TYPE odd gauge
+odd{session="we\"ird\\\n",stage="tab` + "\t" + `here"} 1
+`
+	if out != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", out, want)
+	}
 }

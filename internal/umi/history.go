@@ -2,11 +2,12 @@ package umi
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"umi/internal/metrics"
 )
 
 // Phase-aware profile history. Every other surface in the runtime reports
@@ -384,28 +385,27 @@ func FormatHistory(windows []WindowSummary) string {
 	return sb.String()
 }
 
-// WriteHistoryProm appends the phase-history metrics to a Prometheus text
-// exposition: running totals as counters and the latest window's behaviour
-// as gauges, so a scraper polling /metrics/prom mid-run sees the current
-// phase without parsing the full window list.
-func WriteHistoryProm(w io.Writer, v HistoryView) {
-	writeProm := func(name, typ string, value string) {
-		fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", name, typ, name, value)
+// Families renders the view for the Prometheus exposition: running totals
+// as counters and the latest window's behaviour as gauges, so a scraper
+// polling mid-run sees the current phase without parsing the window list.
+func (v HistoryView) Families() []metrics.Family {
+	fams := []metrics.Family{
+		metrics.Scalar("umi_phase_windows_total", "counter", fmt.Sprint(v.Total)),
+		metrics.Scalar("umi_phase_windows_dropped_total", "counter", fmt.Sprint(v.Dropped)),
+		metrics.Scalar("umi_phase_changes_total", "counter", fmt.Sprint(v.PhaseChanges)),
 	}
-	writeProm("umi_phase_windows_total", "counter", fmt.Sprintf("%d", v.Total))
-	writeProm("umi_phase_windows_dropped_total", "counter", fmt.Sprintf("%d", v.Dropped))
-	writeProm("umi_phase_changes_total", "counter", fmt.Sprintf("%d", v.PhaseChanges))
 	if len(v.Windows) == 0 {
-		return
+		return fams
 	}
 	last := v.Windows[len(v.Windows)-1]
-	writeProm("umi_phase_window_miss_ratio", "gauge", promFloat(last.WindowMissRatio))
-	writeProm("umi_phase_cum_miss_ratio", "gauge", promFloat(last.CumMissRatio))
-	writeProm("umi_phase_delinquent_size", "gauge", fmt.Sprintf("%d", last.Delinquent))
-	writeProm("umi_phase_jaccard", "gauge", promFloat(last.Jaccard))
-	writeProm("umi_phase_strided_loads", "gauge", fmt.Sprintf("%d", last.StridedLoads))
-	writeProm("umi_phase_ws_lines", "gauge", fmt.Sprintf("%d", last.WSLines))
-	writeProm("umi_phase_last_cycles", "gauge", fmt.Sprintf("%d", last.Cycles))
+	return append(fams,
+		metrics.Scalar("umi_phase_window_miss_ratio", "gauge", promFloat(last.WindowMissRatio)),
+		metrics.Scalar("umi_phase_cum_miss_ratio", "gauge", promFloat(last.CumMissRatio)),
+		metrics.Scalar("umi_phase_delinquent_size", "gauge", fmt.Sprint(last.Delinquent)),
+		metrics.Scalar("umi_phase_jaccard", "gauge", promFloat(last.Jaccard)),
+		metrics.Scalar("umi_phase_strided_loads", "gauge", fmt.Sprint(last.StridedLoads)),
+		metrics.Scalar("umi_phase_ws_lines", "gauge", fmt.Sprint(last.WSLines)),
+		metrics.Scalar("umi_phase_last_cycles", "gauge", fmt.Sprint(last.Cycles)))
 }
 
 // promFloat renders a float sample value the way Prometheus expects.

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"umi/internal/metrics"
 )
 
 // historyKey serializes a HistoryView for byte-exact comparison.
@@ -302,11 +304,17 @@ func TestFormatHistory(t *testing.T) {
 	}
 }
 
+// promText renders families as one unlabeled exposition.
+func promText(fams []metrics.Family) string {
+	var sb strings.Builder
+	metrics.WritePrometheus(&sb, metrics.Labeled{Families: fams})
+	return sb.String()
+}
+
+// TestWriteHistoryProm: the history view's families in the exposition.
 func TestWriteHistoryProm(t *testing.T) {
 	// Empty view: the three counters appear, no gauges, and no NaN ever.
-	var sb strings.Builder
-	WriteHistoryProm(&sb, (*History)(nil).View())
-	out := sb.String()
+	out := promText((*History)(nil).View().Families())
 	for _, c := range []string{
 		"umi_phase_windows_total 0",
 		"umi_phase_windows_dropped_total 0",
@@ -323,9 +331,7 @@ func TestWriteHistoryProm(t *testing.T) {
 	// Live view: gauges track the newest window.
 	cfg := testConfig()
 	s, _ := runUMI(t, strideWorkload(t, 300_000), cfg)
-	sb.Reset()
-	WriteHistoryProm(&sb, s.History())
-	out = sb.String()
+	out = promText(s.History().Families())
 	for _, c := range []string{
 		"# TYPE umi_phase_windows_total counter",
 		"# TYPE umi_phase_window_miss_ratio gauge",

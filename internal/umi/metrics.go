@@ -228,19 +228,6 @@ func (s *System) Metrics() *Metrics { return s.met }
 // analogue of LiveMetricsSnapshot.
 func (m *Metrics) Snapshot() metrics.Snapshot { return m.reg.Snapshot() }
 
-// emitMetrics delivers a snapshot to the OnMetrics sink, if one is set.
-// Runs on the guest thread at analyzer-invocation boundaries; on the
-// asynchronous path the snapshot reflects analyses completed so far, not
-// the invocation just handed off (those appear in later emissions and in
-// the final snapshot from Finish).
-func (s *System) emitMetrics() {
-	if s.OnMetrics == nil {
-		return
-	}
-	s.met.syncRIO(s.rt)
-	s.OnMetrics(s.met.reg.Snapshot())
-}
-
 // FormatMetrics renders a snapshot as the CLI's self-overhead section:
 // derived headline rates first (filter rate, analysis latency summary,
 // queue high-water marks), then the full registry dump.

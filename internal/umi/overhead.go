@@ -2,7 +2,6 @@ package umi
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -108,12 +107,6 @@ func (s *System) LiveOverhead() *OverheadReport {
 	return buildOverhead(s.met.reg.Snapshot(), &s.cfg)
 }
 
-// OverheadFromSnapshot rebuilds the attribution report a snapshot embeds;
-// the daemon uses it to render per-session overhead from fleet snapshots.
-func OverheadFromSnapshot(snap metrics.Snapshot, cfg *Config) *OverheadReport {
-	return buildOverhead(snap, cfg)
-}
-
 func buildOverhead(snap metrics.Snapshot, cfg *Config) *OverheadReport {
 	guest := uint64(snap.Gauge("umi.guest.cycles").Value)
 	ovhd := uint64(snap.Gauge("umi.guest.overhead_cycles").Value)
@@ -206,68 +199,25 @@ func (r *OverheadReport) LiveString() string {
 	return sb.String()
 }
 
-// WriteOverheadProm renders the attribution report as Prometheus 0.0.4
-// text: a per-stage labeled cycle/wall family plus the headline ratio —
-// the derived view dashboards want next to the raw umi_stage_* families
-// the registry already exposes.
-func WriteOverheadProm(w io.Writer, r *OverheadReport) {
+// Families renders the report for the Prometheus exposition: the headline
+// cycle counts and ratio, and per-stage cycle and wall families labeled by
+// stage — the derived view dashboards want next to the raw umi_stage_*
+// families the registry already exposes. A nil report renders nothing.
+func (r *OverheadReport) Families() []metrics.Family {
 	if r == nil {
-		return
+		return nil
 	}
-	fmt.Fprintf(w, "# TYPE umi_overhead_guest_cycles gauge\numi_overhead_guest_cycles %d\n", r.GuestCycles)
-	fmt.Fprintf(w, "# TYPE umi_overhead_cycles_total gauge\numi_overhead_cycles_total %d\n", r.OverheadCycles)
-	fmt.Fprintf(w, "# TYPE umi_overhead_ratio gauge\numi_overhead_ratio %s\n", promFloat(r.OverheadRatio))
-	fmt.Fprintf(w, "# TYPE umi_overhead_stage_cycles gauge\n")
+	cycles := metrics.Family{Name: "umi_overhead_stage_cycles", Type: "gauge"}
+	wall := metrics.Family{Name: "umi_overhead_stage_wall_ns", Type: "gauge"}
 	for _, st := range r.Stages {
-		fmt.Fprintf(w, "umi_overhead_stage_cycles{stage=%q} %d\n", st.Stage, st.ModelledCycles)
+		stage := [2]string{"stage", st.Stage}
+		cycles.Samples = append(cycles.Samples, metrics.Sample{Label: stage, Value: fmt.Sprint(st.ModelledCycles)})
+		wall.Samples = append(wall.Samples, metrics.Sample{Label: stage, Value: fmt.Sprint(st.WallNs)})
 	}
-	fmt.Fprintf(w, "# TYPE umi_overhead_stage_wall_ns gauge\n")
-	for _, st := range r.Stages {
-		fmt.Fprintf(w, "umi_overhead_stage_wall_ns{stage=%q} %d\n", st.Stage, st.WallNs)
-	}
-}
-
-// LabeledOverhead pairs a fleet label (session id) with one report.
-type LabeledOverhead struct {
-	Label  string
-	Report *OverheadReport
-}
-
-// WriteOverheadPromFleet renders many sessions' attribution reports as one
-// exposition with session-labeled samples (the umid fleet shape). Each
-// family's TYPE header is emitted once, ahead of every session's line.
-func WriteOverheadPromFleet(w io.Writer, members []LabeledOverhead) {
-	live := make([]LabeledOverhead, 0, len(members))
-	for _, m := range members {
-		if m.Report != nil {
-			live = append(live, m)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE umi_overhead_guest_cycles gauge\n")
-	for _, m := range live {
-		fmt.Fprintf(w, "umi_overhead_guest_cycles{session=%q} %d\n", m.Label, m.Report.GuestCycles)
-	}
-	fmt.Fprintf(w, "# TYPE umi_overhead_cycles_total gauge\n")
-	for _, m := range live {
-		fmt.Fprintf(w, "umi_overhead_cycles_total{session=%q} %d\n", m.Label, m.Report.OverheadCycles)
-	}
-	fmt.Fprintf(w, "# TYPE umi_overhead_ratio gauge\n")
-	for _, m := range live {
-		fmt.Fprintf(w, "umi_overhead_ratio{session=%q} %s\n", m.Label, promFloat(m.Report.OverheadRatio))
-	}
-	fmt.Fprintf(w, "# TYPE umi_overhead_stage_cycles gauge\n")
-	for _, m := range live {
-		for _, st := range m.Report.Stages {
-			fmt.Fprintf(w, "umi_overhead_stage_cycles{session=%q,stage=%q} %d\n", m.Label, st.Stage, st.ModelledCycles)
-		}
-	}
-	fmt.Fprintf(w, "# TYPE umi_overhead_stage_wall_ns gauge\n")
-	for _, m := range live {
-		for _, st := range m.Report.Stages {
-			fmt.Fprintf(w, "umi_overhead_stage_wall_ns{session=%q,stage=%q} %d\n", m.Label, st.Stage, st.WallNs)
-		}
+	return []metrics.Family{
+		metrics.Scalar("umi_overhead_guest_cycles", "gauge", fmt.Sprint(r.GuestCycles)),
+		metrics.Scalar("umi_overhead_cycles_total", "gauge", fmt.Sprint(r.OverheadCycles)),
+		metrics.Scalar("umi_overhead_ratio", "gauge", promFloat(r.OverheadRatio)),
+		cycles, wall,
 	}
 }

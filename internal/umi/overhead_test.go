@@ -1,6 +1,7 @@
 package umi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -107,58 +108,31 @@ func TestLiveOverheadFromRegistry(t *testing.T) {
 	if st := want.Stage("no-such-stage"); st.ModelledCycles != 0 || st.Stage != "" {
 		t.Errorf("unknown stage lookup = %+v, want the zero cost", st)
 	}
-	// And the snapshot path the daemon uses reproduces the same report.
-	cfg := testConfig()
-	fromSnap := OverheadFromSnapshot(s.MetricsSnapshot(), &cfg)
-	if fromSnap.String() != want.String() {
-		t.Errorf("snapshot-rebuilt report differs:\n got: %s\nwant: %s",
-			fromSnap.String(), want.String())
-	}
 }
 
-// TestOverheadPromRender: the exposition must carry every family, and the
-// fleet writer must label each sample while declaring types once.
+// TestOverheadPromRender: the report's families carry every headline and
+// per-stage family, declared once with one stage-labeled sample per stage.
 func TestOverheadPromRender(t *testing.T) {
 	prog := strideWorkload(t, 400_000)
 	s, _ := runUMI(t, prog, testConfig())
 	r := s.Overhead()
 
-	var sb strings.Builder
-	WriteOverheadProm(&sb, r)
-	out := sb.String()
+	out := promText(r.Families())
 	for _, want := range []string{
-		"# TYPE umi_overhead_guest_cycles gauge",
-		"# TYPE umi_overhead_ratio gauge",
-		`umi_overhead_stage_cycles{stage="fill"}`,
+		"# TYPE umi_overhead_guest_cycles gauge\n",
+		fmt.Sprintf("umi_overhead_guest_cycles %d\n", r.GuestCycles),
+		"# TYPE umi_overhead_ratio gauge\n",
+		fmt.Sprintf(`umi_overhead_stage_cycles{stage="fill"} %d`+"\n", r.Stage("fill").ModelledCycles),
 		`umi_overhead_stage_wall_ns{stage="analyze"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-
-	sb.Reset()
-	WriteOverheadPromFleet(&sb, []LabeledOverhead{
-		{Label: "s1", Report: r}, {Label: "s2", Report: r}, {Label: "s3"},
-	})
-	fleet := sb.String()
-	if c := strings.Count(fleet, "# TYPE umi_overhead_ratio gauge"); c != 1 {
-		t.Errorf("fleet exposition declares umi_overhead_ratio %d times, want 1", c)
+	if c := strings.Count(out, `umi_overhead_stage_cycles{`); c != len(r.Stages) {
+		t.Errorf("%d stage samples, want %d:\n%s", c, len(r.Stages), out)
 	}
-	for _, want := range []string{
-		`umi_overhead_ratio{session="s1"}`,
-		`umi_overhead_stage_cycles{session="s2",stage="fill"}`,
-	} {
-		if !strings.Contains(fleet, want) {
-			t.Errorf("fleet exposition missing %q:\n%s", want, fleet)
-		}
-	}
-	if strings.Contains(fleet, `session="s3"`) {
-		t.Error("fleet exposition rendered the nil-report session")
-	}
-	sb.Reset()
-	WriteOverheadPromFleet(&sb, nil)
-	if sb.Len() != 0 {
-		t.Errorf("empty fleet wrote %q", sb.String())
+	if fams := (*OverheadReport)(nil).Families(); fams != nil {
+		t.Errorf("nil report rendered %v", fams)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"umi/internal/metrics"
 	"umi/internal/rio"
 	"umi/internal/tracelog"
 	"umi/internal/wire"
@@ -59,12 +58,6 @@ type System struct {
 	// code and the analyzer; returning a non-nil fragment installs it as
 	// the trace's code from then on. The software prefetcher hangs here.
 	OnAnalyzed func(clean *rio.Fragment, an *Analyzer) *rio.Fragment
-
-	// OnMetrics, when set, receives a metrics snapshot after each analyzer
-	// invocation triggered on the guest thread — the periodic emitter
-	// behind pkg/umi's WithMetricsSink. It runs on the guest thread and
-	// must not call back into the System.
-	OnMetrics func(metrics.Snapshot)
 
 	traces     map[uint64]*traceState
 	globalRows int
@@ -440,7 +433,6 @@ func (s *System) runAnalyzer(trigger *traceState) {
 	}
 	s.globalRows = 0
 	s.syncGuestMirrors()
-	s.emitMetrics()
 }
 
 // analyzeInline is the synchronous path: the guest thread runs the full

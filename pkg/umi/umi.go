@@ -165,15 +165,6 @@ func WithAnalyzerWorkers(n int) Option {
 // WithMaxInstructions bounds the run (default 200M).
 func WithMaxInstructions(n uint64) Option { return func(s *Session) { s.maxInstrs = n } }
 
-// WithMetricsSink registers a periodic self-observability emitter: fn
-// receives a MetricsSnapshot after each analyzer invocation, on the guest
-// thread. Collection is always on regardless of this option — the sink
-// only adds delivery — so profiling results are identical with or without
-// it. fn must not call back into the Session.
-func WithMetricsSink(fn func(MetricsSnapshot)) Option {
-	return func(s *Session) { s.metricsSink = fn }
-}
-
 // WithEventTrace attaches a structured event timeline of the given ring
 // capacity (0 selects the default, 65536 events). Recording is purely
 // observational — every event is stamped with the modelled cycle clock and
@@ -277,14 +268,13 @@ func FilterRate(snap MetricsSnapshot) (rate float64, ok bool) { return iumi.Filt
 
 // Session executes one program under the full UMI stack.
 type Session struct {
-	prog        *Program
-	machine     Machine
-	hwPrefetch  bool
-	swPrefetch  bool
-	ntBypass    bool
-	maxInstrs   uint64
-	cfgEdit     []func(*iumi.Config)
-	metricsSink func(MetricsSnapshot)
+	prog       *Program
+	machine    Machine
+	hwPrefetch bool
+	swPrefetch bool
+	ntBypass   bool
+	maxInstrs  uint64
+	cfgEdit    []func(*iumi.Config)
 
 	traceEvents   bool
 	traceCapacity int
@@ -357,9 +347,6 @@ func (s *Session) Run() (*Report, error) {
 	}
 	if len(hooks) > 0 {
 		sys.OnAnalyzed = prefetch.Chain(hooks...)
-	}
-	if s.metricsSink != nil {
-		sys.OnMetrics = s.metricsSink
 	}
 	if s.traceEvents {
 		s.events = sys.EnableEventTrace(s.traceCapacity)
