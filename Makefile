@@ -4,11 +4,11 @@ FUZZTIME ?= 5s
 # The perf-trajectory micro-benchmarks: the hot paths every simulated
 # reference crosses. bench-json pins -benchtime/-count so BENCH_umi.json
 # baselines are comparable run to run on one machine.
-BENCH_HOT = ^Benchmark(CacheAccess|AnalyzeProfile|PipelineEndToEnd|WireEncode|WireEncodeV2|WireDecode|WireDecodeV2|SampledAccess|OverheadAttribution)$$
+BENCH_HOT = ^Benchmark(CacheAccess|AnalyzeProfile|PipelineEndToEnd|WireEncode|WireEncodeV2|WireDecode|WireDecodeV2|ReplayStream|SampledAccess|OverheadAttribution)$$
 BENCH_TIME ?= 300ms
 BENCH_COUNT ?= 3
 
-.PHONY: build test check bench bench-json bench-compare fuzz perfbench-check
+.PHONY: build test check bench bench-hot bench-json bench-compare fuzz perfbench-check
 
 build:
 	$(GO) build ./...
@@ -35,19 +35,23 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# bench-hot runs the hot-path micro-benchmarks and prints go test's
+# output; bench-json, bench-compare and CI's bench job all read this run.
+BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem \
+	-benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
+
+bench-hot:
+	$(BENCH_RUN)
+
 # bench-json refreshes the committed perf baseline from the hot-path
 # micro-benchmarks. Run it on a quiet machine when a PR moves ns/ref.
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem \
-		-benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . \
-		| $(GO) run ./cmd/benchjson -out BENCH_umi.json
+	$(BENCH_RUN) | $(GO) run ./cmd/benchjson -out BENCH_umi.json
 
 # bench-compare measures the same suite and diffs it against the committed
 # baseline, warning (never failing) past a 15% headline regression.
 bench-compare:
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem \
-		-benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . \
-		| $(GO) run ./cmd/benchjson -compare BENCH_umi.json -warn-pct 15
+	$(BENCH_RUN) | $(GO) run ./cmd/benchjson -compare BENCH_umi.json -warn-pct 15
 
 # fuzz gives each fuzz target a short randomized run (FUZZTIME each; the
 # corpus-replay cases also run under plain `make test`). Go allows one
@@ -56,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/trace -run FuzzReader -fuzz FuzzReader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache -run FuzzCacheConfig -fuzz FuzzCacheConfig -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/umi -run FuzzAnalyzerProfile -fuzz FuzzAnalyzerProfile -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/umi -run FuzzDominantStride -fuzz FuzzDominantStride -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/umi -run FuzzWindowSummary -fuzz FuzzWindowSummary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/umi -run FuzzSamplerConfig -fuzz FuzzSamplerConfig -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/umi -run FuzzReservoirProfile -fuzz FuzzReservoirProfile -fuzztime $(FUZZTIME)

@@ -17,6 +17,7 @@ import (
 
 	"umi/internal/cache"
 	"umi/internal/harness"
+	"umi/internal/introspect"
 	"umi/internal/isa"
 	"umi/internal/prefetch"
 	programpkg "umi/internal/program"
@@ -640,6 +641,40 @@ func BenchmarkWireDecodeV2(b *testing.B) {
 			}
 			if _, done := rec.(*wire.Trailer); done {
 				break
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*refs), "ns/ref")
+}
+
+// BenchmarkReplayStream measures capture once, analyze many on recorded
+// guests: introspect.ReplayStream at two analyzer workers over the v2
+// streams of 181.mcf, em3d and mysql, each recorded once. One op replays
+// all three; ns/ref is per recorded reference (profile cell) and covers
+// decode, stride discovery and mini-simulation — the work umid does per
+// ingested reference, which BenchmarkWireDecodeV2's synthetic stream and
+// BenchmarkAnalyzeProfile's all-strided columns understate.
+func BenchmarkReplayStream(b *testing.B) {
+	var streams [][]byte
+	var refs uint64
+	for _, name := range []string{"181.mcf", "em3d", "mysql"} {
+		var v1, v2 bytes.Buffer
+		res, err := introspect.EmitStandalone(introspect.SessionConfig{Workload: name}, &v1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := wire.Transcode(&v2, &v1, wire.Version2); err != nil {
+			b.Fatal(err)
+		}
+		streams = append(streams, v2.Bytes())
+		refs += res.Report.SimulatedRefs
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range streams {
+			if _, err := introspect.ReplayStream(bytes.NewReader(s), 2); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -474,7 +474,9 @@ func (c *Cache) PrefetchResident() int { return c.coldLive }
 // clock and statistics keep running — the paper's analyzer flushes its
 // logical cache when more than 1M cycles have elapsed since it last ran,
 // to avoid long-term contamination, and that is a pause within one logical
-// run, not a restart.
+// run, not a restart. The cold lane is cleared only while coldLive, the
+// exact count of its non-zero entries, says it holds any: a cache that
+// never saw a prefetch (the analyzer's mini-simulator) skips it.
 func (c *Cache) Flush() {
 	for i := range c.valid {
 		c.valid[i] = 0
@@ -488,8 +490,10 @@ func (c *Cache) Flush() {
 	for i := range c.ages {
 		c.ages[i] = 0
 	}
-	for i := range c.cold {
-		c.cold[i] = coldLine{}
+	if c.coldLive > 0 {
+		for i := range c.cold {
+			c.cold[i] = coldLine{}
+		}
 	}
 	for i := range c.plruBits {
 		c.plruBits[i] = 0

@@ -651,5 +651,21 @@ func TestColdLaneAudit(t *testing.T) {
 				check(step, "access")
 			}
 		}
+
+		// A Flush after a prefetch burst must leave the whole cold lane
+		// zero: Flush clears it only while coldLive says it holds state.
+		for i := 0; i < 64; i++ {
+			c.Install(next(1<<13)&^63, next(3)*40)
+		}
+		if c.PrefetchResident() == 0 {
+			t.Fatalf("%s: prefetch burst left no cold state", pol)
+		}
+		c.Flush()
+		check(-1, "flush after burst")
+		for i, cd := range c.cold {
+			if cd != (coldLine{}) {
+				t.Fatalf("%s: cold entry %d = %+v after Flush", pol, i, cd)
+			}
+		}
 	}
 }

@@ -134,55 +134,45 @@ func (a *Analyzer) Reset() {
 	a.hist.reset()
 }
 
-// colPrep is the stateless half of one column's analysis: the materialized
-// address sequence and its dominant stride. The pipeline's preparation
-// workers compute these concurrently; only the cache simulation and the
-// merge, which touch shared analyzer state, stay on the sequencer.
+// colPrep is the stateless half of one column's analysis: its dominant
+// stride, found straight off the profile's cells. The pipeline's
+// preparation workers compute these concurrently; only the cache
+// simulation and the merge, which touch shared analyzer state, stay on
+// the sequencer.
 type colPrep struct {
-	col    []uint64
 	stride int64
 	frac   float64
 }
 
-// prepBuf owns the reusable buffers one profile preparation fills: the
-// per-column colPrep entries (whose col slices are recycled by appending
-// into spare capacity) and the delta scratch for stride discovery. A warm
-// prepBuf makes preparation allocation-free; the pipeline recycles one per
-// in-flight job, and the inline analyzer path keeps its own.
+// prepBuf owns the reusable per-column colPrep entries one profile
+// preparation fills. A warm prepBuf makes preparation allocation-free; the
+// pipeline recycles one per in-flight job, and the inline analyzer path
+// keeps its own.
 type prepBuf struct {
-	preps  []colPrep
-	deltas []int64
+	preps []colPrep
 }
 
-// prepare computes the stateless per-column work for a profile: address
-// columns and dominant strides for every load column. It reads only the
-// profile and is safe to run concurrently with preparations of other
-// profiles — but not with further recording into this one. The returned
-// slice and its columns are owned by the prepBuf and valid until the next
-// prepare call on it.
+// prepare computes the stateless per-column work for a profile: the
+// dominant stride of every load column. It reads only the profile and is
+// safe to run concurrently with preparations of other profiles — but not
+// with further recording into this one. The returned slice is owned by the
+// prepBuf and valid until the next prepare call on it.
 func (b *prepBuf) prepare(p *AddressProfile) []colPrep {
 	n := len(p.Ops)
 	if cap(b.preps) < n {
 		b.preps = append(b.preps[:cap(b.preps)], make([]colPrep, n-cap(b.preps))...)
 	}
 	b.preps = b.preps[:n]
+	cells := p.cells[:p.rowUsed*n]
 	for c := 0; c < n; c++ {
 		pr := &b.preps[c]
 		if !p.IsLoadOp[c] {
-			pr.col, pr.stride, pr.frac = pr.col[:0], 0, 0
+			pr.stride, pr.frac = 0, 0
 			continue
 		}
-		pr.col = p.columnInto(pr.col[:0], c)
-		pr.stride, pr.frac, b.deltas = dominantStride(pr.col, b.deltas)
+		pr.stride, pr.frac = dominantStride(cells, c, n)
 	}
 	return b.preps
-}
-
-// prepareProfile is the buffer-less convenience wrapper (tests, one-shot
-// callers); pipeline workers and the inline path reuse prepBufs instead.
-func prepareProfile(p *AddressProfile) []colPrep {
-	var b prepBuf
-	return b.prepare(p)
 }
 
 // AnalyzeProfile mini-simulates one address profile: rows in recording
@@ -258,11 +248,10 @@ func (a *Analyzer) analyzeWithPrep(p *AddressProfile, alpha float64, preps []col
 			if ratio > alpha {
 				a.delinquent[pc] = true
 				// Keep the raw column so optimizers can tune against the
-				// recorded history (e.g. prefetch distance selection). Copy
-				// into the analyzer-owned slice: preps[c].col lives in a
-				// recycled preparation buffer that the next profile will
-				// overwrite.
-				a.columns[pc] = append(a.columns[pc][:0], preps[c].col...)
+				// recorded history (e.g. prefetch distance selection),
+				// gathered into the analyzer-owned slice: the only column a
+				// profile's analysis copies is a delinquent load's.
+				a.columns[pc] = p.columnInto(a.columns[pc][:0], c)
 			}
 		}
 		// Stride discovery feeds the prefetcher (§8).

@@ -166,6 +166,24 @@ func FuzzAnalyzerProfile(f *testing.F) {
 			t.Fatalf("miss ratio %v, naive replay %v (%d/%d)", an.MissRatio(), wantRatio, totMiss, totAcc)
 		}
 
+		// Strides: each load column's recorded stride is the reference
+		// winner when it holds at least half of the column and is
+		// non-zero; no other column records one.
+		for c, pc := range ops {
+			if !isLoad[c] {
+				continue
+			}
+			ws, wf := refDominantStride(p.Column(c))
+			si, ok := an.Strides()[pc]
+			if want := (StrideInfo{Stride: ws, Confidence: wf}); wf >= 0.5 && ws != 0 {
+				if !ok || si != want {
+					t.Fatalf("load %#x: stride %+v (recorded %v), reference %+v", pc, si, ok, want)
+				}
+			} else if ok {
+				t.Fatalf("load %#x: stride %+v recorded, reference %d at %v", pc, si, ws, wf)
+			}
+		}
+
 		// Determinism: an independent analyzer over the same profile must
 		// reproduce every cumulative result.
 		again := run()
@@ -173,6 +191,62 @@ func FuzzAnalyzerProfile(f *testing.F) {
 			again.SimulatedRefs != an.SimulatedRefs ||
 			len(again.Delinquent()) != len(an.Delinquent()) {
 			t.Fatalf("replay diverged: %v vs %v", again, an)
+		}
+	})
+}
+
+// FuzzDominantStride drives the stride rule with columns built from bytes
+// — mostly a small alphabet of deltas around zero, so exact-half ties and
+// bare majorities come up often, with wide deltas for columns of many
+// distinct ones and 0xff for an unrecorded cell — and checks it against
+// the sort-and-count reference: over the gathered column, over the cells
+// in place, and over the cells interleaved with a second operation.
+func FuzzDominantStride(f *testing.F) {
+	f.Add(uint64(0), []byte{0, 4, 0, 4})                          // +16/-16 tie
+	f.Add(uint64(1<<20), []byte{2, 3, 2, 3, 2, 3})                // zero/+8 tie
+	f.Add(uint64(64), []byte{3, 0xff, 3, 0xff, 0xff, 3, 3, 1, 4}) // holes
+	f.Add(uint64(7), []byte{3, 0xff})                             // too short
+	many := []byte{}
+	for i := 0; i < 20; i++ {
+		many = append(many, 3, byte(0x80+i))
+	}
+	f.Add(uint64(1<<40), many) // 21 distinct deltas, +8 holding half
+	f.Fuzz(func(t *testing.T, base uint64, data []byte) {
+		cells := []uint64{}
+		a := base
+		for _, b := range data {
+			switch {
+			case b == 0xff:
+				cells = append(cells, noAddr)
+				continue
+			case b < 0x80:
+				a += uint64(8 * (int64(b%5) - 2))
+			default:
+				a += uint64(b) << 6
+			}
+			cells = append(cells, a)
+		}
+		var col []uint64
+		for _, c := range cells {
+			if c != noAddr {
+				col = append(col, c)
+			}
+		}
+		s, fr := DominantStride(col)
+		if err := checkStride(col, s, fr); err != nil {
+			t.Fatalf("gathered: %v", err)
+		}
+		s, fr = dominantStride(cells, 0, 1)
+		if err := checkStride(col, s, fr); err != nil {
+			t.Fatalf("in place: %v", err)
+		}
+		pair := make([]uint64, 0, 2*len(cells))
+		for i, c := range cells {
+			pair = append(pair, base^uint64(i), c)
+		}
+		s, fr = dominantStride(pair, 1, 2)
+		if err := checkStride(col, s, fr); err != nil {
+			t.Fatalf("interleaved: %v", err)
 		}
 	})
 }

@@ -333,8 +333,8 @@ func (a *Analyzer) captureWindow(cycles uint64, consumers []ProfileConsumer) {
 
 // modalStride returns the most common dominant stride across the
 // discovered per-load strides, breaking count ties toward the smaller
-// magnitude and then the positive value (the dominantStride rule), 0 when
-// no strides have been discovered.
+// magnitude and then the positive value (outranks), 0 when no strides
+// have been discovered.
 func modalStride(strides map[uint64]StrideInfo) int64 {
 	if len(strides) == 0 {
 		return 0
@@ -350,9 +350,7 @@ func modalStride(strides map[uint64]StrideInfo) int64 {
 		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
-		d, n := vals[i], j-i
-		if n > bestN ||
-			(n == bestN && (abs64(d) < abs64(best) || (abs64(d) == abs64(best) && d > best))) {
+		if d, n := vals[i], j-i; outranks(d, n, best, bestN) {
 			best, bestN = d, n
 		}
 		i = j

@@ -18,8 +18,8 @@ import (
 // so the mini-simulation is order-sensitive and cannot be sharded. The
 // pipeline therefore splits each profile's analysis into
 //
-//   - a stateless half (materializing address columns, dominant-stride
-//     discovery) fanned out to AnalyzerWorkers preparation goroutines, and
+//   - a stateless half (dominant-stride discovery) fanned out to
+//     AnalyzerWorkers preparation goroutines, and
 //   - the stateful half (cache simulation, per-PC merge) executed by one
 //     sequencer goroutine in exactly the submission order,
 //
@@ -130,9 +130,9 @@ func newAnalyzerPool(an *Analyzer, consumers []ProfileConsumer, met *Metrics, tl
 	return p
 }
 
-// prepareJob runs the stateless half of one job's analysis — column
-// materialization and stride discovery — and signals the sequencer. Called
-// by a SharedPrep worker; never by the sequencer.
+// prepareJob runs the stateless half of one job's analysis — stride
+// discovery over the profile's load columns — and signals the sequencer.
+// Called by a SharedPrep worker; never by the sequencer.
 func (p *analyzerPool) prepareJob(job *analysisJob) {
 	start := time.Now()
 	select {
@@ -167,8 +167,8 @@ func (p *analyzerPool) sequencer() {
 		for _, job := range inv.jobs {
 			<-job.ready
 			p.an.analyzeWithPrep(job.profile, job.alpha, job.prep)
-			// The analysis copied everything it keeps (columns included),
-			// so the preparation buffer can go back to the workers.
+			// The analysis has consumed prep, so the preparation buffer
+			// can go back to the workers.
 			select {
 			case p.prepBufs <- job.buf:
 			default:

@@ -2,7 +2,6 @@ package umi
 
 import (
 	"fmt"
-	"slices"
 
 	"umi/internal/rio"
 )
@@ -124,9 +123,8 @@ func (p *AddressProfile) Column(col int) []uint64 {
 }
 
 // columnInto appends the column's recorded addresses to dst and returns it.
-// The profile-preparation hot path materializes every load column per
-// analysis; appending into a recycled buffer keeps that allocation-free in
-// steady state.
+// The analyzer gathers a delinquent load's column this way; appending into
+// the load's recycled slice keeps that allocation-free in steady state.
 func (p *AddressProfile) columnInto(dst []uint64, col int) []uint64 {
 	stride := len(p.Ops)
 	for i := col; i < p.rowUsed*stride; i += stride {
@@ -180,87 +178,87 @@ func selectOps(f *rio.Fragment, filter bool, maxOps int) (pcs []uint64, isLoad [
 	return pcs, isLoad, cols, candidates
 }
 
-// DominantStride returns the most frequent successive-address delta in a
-// column and its occurrence fraction. Used by the prefetching optimization
-// (§8: "calculate the stride distance between successive memory references
-// for individual loads").
+// DominantStride returns a column's dominant successive-address delta and
+// the fraction of the column's deltas it accounts for. Used by the
+// prefetching optimization (§8: "calculate the stride distance between
+// successive memory references for individual loads"). addrs is a column
+// as Column returns it. Only a delta holding at least half of the deltas
+// counts as dominant: a column without one, or with fewer than three
+// addresses, returns 0, 0.
 func DominantStride(addrs []uint64) (stride int64, frac float64) {
-	stride, frac, _ = dominantStride(addrs, nil)
-	return stride, frac
+	return dominantStride(addrs, 0, 1)
 }
 
-// strideTableMax bounds the distinct-delta table dominantStride counts
-// into before falling back to the sort-based path: real columns repeat a
-// handful of strides, so the table almost always suffices, while the cap
-// keeps the per-delta linear probe O(1) in practice.
-const strideTableMax = 16
-
-// dominantStride is DominantStride with a caller-owned scratch buffer for
-// the delta sequence, so the preparation hot path runs allocation-free once
-// warm. It counts distinct deltas in a small table (one pass, no sort);
-// columns with more than strideTableMax distinct deltas take the
-// sort-and-count-runs path instead. Both paths pick the winner with the
-// same total order — count, then smaller magnitude, then the positive
-// stride — so the choice of path never changes the result (the map-based
-// predecessor left the equal-count, equal-magnitude case to hash iteration
-// order).
-func dominantStride(addrs []uint64, scratch []int64) (stride int64, frac float64, _ []int64) {
-	if len(addrs) < 3 {
-		return 0, 0, scratch
-	}
-	n := len(addrs) - 1
-	var vals [strideTableMax]int64
-	var counts [strideTableMax]int
-	nd := 0
-	for i := 1; i < len(addrs); i++ {
-		d := int64(addrs[i] - addrs[i-1])
-		k := 0
-		for ; k < nd; k++ {
-			if vals[k] == d {
-				counts[k]++
-				break
+// dominantStride finds the dominant delta of the column that starts at
+// cells[col] and steps by step — a profile's flat cells read in place, or
+// a materialized column at step 1 — skipping unrecorded cells. A delta
+// holding at least half of the n deltas occurs more than n/3 times, so a
+// two-counter Misra–Gries pass always keeps it; a second pass counts the
+// two survivors exactly. Ties at exactly half keep one total order —
+// count, then smaller magnitude, then the positive stride — so the result
+// is the sort-and-count winner whenever that winner holds half the column.
+func dominantStride(cells []uint64, col, step int) (stride int64, frac float64) {
+	var cand [2]int64
+	var votes [2]int
+	prev, seen := uint64(0), 0
+	for i := col; i < len(cells); i += step {
+		a := cells[i]
+		if a == noAddr {
+			continue
+		}
+		if seen > 0 {
+			switch d := int64(a - prev); {
+			case votes[0] > 0 && cand[0] == d:
+				votes[0]++
+			case votes[1] > 0 && cand[1] == d:
+				votes[1]++
+			case votes[0] == 0:
+				cand[0], votes[0] = d, 1
+			case votes[1] == 0:
+				cand[1], votes[1] = d, 1
+			default:
+				votes[0]--
+				votes[1]--
 			}
 		}
-		if k == nd {
-			if nd == strideTableMax {
-				return dominantStrideSorted(addrs, scratch)
+		prev = a
+		seen++
+	}
+	if seen < 3 {
+		return 0, 0
+	}
+	var count [2]int
+	seen = 0
+	for i := col; i < len(cells); i += step {
+		a := cells[i]
+		if a == noAddr {
+			continue
+		}
+		if seen > 0 {
+			d := int64(a - prev)
+			if d == cand[0] {
+				count[0]++
+			} else if d == cand[1] {
+				count[1]++
 			}
-			vals[nd], counts[nd] = d, 1
-			nd++
+		}
+		prev = a
+		seen++
+	}
+	n, bestN := seen-1, 0
+	for k, d := range cand {
+		if c := count[k]; 2*c >= n && outranks(d, c, stride, bestN) {
+			stride, bestN = d, c
 		}
 	}
-	best, bestN := int64(0), 0
-	for k := 0; k < nd; k++ {
-		if d, c := vals[k], counts[k]; c > bestN ||
-			(c == bestN && (abs64(d) < abs64(best) || (abs64(d) == abs64(best) && d > best))) {
-			best, bestN = d, c
-		}
-	}
-	return best, float64(bestN) / float64(n), scratch
+	return stride, float64(bestN) / float64(n)
 }
 
-// dominantStrideSorted is the general-case fallback: sort the deltas and
-// count runs. Same winner as the table path, by the same total order.
-func dominantStrideSorted(addrs []uint64, scratch []int64) (stride int64, frac float64, _ []int64) {
-	deltas := scratch[:0]
-	for i := 1; i < len(addrs); i++ {
-		deltas = append(deltas, int64(addrs[i]-addrs[i-1]))
-	}
-	slices.Sort(deltas)
-	best, bestN := int64(0), 0
-	for i := 0; i < len(deltas); {
-		j := i + 1
-		for j < len(deltas) && deltas[j] == deltas[i] {
-			j++
-		}
-		d, n := deltas[i], j-i
-		if n > bestN ||
-			(n == bestN && (abs64(d) < abs64(best) || (abs64(d) == abs64(best) && d > best))) {
-			best, bestN = d, n
-		}
-		i = j
-	}
-	return best, float64(bestN) / float64(len(deltas)), deltas
+// outranks is the stride rules' total order: stride d seen c times beats
+// best seen bestN times on a higher count, then a smaller magnitude, then
+// the positive sign.
+func outranks(d int64, c int, best int64, bestN int) bool {
+	return c > bestN || (c == bestN && (abs64(d) < abs64(best) || (abs64(d) == abs64(best) && d > best)))
 }
 
 func abs64(x int64) int64 {

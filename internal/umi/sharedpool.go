@@ -7,9 +7,9 @@ import "sync"
 // (pool.go) prepares through one: a daemon-wide pool, or a private pool
 // the pipeline starts for its session alone. Each session keeps its own
 // sequencer (the logical cache is order-sensitive per session and cannot
-// be shared), but the stateless half of analysis — column materialization
-// and dominant-stride discovery — carries no session state at all, so one
-// worker fleet can serve every session.
+// be shared), but the stateless half of analysis — dominant-stride
+// discovery — carries no session state at all, so one worker fleet can
+// serve every session.
 //
 // Two properties shape the implementation:
 //

@@ -1,6 +1,9 @@
 package umi
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +95,175 @@ func TestDominantStrideQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refDominantStride is the brute-force reference for the stride rule:
+// sort a column's deltas and count runs, the winner ranked by count, then
+// smaller magnitude, then the positive stride.
+func refDominantStride(addrs []uint64) (stride int64, frac float64) {
+	if len(addrs) < 3 {
+		return 0, 0
+	}
+	deltas := make([]int64, 0, len(addrs)-1)
+	for i := 1; i < len(addrs); i++ {
+		deltas = append(deltas, int64(addrs[i]-addrs[i-1]))
+	}
+	slices.Sort(deltas)
+	best, bestN := int64(0), 0
+	for i := 0; i < len(deltas); {
+		j := i + 1
+		for j < len(deltas) && deltas[j] == deltas[i] {
+			j++
+		}
+		d, n := deltas[i], j-i
+		if n > bestN ||
+			(n == bestN && (abs64(d) < abs64(best) || (abs64(d) == abs64(best) && d > best))) {
+			best, bestN = d, n
+		}
+		i = j
+	}
+	return best, float64(bestN) / float64(len(deltas))
+}
+
+// checkStride is the stride rule's oracle: the reference's stride and
+// fraction whenever the reference's winner holds at least half of the
+// column's deltas, and 0, 0 otherwise.
+func checkStride(addrs []uint64, stride int64, frac float64) error {
+	ws, wf := refDominantStride(addrs)
+	if wf < 0.5 {
+		ws, wf = 0, 0
+	}
+	if stride != ws || frac != wf {
+		return fmt.Errorf("stride %d frac %v, reference %d %v (over %d addresses)",
+			stride, frac, ws, wf, len(addrs))
+	}
+	return nil
+}
+
+// TestDominantStrideReference checks the two-counter stride rule against
+// the sort-and-count reference on the columns where a bounded table or a
+// vote could go wrong: exact-half ties between opposite strides and
+// between a zero and a non-zero delta, more than 16 distinct deltas,
+// majorities just above, at and below half, and columns read in place from
+// profiles with unrecorded cells, down to fewer than three recorded.
+func TestDominantStrideReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	shuffled := func(deltas []int64) []uint64 {
+		rng.Shuffle(len(deltas), func(i, j int) { deltas[i], deltas[j] = deltas[j], deltas[i] })
+		addrs := []uint64{rng.Uint64() >> 2}
+		for _, d := range deltas {
+			addrs = append(addrs, addrs[len(addrs)-1]+uint64(d))
+		}
+		return addrs
+	}
+	stride := func() int64 { return 8 * (1 + rng.Int63n(64)) }
+	// Each generator returns a column of n deltas; n is even for the ties.
+	gens := map[string]func(n int) []uint64{
+		"opposite-tie": func(n int) []uint64 {
+			s, deltas := stride(), make([]int64, n)
+			for i := range deltas {
+				deltas[i] = s
+				if i%2 == 1 {
+					deltas[i] = -s
+				}
+			}
+			return shuffled(deltas)
+		},
+		"zero-tie": func(n int) []uint64 {
+			s, deltas := stride(), make([]int64, n)
+			for i := 0; i < n; i += 2 {
+				deltas[i] = s
+			}
+			return shuffled(deltas)
+		},
+		"many-distinct": func(n int) []uint64 {
+			// A stride holding about half the column among 17 or more
+			// distinct noise deltas.
+			s, deltas := stride(), make([]int64, n)
+			hold := n/2 + rng.Intn(5) - 2
+			for i := range deltas {
+				deltas[i] = s
+				if i >= hold {
+					deltas[i] = s + 8*int64(i)
+				}
+			}
+			return shuffled(deltas)
+		},
+		"small-alphabet": func(n int) []uint64 {
+			s, deltas := stride(), make([]int64, n)
+			for i := range deltas {
+				deltas[i] = s * (rng.Int63n(5) - 2)
+			}
+			return shuffled(deltas)
+		},
+	}
+	for name, gen := range gens {
+		for iter := 0; iter < 400; iter++ {
+			n := 2 * (1 + rng.Intn(40))
+			if name == "many-distinct" {
+				n = 34 + 2*rng.Intn(60)
+			}
+			addrs := gen(n)
+			if name == "opposite-tie" || name == "zero-tie" {
+				if _, wf := refDominantStride(addrs); wf != 0.5 {
+					t.Fatalf("%s: generator made frac %v, want an exact tie", name, wf)
+				}
+			}
+			s, f := DominantStride(addrs)
+			if err := checkStride(addrs, s, f); err != nil {
+				t.Fatalf("%s #%d: %v", name, iter, err)
+			}
+
+			// The same column read in place from a profile: a random
+			// operation among up to five, with unrecorded cells around
+			// its addresses and noise in the other columns.
+			nOps := 1 + rng.Intn(5)
+			col := rng.Intn(nOps)
+			rows := len(addrs) + rng.Intn(len(addrs)+1)
+			p := NewAddressProfile(make([]uint64, nOps), make([]bool, nOps), rows)
+			next := 0
+			for r := 0; r < rows; r++ {
+				row, _ := p.OpenRow()
+				for c := 0; c < nOps; c++ {
+					switch {
+					case c != col:
+						if rng.Intn(3) > 0 {
+							p.Record(row, c, rng.Uint64()>>2)
+						}
+					case next < len(addrs) && (rows-r == len(addrs)-next || rng.Intn(2) == 0):
+						p.Record(row, c, addrs[next])
+						next++
+					}
+				}
+			}
+			if next != len(addrs) {
+				t.Fatalf("%s #%d: recorded %d of %d addresses", name, iter, next, len(addrs))
+			}
+			s, f = dominantStride(p.cells[:p.Rows()*nOps], col, nOps)
+			if err := checkStride(p.Column(col), s, f); err != nil {
+				t.Fatalf("%s #%d in profile (%d ops, %d rows): %v", name, iter, nOps, rows, err)
+			}
+		}
+	}
+
+	// Fewer than three recorded cells, and a column whose cells are all
+	// holes, give no stride.
+	for rec := 0; rec < 3; rec++ {
+		p := NewAddressProfile([]uint64{1, 2}, []bool{true, true}, 8)
+		for r := 0; r < 8; r++ {
+			row, _ := p.OpenRow()
+			p.Record(row, 1, uint64(r)*64)
+			if r < rec {
+				p.Record(row, 0, uint64(r)*64)
+			}
+		}
+		if s, f := dominantStride(p.cells[:16], 0, 2); s != 0 || f != 0 {
+			t.Errorf("%d recorded cells: stride %d frac %v, want 0, 0", rec, s, f)
+		}
+		if s, f := DominantStride(p.Column(0)); s != 0 || f != 0 {
+			t.Errorf("DominantStride over %d addresses: stride %d frac %v, want 0, 0", rec, s, f)
+		}
 	}
 }
 
