@@ -1,20 +1,18 @@
 // Command umid is the UMI profiling daemon: a long-lived service
-// multiplexing many concurrent guest profiling sessions over one shared
-// analyzer pool. Clients create sessions over HTTP, run registered
+// multiplexing many concurrent guest profiling sessions, each with its
+// own analyzer. Clients create sessions over HTTP, run registered
 // workloads or submitted address-trace streams, and scrape every
 // session's views (report, metrics, history, overhead, events) and a
 // fleet-wide Prometheus exposition.
 //
 // Usage:
 //
-//	umid [-http addr] [-max-sessions n] [-prep-workers n]
-//	     [-queue-bound n] [-queue-high-water n]
+//	umid [-http addr] [-max-sessions n]
 //
 // The daemon runs until SIGINT/SIGTERM, then drains gracefully: new work
-// is refused with 503, in-flight session runs complete, and the shared
-// pool shuts down. Each session's results are byte-identical to the same
-// configuration run standalone under umiprof — co-tenancy never perturbs
-// a profile.
+// is refused with 503 and in-flight session runs complete. Each session's
+// results are byte-identical to the same configuration run standalone
+// under umiprof — co-tenancy never perturbs a profile.
 package main
 
 import (
@@ -48,12 +46,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	httpAddr := fs.String("http", "127.0.0.1:0", "address to serve the control plane on")
 	maxSessions := fs.Int("max-sessions", introspect.DefaultMaxSessions,
 		"concurrent session cap; creates past it are rejected with 429")
-	prepWorkers := fs.Int("prep-workers", introspect.DefaultPrepWorkers,
-		"shared analyzer preparation pool width")
-	queueBound := fs.Int("queue-bound", 0,
-		"shared preparation queue capacity (0: library default)")
-	queueHighWater := fs.Int("queue-high-water", 0,
-		"reject new runs with 429 at this queue depth (0: the queue bound)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -62,19 +54,13 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		return 2
 	}
 
-	d := introspect.NewDaemon(introspect.DaemonConfig{
-		MaxSessions:    *maxSessions,
-		PrepWorkers:    *prepWorkers,
-		QueueBound:     *queueBound,
-		QueueHighWater: *queueHighWater,
-	})
+	d := introspect.NewDaemon(introspect.DaemonConfig{MaxSessions: *maxSessions})
 	addr, stopServe, err := d.Serve(*httpAddr)
 	if err != nil {
 		fmt.Fprintf(stderr, "umid: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stderr, "umid: control plane at http://%s/ (max %d sessions, %d prep workers)\n",
-		addr, *maxSessions, *prepWorkers)
+	fmt.Fprintf(stderr, "umid: control plane at http://%s/ (max %d sessions)\n", addr, *maxSessions)
 
 	<-stop
 	fmt.Fprintln(stderr, "umid: draining: refusing new work, waiting for in-flight runs")

@@ -112,7 +112,7 @@ func createSession(t *testing.T, base string, body []byte) string {
 // delete, checking the run output is byte-identical to the same config
 // run standalone.
 func TestDaemonE2E(t *testing.T) {
-	base, _, stop, exit := startDaemon(t, "-max-sessions", "8", "-prep-workers", "2")
+	base, _, stop, exit := startDaemon(t, "-max-sessions", "8")
 	defer func() {
 		close(stop)
 		select {

@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	swpf := fs.Bool("swpf", false, "enable the online software prefetcher")
 	noSampling := fs.Bool("no-sampling", false, "instrument every trace at creation")
 	workers := fs.Int("workers", 1,
-		"analyzer pipeline width; at >= 2 profiles are analyzed off the guest thread (same results)")
+		"at >= 2 profiles are analyzed on one sequencer goroutine off the guest thread; below 2 inline (same results)")
 	top := fs.Int("top", 10, "top missing operations to print")
 	ws := fs.Bool("ws", false, "report working-set and reuse-distance characterization")
 	patterns := fs.Bool("patterns", false, "classify reference patterns per operation")
@@ -196,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// once the run is done.
 	var finish func(*introspect.RunResult)
 	if *httpAddr != "" {
-		d := introspect.NewDaemon(introspect.DaemonConfig{MaxSessions: 1, PrepWorkers: 1})
+		d := introspect.NewDaemon(introspect.DaemonConfig{MaxSessions: 1})
 		defer d.Shutdown()
 		// A fresh daemon always admits its first session.
 		id, fin, _ := d.Adopt(w.Name, sys)

@@ -626,7 +626,7 @@ func TestE2EIngestRemote(t *testing.T) {
 	}
 	_, local, _ := runCLI(t, "-ingest", streamFile)
 
-	d := introspect.NewDaemon(introspect.DaemonConfig{PrepWorkers: 2})
+	d := introspect.NewDaemon(introspect.DaemonConfig{})
 	addr, stop, err := d.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("daemon: %v", err)

@@ -102,7 +102,9 @@ type coldLine struct {
 //   - valid: one bitmask word per set (bit w = way w valid), which turns
 //     validity checks, invalid-way selection, and residency counting into
 //     single bit operations;
-//   - cold: prefetch bookkeeping, consulted only while coldActive.
+//   - cold: prefetch bookkeeping, allocated by the first prefetching
+//     install (most caches never see one) and consulted only where it
+//     exists.
 type Cache struct {
 	cfg  Config
 	tags []uint64 // Sets()*Assoc entries, way-major within each set
@@ -210,7 +212,7 @@ func New(cfg Config) *Cache {
 	n := cfg.Sets() * cfg.Assoc
 	c := &Cache{cfg: cfg,
 		tags:  make([]uint64, n),
-		valid: make([]uint64, cfg.Sets()), cold: make([]coldLine, n),
+		valid: make([]uint64, cfg.Sets()),
 		assoc: cfg.Assoc, wayMask: ^uint64(0) >> (64 - uint(cfg.Assoc)),
 		wayBits: uint(bits.Len(uint(cfg.Assoc - 1))),
 		setMask: uint64(cfg.Sets() - 1), lineShift: shift,
@@ -359,7 +361,7 @@ func (c *Cache) accessSlow(addr uint64) AccessResult {
 	if m := matchWays(tags, tag, c.valid[set]); m != 0 {
 		i := bits.TrailingZeros64(m)
 		res := AccessResult{Hit: true}
-		if cd := &c.cold[base+i]; cd.prefetched || cd.readyAt != 0 {
+		if cd := c.coldAt(base + i); cd != nil && (cd.prefetched || cd.readyAt != 0) {
 			if cd.prefetched {
 				res.PrefetchedHit = true
 			}
@@ -406,7 +408,7 @@ func (c *Cache) Install(addr uint64, delay uint64) {
 	base := int(set) * c.assoc
 	if m := matchWays(c.tags[base:base+c.assoc:base+c.assoc], tag, c.valid[set]); m != 0 {
 		i := bits.TrailingZeros64(m)
-		if cd := &c.cold[base+i]; c.clock+delay < cd.readyAt {
+		if cd := c.coldAt(base + i); cd != nil && c.clock+delay < cd.readyAt {
 			cd.readyAt = c.clock + delay
 		}
 		return
@@ -441,16 +443,30 @@ func (c *Cache) install(set, tag uint64, prefetched bool, readyAt uint64) {
 		}
 		c.fifoNext[set] = next
 	}
-	if cd := &c.cold[base+victim]; cd.prefetched || cd.readyAt != 0 {
+	if cd := c.coldAt(base + victim); cd != nil && (cd.prefetched || cd.readyAt != 0) {
+		*cd = coldLine{}
 		c.coldDec() // evicting a line that still carried prefetch state
 	}
-	c.cold[base+victim] = coldLine{prefetched: prefetched, readyAt: readyAt}
 	if prefetched || readyAt != 0 {
+		if c.cold == nil {
+			// The first prefetch allocates the lane.
+			c.cold = make([]coldLine, len(c.tags))
+		}
+		c.cold[base+victim] = coldLine{prefetched: prefetched, readyAt: readyAt}
 		c.coldLive++
 		c.coldActive = true
 		c.refast()
 	}
 	c.plruTouch(set, victim)
+}
+
+// coldAt returns line i's prefetch bookkeeping, or nil while no prefetch
+// has allocated the cold lane.
+func (c *Cache) coldAt(i int) *coldLine {
+	if c.cold == nil {
+		return nil
+	}
+	return &c.cold[i]
 }
 
 // coldDec retires one live cold entry, re-arming the fused LRU demand

@@ -669,3 +669,37 @@ func TestColdLaneAudit(t *testing.T) {
 		}
 	}
 }
+
+// TestColdLaneAllocatedOnFirstPrefetch: only a prefetching install
+// allocates the cold lane (16 B per line, 128 KB of a P4 L2's 208 KB).
+// Demand traffic, flushes and a prefetch of an already-resident line leave
+// a cache without one; the first real prefetch allocates it whole, and
+// the prefetched line then behaves as it always has.
+func TestColdLaneAllocatedOnFirstPrefetch(t *testing.T) {
+	c := New(P4L2)
+	if c.cold != nil {
+		t.Fatal("a fresh P4 L2 allocated a cold lane")
+	}
+	for i := uint64(0); i < 1<<16; i++ {
+		c.Access(i * 4160)
+	}
+	c.Flush()
+	c.Access(0x1000)
+	c.Install(0x1000, 5) // resident and complete: nothing to record
+	if c.cold != nil {
+		t.Fatal("demand traffic, Flush or a resident-line Install allocated the cold lane")
+	}
+	c.Install(0x8000, 5)
+	if got, want := len(c.cold), P4L2.Sets()*P4L2.Assoc; got != want {
+		t.Fatalf("first prefetch allocated %d cold entries, want one per line (%d)", got, want)
+	}
+	if c.PrefetchResident() != 1 || c.fast != fpSlow {
+		t.Fatalf("after one prefetch: resident %d, fast path %d", c.PrefetchResident(), c.fast)
+	}
+	if res := c.Access(0x8000); !res.Hit || !res.PrefetchedHit || !res.Late {
+		t.Errorf("demand hit on the in-flight prefetch = %+v, want a late prefetched hit", res)
+	}
+	if c.PrefetchResident() != 0 || c.fast == fpSlow {
+		t.Errorf("consumed prefetch left resident %d, fast path %d", c.PrefetchResident(), c.fast)
+	}
+}

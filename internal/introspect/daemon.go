@@ -1,10 +1,9 @@
 // The umid daemon: a long-lived control plane multiplexing many
-// concurrent profiling sessions over one shared analyzer preparation
-// pool. Each session keeps its own System (per-session sequencer, logical
-// cache, history ring) so co-tenancy cannot perturb results — a session
-// run through the daemon produces byte-identical output to the same
-// config run standalone — while the expensive stateless preparation work
-// is shared and scheduled fairly (round-robin across session lanes).
+// concurrent profiling sessions. Each session keeps its own System (its
+// own sequencer, logical cache and history ring) and shares nothing
+// analytical with its co-tenants, so co-tenancy cannot perturb results —
+// a session run through the daemon produces byte-identical output to the
+// same config run standalone.
 //
 // Lifecycle surface (Go 1.22 method+pattern routes):
 //
@@ -19,10 +18,11 @@
 //	GET    /fleet/phases         cross-session phase-change correlation
 //	GET    /debug/pprof/         the daemon process's Go runtime profiles
 //
-// Admission control: creates past MaxSessions and runs past the shared
-// queue's high-water mark are rejected with 429 so a saturated daemon
-// sheds load instead of queueing unboundedly; during a drain every
-// mutating request gets 503.
+// Admission control: creates past MaxSessions are rejected with 429, and
+// during a drain every mutating request gets 503. Work stays bounded
+// without a daemon-wide queue: at most MaxSessions sessions, each with at
+// most four invocations (umi's seqDepth) queued behind its sequencer, and
+// a full queue blocks only that session's own guest or upload.
 package introspect
 
 import (
@@ -43,7 +43,6 @@ import (
 // Daemon defaults, used when the corresponding DaemonConfig field is zero.
 const (
 	DefaultMaxSessions = 64
-	DefaultPrepWorkers = 4
 	// maxConfigBytes bounds a POST /sessions body; MaxTraceAddrs addresses
 	// at ~20 JSON bytes each fit with ample slack.
 	maxConfigBytes = 1 << 20
@@ -58,22 +57,11 @@ type DaemonConfig struct {
 	// MaxSessions caps concurrently-registered sessions; creates past it
 	// are rejected with 429.
 	MaxSessions int
-	// PrepWorkers is the shared preparation pool's width.
-	PrepWorkers int
-	// QueueBound caps the shared pool's pending-job queue (0 takes the
-	// pool default). Enqueues past it block the submitting session only.
-	QueueBound int
-	// QueueHighWater rejects new run requests with 429 while the shared
-	// queue holds at least this many jobs (0 takes the queue bound).
-	QueueHighWater int
 }
 
 func (c DaemonConfig) withDefaults() DaemonConfig {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = DefaultMaxSessions
-	}
-	if c.PrepWorkers <= 0 {
-		c.PrepWorkers = DefaultPrepWorkers
 	}
 	return c
 }
@@ -115,7 +103,7 @@ type session struct {
 // release marks the session deleted and returns the ingest replay to
 // close now — nil while an ingest is in flight (it closes the replay
 // itself when it finishes) or when there is none. Closing drains the
-// replay's pipeline and detaches its SharedPrep lane and sequencer.
+// replay's pipeline and stops its sequencer.
 func (s *session) release() *umi.Replay {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -184,10 +172,9 @@ func (s *session) events() *tracelog.Log {
 	return nil
 }
 
-// Daemon multiplexes sessions over one shared preparation pool.
+// Daemon multiplexes concurrent sessions over one HTTP surface.
 type Daemon struct {
 	cfg    DaemonConfig
-	shared *umi.SharedPrep
 	ingest *ingestMetrics
 
 	mu       sync.Mutex
@@ -198,12 +185,11 @@ type Daemon struct {
 	runs sync.WaitGroup // in-flight run handlers, for graceful drain
 }
 
-// NewDaemon builds a daemon and its shared pool.
+// NewDaemon builds a daemon.
 func NewDaemon(cfg DaemonConfig) *Daemon {
 	cfg = cfg.withDefaults()
 	return &Daemon{
 		cfg:      cfg,
-		shared:   umi.NewSharedPrep(cfg.PrepWorkers, cfg.QueueBound),
 		ingest:   newIngestMetrics(),
 		sessions: make(map[string]*session),
 	}
@@ -217,17 +203,13 @@ func (d *Daemon) SessionCount() int {
 	return len(d.sessions)
 }
 
-// Shutdown drains the daemon: new mutating requests are refused with 503,
-// in-flight runs complete, then the shared pool stops. Idempotent.
+// Shutdown drains the daemon: new mutating requests are refused with 503
+// and in-flight runs complete. Idempotent.
 func (d *Daemon) Shutdown() {
 	d.mu.Lock()
-	already := d.draining
 	d.draining = true
 	d.mu.Unlock()
 	d.runs.Wait()
-	if !already {
-		d.shared.Close()
-	}
 }
 
 // lookup resolves a session id; the bool reports existence.
@@ -439,21 +421,11 @@ func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission: refuse while draining, and shed load past the shared
-	// queue's high-water mark rather than deepening the backlog.
+	// Admission: refuse while draining — the only refusal a run gets.
 	d.mu.Lock()
 	if d.draining {
 		d.mu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "daemon is draining")
-		return
-	}
-	high := d.cfg.QueueHighWater
-	if high <= 0 {
-		high = d.shared.QueueBound()
-	}
-	if depth := d.shared.QueueDepth(); depth >= high {
-		d.mu.Unlock()
-		httpError(w, http.StatusTooManyRequests, "analyzer queue depth %d at high-water %d", depth, high)
 		return
 	}
 	// The run must be registered for drain before draining can flip, so
@@ -479,7 +451,7 @@ func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request) {
 	// Runs execute synchronously on the request goroutine: the HTTP server
 	// already gives each session its own goroutine, and the client gets
 	// the result as the response body.
-	res, err := runSession(&s.cfg, d.shared, func(sys *umi.System) {
+	res, err := runSession(&s.cfg, func(sys *umi.System) {
 		sys.EnableEventTrace(sessionEvents)
 		s.mu.Lock()
 		s.sys = sys
@@ -591,9 +563,9 @@ func (d *Daemon) deleteSession(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	// A run still executing holds its own reference and completes against
-	// the shared pool; its result is simply unreachable. Accounting is
-	// exact the moment the delete returns.
+	// A run still executing holds its own reference and completes; its
+	// result is simply unreachable. Accounting is exact the moment the
+	// delete returns.
 	if rp := s.release(); rp != nil {
 		rp.Close()
 	}

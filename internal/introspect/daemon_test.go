@@ -108,7 +108,7 @@ func resultBytes(t *testing.T, res *RunResult) []byte {
 // --- the load-bearing invariant ---
 
 // TestDaemonSessionEquivalence is the daemon's contract: a session run
-// through the shared pool produces byte-identical output to the same
+// through the daemon produces byte-identical output to the same
 // config run standalone — at any worker count, with any number of
 // co-tenant sessions running concurrently. The baseline is the inline
 // (workers=0) standalone run, so the comparison also re-proves pipeline
@@ -127,7 +127,7 @@ func TestDaemonSessionEquivalence(t *testing.T) {
 	for _, sessions := range []int{1, 4, 16} {
 		for _, workers := range []int{0, 1, 4} {
 			t.Run(fmt.Sprintf("sessions=%d/workers=%d", sessions, workers), func(t *testing.T) {
-				d, base := startDaemon(t, DaemonConfig{MaxSessions: sessions, PrepWorkers: 4})
+				d, base := startDaemon(t, DaemonConfig{MaxSessions: sessions})
 				var wg sync.WaitGroup
 				errs := make(chan error, sessions)
 				for i := 0; i < sessions; i++ {
@@ -375,7 +375,7 @@ func TestDaemonChurnStress(t *testing.T) {
 		opsPerActor   = 12
 		maxConcurrent = actors * 4
 	)
-	d, base := startDaemon(t, DaemonConfig{MaxSessions: maxConcurrent, PrepWorkers: 2})
+	d, base := startDaemon(t, DaemonConfig{MaxSessions: maxConcurrent})
 
 	var wg sync.WaitGroup
 	for a := 0; a < actors; a++ {
@@ -402,8 +402,7 @@ func TestDaemonChurnStress(t *testing.T) {
 						id := mine[rng.Intn(len(mine))]
 						code, _ := doReq(t, http.MethodPost, base+"/sessions/"+id+"/run", nil)
 						switch code {
-						case http.StatusOK, http.StatusConflict, http.StatusNotFound,
-							http.StatusTooManyRequests:
+						case http.StatusOK, http.StatusConflict, http.StatusNotFound:
 						default:
 							t.Errorf("actor %d run %s: status %d", a, id, code)
 						}

@@ -1,7 +1,7 @@
 // Remote ingestion: POST /sessions/{id}/ingest accepts umi-profile/v1 and
 // /v2 streams (recorded by `umiprof -emit` or EmitStandalone, or tailed
-// live by `umiprof -emit-live`) and compiles them into a replay session
-// analyzed on the daemon's shared preparation pool. A single ingested
+// live by `umiprof -emit-live`) and compiles them into a replay session,
+// analyzed inline or on the session's own sequencer. A single ingested
 // stream reproduces the capture process's RunResult byte for byte;
 // multiple shards merge into one logical run — trailer counts sum, PC
 // sets union, streamed window histories concatenate and compact to the
@@ -158,9 +158,6 @@ func (d *Daemon) ingestStream(s *session, body io.Reader, workers int, resume bo
 			return fmt.Errorf("stream header: %w (%w)", err, errHeaderStage)
 		}
 		cfg.AnalyzerWorkers = workers
-		if workers >= 2 {
-			cfg.SharedPrep = d.shared
-		}
 		rp := umi.NewReplay(cfg)
 		rp.OnFrame = func(lat time.Duration) {
 			d.ingest.FrameLatency.Observe(uint64(lat))

@@ -98,7 +98,7 @@ func TestIngestFaultMatrix(t *testing.T) {
 			// body — counts as oversized (not a decode error), and leaves
 			// the session healthy for a corrected retry.
 			t.Run("oversized-then-retry", func(t *testing.T) {
-				d, base := startDaemon(t, DaemonConfig{PrepWorkers: 4})
+				d, base := startDaemon(t, DaemonConfig{})
 				id := createIngestSession(t, base, workers)
 				url := base + "/sessions/" + id + "/ingest"
 
@@ -135,7 +135,7 @@ func TestIngestFaultMatrix(t *testing.T) {
 			// the fault surfaced, so the session poisons and refuses the
 			// next shard with 409.
 			t.Run("corrupt-poisons", func(t *testing.T) {
-				d, base := startDaemon(t, DaemonConfig{PrepWorkers: 4})
+				d, base := startDaemon(t, DaemonConfig{})
 				id := createIngestSession(t, base, workers)
 				url := base + "/sessions/" + id + "/ingest"
 
@@ -157,7 +157,7 @@ func TestIngestFaultMatrix(t *testing.T) {
 			// manifest is an idempotent no-op; the same shard ID with
 			// different content is a conflict.
 			t.Run("duplicate-idempotent", func(t *testing.T) {
-				d, base := startDaemon(t, DaemonConfig{PrepWorkers: 4})
+				d, base := startDaemon(t, DaemonConfig{})
 				id := createIngestSession(t, base, workers)
 				url := base + "/sessions/" + id + "/ingest"
 
@@ -193,7 +193,7 @@ func TestIngestFaultMatrix(t *testing.T) {
 			// resume point; re-sending the whole stream completes the
 			// session with the capture-identical result.
 			t.Run("live-cut-resume", func(t *testing.T) {
-				d, base := startDaemon(t, DaemonConfig{PrepWorkers: 4})
+				d, base := startDaemon(t, DaemonConfig{})
 				id := createIngestSession(t, base, workers)
 				url := base + "/sessions/" + id + "/ingest?live=1"
 
@@ -320,7 +320,7 @@ func TestLiveShipperKillReconnect(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			d, base := startDaemon(t, DaemonConfig{PrepWorkers: 4})
+			d, base := startDaemon(t, DaemonConfig{})
 			proxy := startFlakyProxy(t, strings.TrimPrefix(base, "http://"), 2000)
 
 			sh, err := NewLiveShipper(proxy, LiveConfig{

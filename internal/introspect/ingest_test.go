@@ -67,7 +67,7 @@ func TestIngestByteIdentity(t *testing.T) {
 
 		for _, ingestWorkers := range []int{0, 4} {
 			t.Run(fmt.Sprintf("emit=%d/ingest=%d", emitWorkers, ingestWorkers), func(t *testing.T) {
-				_, base := startDaemon(t, DaemonConfig{PrepWorkers: 4})
+				_, base := startDaemon(t, DaemonConfig{})
 				id := createIngestSession(t, base, ingestWorkers)
 				code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/ingest", stream)
 				if code != http.StatusOK {
@@ -91,7 +91,7 @@ func TestIngestByteIdentity(t *testing.T) {
 // cardinalities stay (identical shards), hardware counts sum.
 func TestIngestShardMerge(t *testing.T) {
 	live, stream := emitStream(t, traceSessionConfig(2, 0))
-	_, base := startDaemon(t, DaemonConfig{PrepWorkers: 4})
+	_, base := startDaemon(t, DaemonConfig{})
 	id := createIngestSession(t, base, 0)
 	for shard := 0; shard < 2; shard++ {
 		code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/ingest", stream)
@@ -141,7 +141,7 @@ func TestIngestConfigMismatch(t *testing.T) {
 	cfgB.HistoryWindows = 7 // different analyzer-relevant config
 	_, streamB := emitStream(t, cfgB)
 
-	_, base := startDaemon(t, DaemonConfig{PrepWorkers: 2})
+	_, base := startDaemon(t, DaemonConfig{})
 	id := createIngestSession(t, base, 0)
 	if code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/ingest", streamA); code != http.StatusOK {
 		t.Fatalf("first shard: status %d, body %s", code, body)
@@ -161,7 +161,7 @@ func TestIngestConfigMismatch(t *testing.T) {
 // further shards, and the decode-error counter ticks.
 func TestIngestDecodeErrorPoisons(t *testing.T) {
 	_, stream := emitStream(t, traceSessionConfig(0, 0))
-	d, base := startDaemon(t, DaemonConfig{PrepWorkers: 2})
+	d, base := startDaemon(t, DaemonConfig{})
 	id := createIngestSession(t, base, 0)
 
 	cut := stream[:len(stream)*3/4]
@@ -178,13 +178,41 @@ func TestIngestDecodeErrorPoisons(t *testing.T) {
 	}
 }
 
+// TestReplayStreamMatchesCapture: ReplayStream, the `umiprof -ingest`
+// path, reproduces the capture process's RunResult byte for byte inline
+// and on a sequencer, and names the stage a bad stream fails in.
+func TestReplayStreamMatchesCapture(t *testing.T) {
+	live, stream := emitStream(t, traceSessionConfig(1, 0))
+	want := resultBytes(t, live)
+	for _, workers := range []int{0, 2, 64} {
+		res, err := ReplayStream(bytes.NewReader(stream), workers)
+		if err != nil {
+			t.Fatalf("workers=%d: ReplayStream: %v", workers, err)
+		}
+		if !bytes.Equal(resultBytes(t, res), want) {
+			t.Errorf("workers=%d: replayed result differs from the capture's", workers)
+		}
+	}
+	for name, tc := range map[string]struct {
+		body []byte
+		want string
+	}{
+		"no header": {[]byte("not a umi stream"), "stream header"},
+		"truncated": {stream[:len(stream)/2], "stream decode"},
+	} {
+		if _, err := ReplayStream(bytes.NewReader(tc.body), 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReplayStream error %v, want one naming %q", name, err, tc.want)
+		}
+	}
+}
+
 // TestIngestDeleteReleasesReplay: deleting an ingest session closes its
-// replay, so create/ingest/delete cycles at workers 2 leave neither a
-// sequencer goroutine nor a shared-pool lane behind — also when the
-// delete lands while the ingest is still reading its stream.
+// replay, so create/ingest/delete cycles at workers 2 leave no sequencer
+// goroutine behind — also when the delete lands while the ingest is
+// still reading its stream, and when an ingest races the delete.
 func TestIngestDeleteReleasesReplay(t *testing.T) {
 	_, stream := emitStream(t, traceSessionConfig(1, 0))
-	d, base := startDaemon(t, DaemonConfig{PrepWorkers: 2})
+	d, base := startDaemon(t, DaemonConfig{})
 	del := func(id string) {
 		t.Helper()
 		if code, body := doReq(t, http.MethodDelete, base+"/sessions/"+id, nil); code != http.StatusNoContent {
@@ -205,20 +233,21 @@ func TestIngestDeleteReleasesReplay(t *testing.T) {
 		http.DefaultClient.CloseIdleConnections()
 		return runtime.NumGoroutine()
 	}
-	// settled waits for the daemon to return to the baseline footprint.
-	settled := func(what string, lanes, baseG int) {
+	// settled waits for the daemon to return to the baseline goroutine
+	// count.
+	settled := func(what string, baseG int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for (d.shared.Lanes() != lanes || goroutines() > baseG) && time.Now().Before(deadline) {
+		for goroutines() > baseG && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
 		}
-		if l, g := d.shared.Lanes(), goroutines(); l != lanes || g > baseG {
-			t.Errorf("%s: %d shared-pool lanes and %d goroutines, baseline %d and %d", what, l, g, lanes, baseG)
+		if g := goroutines(); g > baseG {
+			t.Errorf("%s: %d goroutines, baseline %d", what, g, baseG)
 		}
 	}
 
-	cycle() // warm the shared pool's workers
-	baseLanes, baseG := d.shared.Lanes(), goroutines()
+	cycle() // warm the server's connection handling
+	baseG := goroutines()
 	for stable := 0; stable < 5; { // let closed connections wind down
 		time.Sleep(10 * time.Millisecond)
 		if g := goroutines(); g < baseG {
@@ -231,12 +260,13 @@ func TestIngestDeleteReleasesReplay(t *testing.T) {
 	for i := 0; i < n; i++ {
 		cycle()
 	}
-	settled(fmt.Sprintf("after %d create/ingest/delete cycles", n), baseLanes, baseG)
+	settled(fmt.Sprintf("after %d create/ingest/delete cycles", n), baseG)
 
 	// Delete mid-ingest: the stream's header is in (the replay and its
-	// lane exist) when the delete arrives; the replay closes once the
-	// ingest finishes reading.
+	// sequencer exist) when the delete arrives; the replay closes once
+	// the ingest finishes reading.
 	id := createIngestSession(t, base, 2)
+	s, _ := d.lookup(id)
 	pr, pw := io.Pipe()
 	done := make(chan int, 1)
 	go func() {
@@ -253,9 +283,14 @@ func TestIngestDeleteReleasesReplay(t *testing.T) {
 	if _, err := pw.Write(stream[:half]); err != nil {
 		t.Fatalf("write stream head: %v", err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); d.shared.Lanes() == baseLanes; {
+	replaying := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.ing != nil && s.ing.replay != nil
+	}
+	for deadline := time.Now().Add(5 * time.Second); !replaying(); {
 		if time.Now().After(deadline) {
-			t.Fatal("the ingest never attached a shared-pool lane")
+			t.Fatal("the ingest never started its replay")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -267,12 +302,12 @@ func TestIngestDeleteReleasesReplay(t *testing.T) {
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("ingest deleted mid-stream: status %d", code)
 	}
-	settled("after a delete mid-ingest", baseLanes, baseG)
+	settled("after a delete mid-ingest", baseG)
 
 	// An ingest that looked the session up just before the delete must
 	// not revive it: its replay is already closed.
 	id = createIngestSession(t, base, 2)
-	s, _ := d.lookup(id)
+	s, _ = d.lookup(id)
 	del(id)
 	d.mu.Lock()
 	d.sessions[id] = s // as the racing handler's lookup saw it
@@ -280,7 +315,7 @@ func TestIngestDeleteReleasesReplay(t *testing.T) {
 	if code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/ingest", stream); code != http.StatusNotFound {
 		t.Errorf("ingest into a deleted session: status %d, body %s", code, body)
 	}
-	settled("after an ingest raced a delete", baseLanes, baseG)
+	settled("after an ingest raced a delete", baseG)
 }
 
 // TestIngestRejectsRunAndGuests: the run/ingest surfaces are exclusive —
@@ -288,7 +323,7 @@ func TestIngestDeleteReleasesReplay(t *testing.T) {
 // ingest config with guest knobs is rejected at creation.
 func TestIngestRejectsRunAndGuests(t *testing.T) {
 	_, stream := emitStream(t, traceSessionConfig(0, 0))
-	_, base := startDaemon(t, DaemonConfig{PrepWorkers: 2})
+	_, base := startDaemon(t, DaemonConfig{})
 
 	ingID := createIngestSession(t, base, 0)
 	if code, body := doReq(t, http.MethodPost, base+"/sessions/"+ingID+"/run", nil); code != http.StatusConflict {
@@ -311,7 +346,7 @@ func TestIngestRejectsRunAndGuests(t *testing.T) {
 // and the per-frame latency histogram.
 func TestIngestMetricsExposed(t *testing.T) {
 	_, stream := emitStream(t, traceSessionConfig(0, 0))
-	_, base := startDaemon(t, DaemonConfig{PrepWorkers: 2})
+	_, base := startDaemon(t, DaemonConfig{})
 	id := createIngestSession(t, base, 0)
 	if code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/ingest", stream); code != http.StatusOK {
 		t.Fatalf("ingest: status %d, body %s", code, body)
@@ -343,7 +378,7 @@ func TestIngestMetricsExposed(t *testing.T) {
 // delinquent/phase aggregations alongside guest sessions.
 func TestIngestFleetRenders(t *testing.T) {
 	_, stream := emitStream(t, traceSessionConfig(0, 0))
-	_, base := startDaemon(t, DaemonConfig{PrepWorkers: 2})
+	_, base := startDaemon(t, DaemonConfig{})
 
 	guestID := createSession(t, base, traceSessionConfig(1, 0))
 	if code, body := doReq(t, http.MethodPost, base+"/sessions/"+guestID+"/run", nil); code != http.StatusOK {
@@ -372,7 +407,7 @@ func TestIngestFleetRenders(t *testing.T) {
 // the Prometheus exposition as its versioned type.
 func TestDaemonRouteContentTypes(t *testing.T) {
 	_, stream := emitStream(t, traceSessionConfig(0, 0))
-	_, base := startDaemon(t, DaemonConfig{PrepWorkers: 2})
+	_, base := startDaemon(t, DaemonConfig{})
 
 	guestID := createSession(t, base, traceSessionConfig(0, 0))
 	if code, body := doReq(t, http.MethodPost, base+"/sessions/"+guestID+"/run", nil); code != http.StatusOK {

@@ -42,7 +42,7 @@ func unrunSystem(t *testing.T) (*umi.System, *tracelog.Log) {
 func adoptedSession(t *testing.T) (*umi.System, *tracelog.Log, string, func(*RunResult)) {
 	t.Helper()
 	sys, elog := unrunSystem(t)
-	d := NewDaemon(DaemonConfig{MaxSessions: 1, PrepWorkers: 1})
+	d := NewDaemon(DaemonConfig{MaxSessions: 1})
 	id, finish, err := d.Adopt("trace", sys)
 	if err != nil || id != "s1" {
 		t.Fatalf("Adopt = %q, %v; want s1", id, err)
@@ -268,7 +268,7 @@ func TestHistoryNilSource(t *testing.T) {
 // publishes the result, and stop takes the listener down.
 func TestServeLifecycle(t *testing.T) {
 	sys, _ := unrunSystem(t)
-	d := NewDaemon(DaemonConfig{MaxSessions: 1, PrepWorkers: 1})
+	d := NewDaemon(DaemonConfig{MaxSessions: 1})
 	defer d.Shutdown()
 	_, finish, err := d.Adopt("trace", sys)
 	if err != nil {
@@ -309,8 +309,8 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
-// ranSession runs a guest session through a daemon, on the shared pool,
-// and returns the daemon's base URL and the session id.
+// ranSession runs a guest session through a daemon, on its own
+// sequencer, and returns the daemon's base URL and the session id.
 func ranSession(t *testing.T) (string, string) {
 	t.Helper()
 	_, base := startDaemon(t, DaemonConfig{})
@@ -410,8 +410,8 @@ func TestPromEndpoint(t *testing.T) {
 	types, samples := parseProm(t, string(raw))
 	for family, typ := range map[string]string{
 		"umi_traces_seen":              "counter",
-		"umi_pool_prep_queue":          "gauge",
-		"umi_pool_prep_queue_max":      "gauge",
+		"umi_pool_seq_backlog":         "gauge",
+		"umi_pool_seq_backlog_max":     "gauge",
 		"umi_analyzer_latency_ns":      "histogram",
 		"umi_phase_windows_total":      "counter",
 		"umi_phase_last_cycles":        "gauge",

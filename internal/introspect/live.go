@@ -2,7 +2,7 @@
 // LiveShipper owns one ingest session on a umid daemon and ships the
 // telemetry stream to it while the guest is still running, one wire frame
 // at a time over a single chunked POST /sessions/{id}/ingest?live=1 — the
-// daemon analyzes frames as they arrive on the shared prep pool.
+// daemon analyzes frames as they arrive.
 //
 // Flow control is a bounded window of in-flight frames: the capture side
 // blocks in the encoder's frame hook when the window is full (the

@@ -1,7 +1,7 @@
 // Session configuration and execution for the umid daemon: the JSON
 // surface a client POSTs to create a profiling session, its validation,
 // and the runner that executes one session's guest under the full UMI
-// stack on a shared analyzer pool.
+// stack.
 package introspect
 
 import (
@@ -28,7 +28,9 @@ const (
 	// address can materialize a guest memory page, so the cap bounds
 	// per-session guest memory.
 	MaxTraceAddrs = 8192
-	// MaxSessionWorkers caps the per-session pipeline width request.
+	// MaxSessionWorkers caps the workers value a session may request. Any
+	// value from 2 up selects the same one-sequencer pipeline; the cap
+	// only keeps the accepted range what it has always been.
 	MaxSessionWorkers = 64
 	// maxTraceReps caps the submitted-trace replay count.
 	maxTraceReps = 4096
@@ -57,10 +59,10 @@ type SessionConfig struct {
 	HWPrefetch bool `json:"hw_prefetch,omitempty"`
 	// Sampling toggles sample-based region selection (default true).
 	Sampling *bool `json:"sampling,omitempty"`
-	// Workers is the analyzer pipeline width. 0 or 1 runs the analyzer
-	// inline on the session's run goroutine; ≥ 2 routes preparation
-	// through the daemon's shared worker pool. Reports are byte-identical
-	// at any setting.
+	// Workers selects where the session's analyzer runs: 0 or 1 inline on
+	// the session's run goroutine (or the ingest request's), 2 or more on
+	// the session's own sequencer goroutine — every such value alike.
+	// Reports are byte-identical at any setting.
 	Workers int `json:"workers,omitempty"`
 	// HistoryWindows bounds the session's profile-history ring (0 keeps
 	// the library default, negative disables).
@@ -70,11 +72,10 @@ type SessionConfig struct {
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 
 	// Ingest declares a replay session: it runs no guest and instead
-	// accepts umi-profile/v1 streams via POST /sessions/{id}/ingest,
-	// analyzing them on the daemon's shared pool. Mutually exclusive with
-	// every guest-execution knob — the stream header carries the analyzer
-	// configuration — except Workers, which picks the replay pipeline
-	// width.
+	// accepts umi-profile/v1 streams via POST /sessions/{id}/ingest and
+	// analyzes them. Mutually exclusive with every guest-execution knob —
+	// the stream header carries the analyzer configuration — except
+	// Workers, which picks inline or sequencer replay.
 	Ingest bool `json:"ingest,omitempty"`
 }
 
@@ -157,10 +158,8 @@ func (c *SessionConfig) platform() *harness.Platform {
 }
 
 // umiConfig builds the session's UMI parameters: the harness's standard
-// per-platform configuration with the client's overrides applied, and the
-// daemon's shared preparation pool attached when the session asked for an
-// asynchronous pipeline.
-func (c *SessionConfig) umiConfig(shared *umi.SharedPrep) umi.Config {
+// per-platform configuration with the client's overrides applied.
+func (c *SessionConfig) umiConfig() umi.Config {
 	cfg := harness.UMIParams(c.platform())
 	if c.Sampling != nil {
 		cfg.UseSampling = *c.Sampling
@@ -169,7 +168,6 @@ func (c *SessionConfig) umiConfig(shared *umi.SharedPrep) umi.Config {
 	if c.HistoryWindows != 0 {
 		cfg.HistoryWindows = c.HistoryWindows
 	}
-	cfg.SharedPrep = shared
 	return cfg
 }
 
@@ -271,7 +269,7 @@ func (c *SessionConfig) machineName() string {
 // scrapes can observe the run in flight. enc, when non-nil, records the
 // run's umi-profile/v1 stream; emission is observational, so the result
 // is byte-identical with or without it.
-func runSession(cfg *SessionConfig, shared *umi.SharedPrep, publish func(*umi.System), enc *wire.Encoder) (*RunResult, error) {
+func runSession(cfg *SessionConfig, publish func(*umi.System), enc *wire.Encoder) (*RunResult, error) {
 	prog, err := cfg.guestProgram()
 	if err != nil {
 		return nil, err
@@ -280,7 +278,7 @@ func runSession(cfg *SessionConfig, shared *umi.SharedPrep, publish func(*umi.Sy
 	h := plat.Hierarchy(cfg.HWPrefetch)
 	m := vm.New(prog, h)
 	rt := rio.NewRuntime(m)
-	ucfg := cfg.umiConfig(shared)
+	ucfg := cfg.umiConfig()
 	sys := umi.Attach(rt, ucfg)
 	if enc != nil {
 		enc.Header(umi.WireHeader(&ucfg, cfg.guestName(), cfg.machineName()))
@@ -318,9 +316,9 @@ func runSession(cfg *SessionConfig, shared *umi.SharedPrep, publish func(*umi.Sy
 	}, nil
 }
 
-// RunStandalone executes a session config outside any daemon — a private
-// inline-or-private-pool run with no shared pool and no co-tenants. It is
-// the reference the equivalence tests hold daemon sessions to.
+// RunStandalone executes a session config outside any daemon, with no
+// co-tenants. It is the reference the equivalence tests hold daemon
+// sessions to.
 func RunStandalone(cfg SessionConfig) (*RunResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -328,7 +326,7 @@ func RunStandalone(cfg SessionConfig) (*RunResult, error) {
 	if cfg.Ingest {
 		return nil, errors.New("config: ingest sessions replay streams; nothing to run")
 	}
-	return runSession(&cfg, nil, nil, nil)
+	return runSession(&cfg, nil, nil)
 }
 
 // EmitStandalone is RunStandalone with stream capture: the run's
@@ -342,5 +340,5 @@ func EmitStandalone(cfg SessionConfig, out io.Writer) (*RunResult, error) {
 	if cfg.Ingest {
 		return nil, errors.New("config: ingest sessions replay streams; nothing to emit")
 	}
-	return runSession(&cfg, nil, nil, wire.NewEncoder(out))
+	return runSession(&cfg, nil, wire.NewEncoder(out))
 }

@@ -179,7 +179,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			out = append(out, chromeEvent{
 				Name: "queue depth", Ph: "C", Ts: e.Cycles,
 				Pid: chromePid, Tid: tidCounters,
-				Args: map[string]any{"prep": e.Arg2, "seq": e.Arg3},
+				Args: map[string]any{"seq": e.Arg2},
 			})
 		default:
 			out = append(out, chromeEvent{

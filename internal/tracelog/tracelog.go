@@ -56,8 +56,7 @@ const (
 	// EvCacheFlush: the analyzer flushed its logical cache (§5 gap rule).
 	EvCacheFlush
 	// EvPipelineSubmit: an invocation was handed off to the asynchronous
-	// pipeline (Arg1 = jobs, Arg2 = prep-queue depth, Arg3 = sequencer
-	// backlog).
+	// pipeline (Arg1 = jobs, Arg2 = sequencer backlog).
 	EvPipelineSubmit
 	// EvPipelineRecycle: an instrumentation reused a recycled profile
 	// buffer instead of allocating (Arg1 = row capacity).
@@ -109,7 +108,7 @@ func (t Type) argNames() [3]string {
 	case EvAnalyzerBegin:
 		return [3]string{"profiles"}
 	case EvPipelineSubmit:
-		return [3]string{"jobs", "prep_queue", "seq_backlog"}
+		return [3]string{"jobs", "seq_backlog"}
 	case EvPipelineRecycle:
 		return [3]string{"rows"}
 	case EvAdaptiveStep:

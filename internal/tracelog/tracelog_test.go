@@ -138,7 +138,7 @@ func fixedEvents() ([]Event, uint64) {
 	l.Emit(Event{Type: EvProfileFill, Cycles: 9_000, TracePC: 0x400, Arg1: 256, Arg2: 0})
 	l.Emit(Event{Type: EvAnalyzerBegin, Cycles: 9_000, Arg1: 1})
 	l.Emit(Event{Type: EvCacheFlush, Cycles: 9_000})
-	l.Emit(Event{Type: EvPipelineSubmit, Cycles: 9_000, Arg1: 1, Arg2: 1, Arg3: 0})
+	l.Emit(Event{Type: EvPipelineSubmit, Cycles: 9_000, Arg1: 1, Arg2: 0})
 	l.Emit(Event{Type: EvTraceDeinstrumented, Cycles: 9_000, TracePC: 0x400})
 	l.Emit(Event{Type: EvAdaptiveStep, Cycles: 9_000, TracePC: 0x400,
 		Arg1: math.Float64bits(0.80)})

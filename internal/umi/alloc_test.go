@@ -38,7 +38,7 @@ func TestAnalyzeProfileZeroAllocs(t *testing.T) {
 		an.AnalyzeProfile(prof, 0.5)
 	}
 	for i := 0; i < 3; i++ {
-		runOnce() // warm scratch: prep buffers, columns, per-op stats
+		runOnce() // warm scratch: columns, per-op stats
 	}
 	if len(an.Delinquent()) == 0 {
 		t.Fatal("test profile must produce delinquent loads")

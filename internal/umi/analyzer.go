@@ -3,6 +3,7 @@ package umi
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"umi/internal/cache"
 	"umi/internal/tracelog"
@@ -72,9 +73,6 @@ type Analyzer struct {
 	// Per-invocation scratch, keyed by column, reused across profiles.
 	invAcc  []uint64
 	invMiss []uint64
-	// prep is the inline path's reusable preparation buffer (the pipeline
-	// hands in precomputed preps instead and recycles its own buffers).
-	prep prepBuf
 }
 
 // NewAnalyzer builds an analyzer for the config.
@@ -134,66 +132,17 @@ func (a *Analyzer) Reset() {
 	a.hist.reset()
 }
 
-// colPrep is the stateless half of one column's analysis: its dominant
-// stride, found straight off the profile's cells. The pipeline's
-// preparation workers compute these concurrently; only the cache
-// simulation and the merge, which touch shared analyzer state, stay on
-// the sequencer.
-type colPrep struct {
-	stride int64
-	frac   float64
-}
-
-// prepBuf owns the reusable per-column colPrep entries one profile
-// preparation fills. A warm prepBuf makes preparation allocation-free; the
-// pipeline recycles one per in-flight job, and the inline analyzer path
-// keeps its own.
-type prepBuf struct {
-	preps []colPrep
-}
-
-// prepare computes the stateless per-column work for a profile: the
-// dominant stride of every load column. It reads only the profile and is
-// safe to run concurrently with preparations of other profiles — but not
-// with further recording into this one. The returned slice is owned by the
-// prepBuf and valid until the next prepare call on it.
-func (b *prepBuf) prepare(p *AddressProfile) []colPrep {
-	n := len(p.Ops)
-	if cap(b.preps) < n {
-		b.preps = append(b.preps[:cap(b.preps)], make([]colPrep, n-cap(b.preps))...)
-	}
-	b.preps = b.preps[:n]
-	cells := p.cells[:p.rowUsed*n]
-	for c := 0; c < n; c++ {
-		pr := &b.preps[c]
-		if !p.IsLoadOp[c] {
-			pr.stride, pr.frac = 0, 0
-			continue
-		}
-		pr.stride, pr.frac = dominantStride(cells, c, n)
-	}
-	return b.preps
-}
-
 // AnalyzeProfile mini-simulates one address profile: rows in recording
 // order, operations in trace order, skipping the warm-up rows for miss
 // accounting. Loads whose miss ratio in this profile exceeds alpha are
-// labelled delinquent. It returns the modelled analysis cost in cycles.
+// labelled delinquent, and each load column's dominant stride is merged
+// into the stride table. The merge visits columns in trace order, so a
+// fixed profile submission order gives a fixed merge order. It returns
+// the modelled analysis cost in cycles.
 func (a *Analyzer) AnalyzeProfile(p *AddressProfile, alpha float64) uint64 {
-	return a.analyzeWithPrep(p, alpha, nil)
-}
-
-// analyzeWithPrep is AnalyzeProfile with the stateless column work
-// optionally precomputed (nil means compute inline). Results are identical
-// either way; the merge visits columns in trace order, so a fixed profile
-// submission order gives a fixed merge order.
-func (a *Analyzer) analyzeWithPrep(p *AddressProfile, alpha float64, preps []colPrep) uint64 {
 	nOps := len(p.Ops)
 	if nOps == 0 || p.Rows() == 0 {
 		return 0
-	}
-	if preps == nil {
-		preps = a.prep.prepare(p)
 	}
 	if cap(a.invAcc) < nOps {
 		a.invAcc = make([]uint64, nOps)
@@ -254,16 +203,38 @@ func (a *Analyzer) analyzeWithPrep(p *AddressProfile, alpha float64, preps []col
 				a.columns[pc] = p.columnInto(a.columns[pc][:0], c)
 			}
 		}
-		// Stride discovery feeds the prefetcher (§8).
-		if p.IsLoadOp[c] {
-			if stride, frac := preps[c].stride, preps[c].frac; frac >= 0.5 && stride != 0 {
-				if prev, ok := a.strides[pc]; !ok || frac >= prev.Confidence {
-					a.strides[pc] = StrideInfo{Stride: stride, Confidence: frac}
-				}
+	}
+	a.mergeStrides(p)
+	return a.cfg.AnalyzerPerRef * refs
+}
+
+// mergeStrides runs stride discovery, which feeds the prefetcher (§8):
+// each load column's dominant stride, read in place off the profile's
+// cells, replaces the recorded one when at least as confident. It is the
+// overhead report's prep stage, timed into the prep cells when the
+// analyzer is metered; its wall is also part of the analyze stage's.
+func (a *Analyzer) mergeStrides(p *AddressProfile) {
+	var start time.Time
+	if a.met != nil {
+		start = time.Now()
+	}
+	n := len(p.Ops)
+	cells := p.cells[:p.rowUsed*n]
+	for c, pc := range p.Ops {
+		if !p.IsLoadOp[c] {
+			continue
+		}
+		if stride, frac := dominantStride(cells, c, n); frac >= 0.5 && stride != 0 {
+			if prev, ok := a.strides[pc]; !ok || frac >= prev.Confidence {
+				a.strides[pc] = StrideInfo{Stride: stride, Confidence: frac}
 			}
 		}
 	}
-	return a.cfg.AnalyzerPerRef * refs
+	if a.met != nil {
+		ns := uint64(time.Since(start))
+		a.met.PrepBusyNs.Add(ns)
+		a.met.PrepLatency.Observe(ns)
+	}
 }
 
 // Delinquent returns the predicted delinquent load set P (live map; do not

@@ -114,27 +114,18 @@ type Config struct {
 	PhaseMissDelta  float64
 	PhaseChurnDelta float64
 
-	// AnalyzerWorkers sets the width of the asynchronous profile-analysis
-	// pipeline. At 0 or 1 the analyzer runs inline on the guest thread
-	// (the paper's synchronous model). At N ≥ 2 filled profiles are handed
-	// off over bounded queues to N stateless preparation workers feeding
-	// a single sequencer goroutine that owns the logical cache, so the
-	// guest keeps executing while profiles are analyzed; the sequencer
-	// replays profiles in the fixed PC-sorted submission order, so results
-	// are identical for every N. The pipeline silently falls back to the
-	// synchronous path when OnAnalyzed or AdaptiveFrequency needs analysis
-	// results at deinstrumentation time.
+	// AnalyzerWorkers selects where the profile analyzer runs. Below 2
+	// it runs inline on the guest thread (the paper's synchronous model).
+	// At 2 or more — every value alike — filled profiles are handed off
+	// over a bounded queue to one sequencer goroutine that owns the
+	// logical cache and runs each profile's whole analysis, so the guest
+	// keeps executing while profiles are analyzed; the sequencer replays
+	// profiles in the fixed PC-sorted submission order, so results are
+	// identical either way. The pipeline silently falls back to the
+	// synchronous path when OnAnalyzed, AdaptiveFrequency or AdaptSampling
+	// needs analysis results at deinstrumentation time. It stays an int,
+	// not a bool, because existing callers pass worker counts.
 	AnalyzerWorkers int
-
-	// SharedPrep, when non-nil, routes the pipeline's preparation stage
-	// through a multi-session shared worker pool instead of a private one
-	// the pipeline starts for itself: the daemon shape, where many
-	// concurrent sessions share one worker fleet with round-robin
-	// fairness. Only consulted
-	// when AnalyzerWorkers ≥ 2 selects the asynchronous pipeline at all;
-	// the sequencer stays per-session either way, so reports remain
-	// byte-identical to a standalone run.
-	SharedPrep *SharedPrep
 
 	// Burst sampling (Examem-style): when BurstPeriod > 1 an instrumented
 	// trace records only 1-in-BurstPeriod of its executions — the prolog

@@ -54,12 +54,11 @@ type Metrics struct {
 	// Pipeline (pool.go).
 	Submits       *metrics.Counter
 	SyncFallbacks *metrics.Counter // invocations forced inline despite workers >= 2
-	PrepQueue     *metrics.Gauge   // prep queue depth at submit (value / high-water)
 	SeqBacklog    *metrics.Gauge   // whole invocations queued behind the sequencer
 	RecycleQueue  *metrics.Gauge   // idle recycled buffers
 	RecycleHits   *metrics.Counter // instrumentations served from a recycled buffer
 	RecycleMisses *metrics.Counter // instrumentations that had to allocate
-	PrepBusyNs    *metrics.Counter // cumulative preparation-worker busy time
+	PrepBusyNs    *metrics.Counter // cumulative stride-discovery time (analyzer owner)
 	SeqBusyNs     *metrics.Counter // cumulative sequencer busy time
 
 	// Per-stage self-overhead attribution (overhead.go). Event counters
@@ -67,8 +66,8 @@ type Metrics struct {
 	// cost); wall counters hold measured nanoseconds. Each cell is written
 	// only by the thread that owns its stage — guest thread for
 	// instrument/fill/analyze-charge/emit, the analyzer owner (sequencer
-	// goroutine or inline guest) for history capture, prep workers for
-	// prep latency — so scraping them from any goroutine is race-free.
+	// goroutine or inline guest) for history capture and prep — so
+	// scraping them from any goroutine is race-free.
 	FillPrologs       *metrics.Counter   // instrumented trace entries (prolog executions)
 	FillRefs          *metrics.Counter   // profiled references recorded by hooks
 	FillWallNs        *metrics.Counter   // prolog wall time (sampled estimator, see overhead.go)
@@ -76,7 +75,7 @@ type Metrics struct {
 	InstrumentLatency *metrics.Histogram // wall ns per instrument event
 	AnalyzeCycles     *metrics.Counter   // modelled analysis cost charged to the guest
 	AnalyzeWallNs     *metrics.Counter   // measured analysis wall (inline stall or sequencer busy)
-	PrepLatency       *metrics.Histogram // wall ns per profile preparation
+	PrepLatency       *metrics.Histogram // wall ns per profile's stride discovery
 	HistoryWallNs     *metrics.Counter   // window-capture wall time
 	HistoryLatency    *metrics.Histogram // wall ns per captured window
 	EmitWallNs        *metrics.Counter   // wire emit wall time (encoder + LiveShipper)
@@ -130,7 +129,6 @@ func newMetrics() *Metrics {
 		AnalysisLatency:      reg.Histogram("umi.analyzer.latency_ns", analysisLatencyBuckets),
 		Submits:              reg.Counter("umi.pool.submits"),
 		SyncFallbacks:        reg.Counter("umi.pool.sync_fallbacks"),
-		PrepQueue:            reg.Gauge("umi.pool.prep_queue"),
 		SeqBacklog:           reg.Gauge("umi.pool.seq_backlog"),
 		RecycleQueue:         reg.Gauge("umi.pool.recycle_queue"),
 		RecycleHits:          reg.Counter("umi.pool.recycle_hits"),
@@ -242,8 +240,7 @@ func FormatMetrics(snap metrics.Snapshot) string {
 		fmt.Fprintf(&sb, "analysis latency: %d invocations, mean %.0fns p50=%dns p99=%dns max=%dns\n",
 			lat.Count, lat.Mean(), lat.Quantile(0.50), lat.Quantile(0.99), lat.Max)
 	}
-	fmt.Fprintf(&sb, "queue pressure:   prep %d (max %d), sequencer %d (max %d), recycle %d (max %d)\n",
-		snap.Gauge("umi.pool.prep_queue").Value, snap.Gauge("umi.pool.prep_queue").Max,
+	fmt.Fprintf(&sb, "queue pressure:   sequencer %d (max %d), recycle %d (max %d)\n",
 		snap.Gauge("umi.pool.seq_backlog").Value, snap.Gauge("umi.pool.seq_backlog").Max,
 		snap.Gauge("umi.pool.recycle_queue").Value, snap.Gauge("umi.pool.recycle_queue").Max)
 	sb.WriteString(snap.String())

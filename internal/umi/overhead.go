@@ -20,8 +20,10 @@ import (
 //	            plus recorded references (PerRefCost each)
 //	analyze     analyzer invocations (the AnalyzerFixed/AnalyzerPerRef
 //	            cost charged at hand-off, inline or pipelined)
-//	prep        pipeline preparation workers (wall only: prep is hidden
-//	            from the guest by construction, so its modelled cost is 0)
+//	prep        stride discovery, timed inside each profile's analysis:
+//	            its wall is part of analyze's, not added to it (modelled
+//	            0: the analyze charge already covers it); events are the
+//	            profiles collected
 //	history     window capture (observational: modelled 0)
 //	emit        wire emit + LiveShipper writes (observational: modelled 0)
 //	substrate   everything rio charges below UMI: dispatch, block/trace

@@ -54,6 +54,33 @@ func TestOverheadAttributionSums(t *testing.T) {
 	}
 }
 
+// TestOverheadPrepWall: stride discovery is timed inside each profile's
+// analysis on both paths, so the prep row measures wall on an inline run
+// too, never more than the analyze wall it is part of, and its events
+// stay the profile count.
+func TestOverheadPrepWall(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		cfg := testConfig()
+		cfg.AnalyzerWorkers = workers
+		s, _ := runUMI(t, strideWorkload(t, 400_000), cfg)
+		r := s.Overhead()
+		prep, analyze := r.Stage("prep"), r.Stage("analyze")
+		if prep.WallNs == 0 {
+			t.Errorf("workers=%d: prep stage measured no wall", workers)
+		}
+		if prep.WallNs > analyze.WallNs {
+			t.Errorf("workers=%d: prep wall %d ns exceeds the analyze wall %d ns it is part of",
+				workers, prep.WallNs, analyze.WallNs)
+		}
+		if want := uint64(s.Report().ProfilesCollected); prep.Events != want || want == 0 {
+			t.Errorf("workers=%d: prep events = %d, want the %d profiles collected", workers, prep.Events, want)
+		}
+		if n := s.MetricsSnapshot().Histogram("umi.stage.prep.latency_ns").Count; n == 0 {
+			t.Errorf("workers=%d: prep latency histogram is empty", workers)
+		}
+	}
+}
+
 // TestOverheadDeterministic: the modelled render is byte-identical across
 // repeated runs and across worker counts; only the wall view may differ.
 func TestOverheadDeterministic(t *testing.T) {

@@ -3,7 +3,10 @@ package umi
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"umi/internal/cache"
@@ -237,6 +240,118 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
+// TestSharedPrepEquivalence keeps the name it had when stride discovery
+// ran on a shared preparation pool of configurable width; that pool is
+// gone, and the contract it pinned now reads: a session at any
+// AnalyzerWorkers value from 2 up runs its invocations through the one
+// sequencer and produces the report the inline analyzer produces, down
+// to the modelled cycle totals.
+func TestSharedPrepEquivalence(t *testing.T) {
+	progs := map[string]func() *program.Program{
+		"stride":    func() *program.Program { return strideWorkload(t, 400_000) },
+		"manyloops": func() *program.Program { return manyLoopsWorkload(t, 8, 30_000) },
+	}
+	for name, build := range progs {
+		want := workerKey(t, build(), testConfig(), 0)
+		for _, workers := range []int{2, 4, 64} {
+			cfg := testConfig()
+			cfg.AnalyzerWorkers = workers
+			s, rt := runUMI(t, build(), cfg)
+			if s.met.Submits.Load() == 0 {
+				t.Errorf("%s: workers=%d: no invocation went through the sequencer", name, workers)
+			}
+			if got := systemKey(s, rt); got != want {
+				t.Errorf("%s: workers=%d differs from inline:\n  got  %s\n  want %s",
+					name, workers, got, want)
+			}
+		}
+	}
+}
+
+// sessionProg varies the guest per session slot so concurrent sessions
+// run heterogeneous profile shapes.
+func sessionProg(t *testing.T, i int) *program.Program {
+	t.Helper()
+	if i%2 == 0 {
+		return strideWorkload(t, 200_000+int64(i)*10_000)
+	}
+	return manyLoopsWorkload(t, 4+i%4, 20_000)
+}
+
+// TestSharedPrepConcurrentSessions keeps the name it had when co-tenant
+// sessions shared one preparation pool. It runs eight Systems at once,
+// each with its own sequencer, at several AnalyzerWorkers values, and
+// holds each to its inline run: every value from 2 up selects the same
+// one-sequencer pipeline, and sessions sharing a process share no
+// analyzer state. Under -race (make check) it is the pipeline's data-race
+// net.
+func TestSharedPrepConcurrentSessions(t *testing.T) {
+	const sessions = 8
+	want := make([]string, sessions)
+	for i := range want {
+		want[i] = workerKey(t, sessionProg(t, i), testConfig(), 0)
+	}
+	for _, workers := range []int{2, 4, 64} {
+		got := make([]string, sessions)
+		submits := make([]uint64, sessions)
+		var wg sync.WaitGroup
+		for i := 0; i < sessions; i++ {
+			cfg := testConfig()
+			cfg.AnalyzerWorkers = workers
+			rt := rio.NewRuntime(vm.New(sessionProg(t, i), cache.NewP4(false)))
+			s := Attach(rt, cfg)
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if err := rt.Run(50_000_000); err != nil {
+					t.Errorf("workers=%d session %d: Run: %v", workers, i, err)
+					return
+				}
+				s.Finish()
+				got[i] = systemKey(s, rt)
+				submits[i] = s.met.Submits.Load()
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			if submits[i] == 0 {
+				t.Errorf("workers=%d session %d: no invocation went through the sequencer", workers, i)
+			}
+			if got[i] != want[i] {
+				t.Errorf("workers=%d session %d differs from its inline run:\n  got  %s\n  want %s",
+					workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestFormatMetricsQueuePressure: the CLI's metrics section leads with
+// the derived headline lines, and its queue-pressure line reads the
+// sequencer backlog and the recycle queue.
+func TestFormatMetricsQueuePressure(t *testing.T) {
+	cfg := testConfig()
+	cfg.AnalyzerWorkers = 2
+	s, _ := runUMI(t, manyLoopsWorkload(t, 8, 30_000), cfg)
+	snap := s.MetricsSnapshot()
+	out := FormatMetrics(snap)
+	backlog := snap.Gauge("umi.pool.seq_backlog")
+	recycle := snap.Gauge("umi.pool.recycle_queue")
+	for _, want := range []string{
+		"filter rate:",
+		"analysis latency:",
+		fmt.Sprintf("queue pressure:   sequencer %d (max %d), recycle %d (max %d)\n",
+			backlog.Value, backlog.Max, recycle.Value, recycle.Max),
+		"umi.pool.seq_backlog",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("FormatMetrics lacks %q:\n%s", want, out)
+		}
+	}
+	if rate, ok := FilterRate(snap); !ok || rate < 0 || rate > 1 {
+		t.Errorf("FilterRate = %v, %v", rate, ok)
+	}
+}
+
 // TestPipelineSyncFallback: OnAnalyzed needs analyzer state at the
 // deinstrument boundary, so AnalyzerWorkers must silently degrade to the
 // inline path — same results, hook still invoked.
@@ -285,5 +400,18 @@ func TestPipelineRecyclesBuffers(t *testing.T) {
 	}
 	if !s.poolClosed {
 		t.Error("poolClosed not latched after Finish")
+	}
+}
+
+// TestMiniSimHoldsNoColdLane: the analyzer's mini-simulator never installs
+// a prefetch, so after a whole run's replays it still holds no prefetch
+// cold lane — the cache allocates that lane on the first prefetch only.
+func TestMiniSimHoldsNoColdLane(t *testing.T) {
+	s, _ := runUMI(t, strideWorkload(t, 400_000), testConfig())
+	if s.Report().SimulatedRefs == 0 {
+		t.Fatal("the analyzer replayed nothing")
+	}
+	if !reflect.ValueOf(s.an.cache).Elem().FieldByName("cold").IsNil() {
+		t.Error("the mini-simulator allocated a prefetch cold lane")
 	}
 }

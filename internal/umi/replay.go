@@ -21,9 +21,8 @@ var ErrResume = errors.New("resume mismatch")
 // mirrors the in-process analysis paths exactly — BeginInvocation with
 // the recorded hand-off cycle stamp, profiles in recorded order, window
 // capture with the same stamp — inline (Workers < 2) or through the
-// asynchronous pipeline (optionally over a SharedPrep fleet), so a report
-// assembled from a replay is byte-identical to the capture process's
-// report at any worker count.
+// asynchronous pipeline's sequencer, so a report assembled from a replay
+// is byte-identical to the capture process's report at any worker count.
 //
 // A Replay outlives a single stream: feeding it several shards in
 // sequence continues the analysis (the logical cache, delinquent set, and
@@ -57,9 +56,9 @@ type Replay struct {
 }
 
 // NewReplay builds a replayer for a stream-derived config
-// (ConfigFromWireHeader, plus AnalyzerWorkers/SharedPrep layered on by
-// the caller). With AnalyzerWorkers ≥ 2 analysis runs through the same
-// pipeline a live System would use.
+// (ConfigFromWireHeader, plus AnalyzerWorkers layered on by the caller).
+// With AnalyzerWorkers ≥ 2 analysis runs through the same pipeline a live
+// System would use.
 func NewReplay(cfg Config) *Replay {
 	r := &Replay{
 		cfg:         cfg,
@@ -72,7 +71,7 @@ func NewReplay(cfg Config) *Replay {
 		r.an.hist = newHistory(cfg.HistoryWindows, cfg.PhaseMissDelta, cfg.PhaseChurnDelta)
 	}
 	if cfg.AnalyzerWorkers >= 2 {
-		r.pool = newAnalyzerPool(r.an, nil, r.met, nil, cfg.AnalyzerWorkers, cfg.SharedPrep)
+		r.pool = newAnalyzerPool(r.an, nil, r.met, nil)
 	}
 	return r
 }
@@ -88,17 +87,17 @@ func (r *Replay) invocation(cycles uint64, profs []*AddressProfile, alphas []flo
 	r.profiles += len(profs)
 	if r.pool != nil {
 		cost := r.cfg.AnalyzerFixed
-		jobs := make([]*analysisJob, len(profs))
-		for i, p := range profs {
+		for _, p := range profs {
 			cost += r.cfg.AnalyzerPerRef * uint64(p.Recorded())
-			jobs[i] = &analysisJob{profile: p, alpha: alphas[i]}
 		}
-		r.pool.submit(cycles, cost, jobs)
+		// profs and alphas are r's reused staging slices; the sequencer
+		// gets copies it owns.
+		r.pool.submit(cycles, cost, append([]*AddressProfile(nil), profs...), append([]float64(nil), alphas...))
 		return
 	}
 	r.an.BeginInvocation(cycles)
 	for i, p := range profs {
-		r.an.analyzeWithPrep(p, alphas[i], nil)
+		r.an.AnalyzeProfile(p, alphas[i])
 	}
 	r.an.captureWindow(cycles, nil)
 }
@@ -261,9 +260,9 @@ func (r *Replay) Sync() {
 	}
 }
 
-// Close drains and stops the pipeline (detaching its SharedPrep lane, if
-// any). Further Consume calls fall back to inline analysis — reports are
-// identical either way.
+// Close drains the pipeline and stops its sequencer, if any. Further
+// Consume calls fall back to inline analysis — reports are identical
+// either way.
 func (r *Replay) Close() {
 	if r.pool != nil {
 		r.pool.close()

@@ -2,6 +2,7 @@ package umi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -215,6 +216,64 @@ func TestReplayConsumeDecodeError(t *testing.T) {
 	r := NewReplay(cfg)
 	if _, err := r.Consume(dec); err == nil {
 		t.Fatal("Consume accepted a truncated stream")
+	}
+}
+
+// TestReplayResumeMatchesWhole: a replay cut off mid-stream keeps what it
+// applied, and resuming it from Progress on the re-sent stream reproduces
+// the uninterrupted replay's report — inline and through the sequencer,
+// which must own its copies of the replay's reused staging slices. A
+// wrong checksum is refused with nothing applied.
+func TestReplayResumeMatchesWhole(t *testing.T) {
+	_, _, stream := emitUMI(t, strideWorkload(t, 600_000), testConfig())
+	for _, workers := range []int{0, 2} {
+		whole, _, _ := replayStream(t, stream, workers)
+		dec := wire.NewDecoder(bytes.NewReader(stream[:len(stream)/2]))
+		h, err := dec.Header()
+		if err != nil {
+			t.Fatalf("decode header: %v", err)
+		}
+		cfg, err := ConfigFromWireHeader(h)
+		if err != nil {
+			t.Fatalf("ConfigFromWireHeader: %v", err)
+		}
+		cfg.AnalyzerWorkers = workers
+		r := NewReplay(cfg)
+		if _, err := r.Consume(dec); err == nil {
+			t.Fatal("Consume accepted a truncated stream")
+		}
+		frames, chk := r.Progress()
+		if frames == 0 {
+			t.Fatal("the stream's first half applied no invocation")
+		}
+		resend := func() *wire.Decoder {
+			d := wire.NewDecoder(bytes.NewReader(stream))
+			if _, err := d.Header(); err != nil {
+				t.Fatalf("decode header: %v", err)
+			}
+			return d
+		}
+		r.Sync()
+		refs := r.Metrics().Snapshot().Counter("umi.analyzer.refs")
+		if _, err := r.ConsumeResume(resend(), frames, chk^1); !errors.Is(err, ErrResume) {
+			t.Fatalf("resume with a wrong checksum: %v, want ErrResume", err)
+		}
+		r.Sync()
+		if got := r.Metrics().Snapshot().Counter("umi.analyzer.refs"); got != refs {
+			t.Errorf("workers=%d: a refused resume replayed %d refs", workers, got-refs)
+		}
+		shard, err := r.ConsumeResume(resend(), frames, chk)
+		if err != nil {
+			t.Fatalf("workers=%d: ConsumeResume: %v", workers, err)
+		}
+		tr := shard.Trailer
+		got := r.Report(len(tr.TracePCs), len(tr.CandidatePCs), tr.InstrumentEvents)
+		r.Close()
+		if reportKey(got) != reportKey(whole) || !reflect.DeepEqual(got.Strides, whole.Strides) ||
+			!reflect.DeepEqual(got.OpStats, whole.OpStats) {
+			t.Errorf("workers=%d: resumed replay differs from the whole one:\n got  %s\n want %s",
+				workers, reportKey(got), reportKey(whole))
+		}
 	}
 }
 

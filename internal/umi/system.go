@@ -402,7 +402,7 @@ func (s *System) asyncActive() bool {
 		return false
 	}
 	if s.pool == nil {
-		s.pool = newAnalyzerPool(s.an, s.consumers, s.met, s.tlog, s.cfg.AnalyzerWorkers, s.cfg.SharedPrep)
+		s.pool = newAnalyzerPool(s.an, s.consumers, s.met, s.tlog)
 	}
 	return true
 }
@@ -441,7 +441,7 @@ func (s *System) analyzeInline(startCycles uint64, live []*traceState) {
 	if s.cfg.AnalyzerWorkers >= 2 {
 		// A pipeline was requested but this invocation could not use it
 		// (synchronous hook, or post-Finish): the guest is paying the
-		// stall the workers were meant to hide.
+		// stall the sequencer was meant to hide.
 		s.met.SyncFallbacks.Inc()
 	}
 	start := time.Now()
@@ -491,19 +491,19 @@ func (s *System) analyzeInline(startCycles uint64, live []*traceState) {
 // identical to the inline path's.
 func (s *System) submitAnalysis(cycles uint64, live []*traceState) {
 	cost := s.cfg.AnalyzerFixed
-	jobs := make([]*analysisJob, 0, len(live))
-	for _, ts := range live {
+	profs := make([]*AddressProfile, len(live))
+	alphas := make([]float64, len(live))
+	for i, ts := range live {
 		cost += s.cfg.AnalyzerPerRef * uint64(ts.profile.Recorded())
-		jobs = append(jobs, &analysisJob{profile: ts.profile, alpha: ts.alpha})
+		profs[i], alphas[i] = ts.profile, ts.alpha
 		ts.profile = nil
 		s.profilesCollected++
 		s.met.ProfilesCollected.Inc()
 		s.deinstrument(ts)
 	}
-	depth := s.pool.submit(cycles, cost, jobs)
+	backlog := s.pool.submit(cycles, cost, profs, alphas)
 	s.tlog.Emit(tracelog.Event{Type: tracelog.EvPipelineSubmit,
-		Cycles: cycles, Arg1: uint64(len(jobs)),
-		Arg2: uint64(depth), Arg3: uint64(len(s.pool.seqQ))})
+		Cycles: cycles, Arg1: uint64(len(profs)), Arg2: uint64(backlog)})
 	s.met.AnalyzeCycles.Add(cost)
 	s.rt.AddOverhead(cost)
 }

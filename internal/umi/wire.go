@@ -42,7 +42,7 @@ func WireHeader(cfg *Config, workload, machine string) wire.Header {
 // ConfigFromWireHeader validates a received header and rebuilds the
 // analyzer-relevant Config a replay needs. Fields that only steer guest
 // execution (sampling, thresholds, costs charged to the guest) stay zero:
-// a replay has no guest. The caller layers on AnalyzerWorkers/SharedPrep.
+// a replay has no guest. The caller layers on AnalyzerWorkers.
 func ConfigFromWireHeader(h wire.Header) (Config, error) {
 	const maxCacheBytes = 1 << 30
 	if h.CacheSize == 0 || h.CacheSize > maxCacheBytes {

@@ -147,13 +147,13 @@ func WithGlobalDelinquencyThreshold(alpha float64) Option {
 	}
 }
 
-// WithAnalyzerWorkers sets the width of the asynchronous profile-analysis
-// pipeline: at n ≥ 2, filled address profiles are handed off over bounded
-// channels to n preparation workers feeding a single cache-simulation
-// sequencer, so the guest keeps executing while analysis proceeds on
-// other cores. Reports are identical for every n — profiles are merged in
-// a fixed PC-sorted order regardless of worker count. At n ≤ 1 (the
-// default) the analyzer runs inline on the guest thread. Sessions with
+// WithAnalyzerWorkers selects where profile analysis runs: at n ≥ 2 —
+// every such n alike — filled address profiles are handed off over a
+// bounded channel to one sequencer goroutine that owns the analyzer, so
+// the guest keeps executing while analysis proceeds on another core. At
+// n ≤ 1 (the default) the analyzer runs inline on the guest thread.
+// Reports are identical either way — profiles are merged in a fixed
+// PC-sorted order. Sessions with
 // WithSoftwarePrefetch or WithCacheBypass fall back to the inline path:
 // their optimizers need analysis results at the deinstrument boundary.
 func WithAnalyzerWorkers(n int) Option {
