@@ -243,14 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sys.Finish()
 	var liveRes *introspect.RunResult
 	if emitEnc != nil {
-		sys.EmitWireTail(emitEnc, wire.Trailer{
-			GuestCycles: m.Cycles,
-			TotalCycles: rt.TotalCycles(),
-			Instrs:      m.Instrs,
-			HWAccesses:  h.L2Stats.Accesses,
-			HWMisses:    h.L2Stats.Misses,
-			HWEvictions: h.L2.Stats().Evictions,
-		})
+		sys.EmitWireTail(emitEnc, h)
 		err := emitEnc.Flush()
 		if emitFile != nil {
 			if cerr := emitFile.Close(); err == nil {
@@ -449,8 +442,9 @@ func runTranscode(in, out string, version int, stderr io.Writer) int {
 	return 0
 }
 
-// runIngest replays a recorded umi-profile/v1 stream: locally through
-// umi.Replay (printing the RunResult JSON a daemon ingest would return),
+// runIngest replays a recorded umi-profile stream (v1 or v2): locally
+// through umi.Replay (printing the RunResult JSON a daemon ingest would
+// return),
 // or — with addr — shipped to a umid daemon over POST
 // /sessions/{id}/ingest, printing the daemon's response. Either way the
 // output is byte-identical to the capture process's marshaled result.
@@ -479,7 +473,9 @@ func runIngest(path, addr string, workers int, stdout, stderr io.Writer) int {
 }
 
 // runIngestRemote creates an ingest session on the daemon at addr, POSTs
-// the stream, and prints the daemon's RunResult response.
+// the stream, prints the daemon's RunResult response, and deletes the
+// session once the response is read, whether the upload succeeded or not,
+// so a remote ingest never keeps one of the daemon's session slots.
 func runIngestRemote(path, addr string, workers int, stdout, stderr io.Writer) int {
 	stream, err := os.ReadFile(path)
 	if err != nil {
@@ -509,6 +505,7 @@ func runIngestRemote(path, addr string, workers int, stdout, stderr io.Writer) i
 		fmt.Fprintf(stderr, "umiprof: ingest: create session: bad response %s\n", body)
 		return 1
 	}
+	defer deleteSession(base, inf.ID, stderr)
 	req, err := http.NewRequest(http.MethodPost, base+"/sessions/"+inf.ID+"/ingest", bytes.NewReader(stream))
 	if err != nil {
 		fmt.Fprintf(stderr, "umiprof: ingest: %v\n", err)
@@ -536,4 +533,22 @@ func runIngestRemote(path, addr string, workers int, stdout, stderr io.Writer) i
 	fmt.Fprintf(stderr, "umiprof: ingested %d bytes into session %s at %s\n", len(stream), inf.ID, base)
 	stdout.Write(body)
 	return 0
+}
+
+// deleteSession deletes a daemon session. A failed DELETE is a note on
+// stderr: the ingest's own outcome, already printed, stands.
+func deleteSession(base, id string, stderr io.Writer) {
+	req, err := http.NewRequest(http.MethodDelete, base+"/sessions/"+id, nil)
+	if err == nil {
+		var resp *http.Response
+		if resp, err = http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "umiprof: ingest: delete session %s: %v\n", id, err)
+	}
 }

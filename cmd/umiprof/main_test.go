@@ -658,3 +658,46 @@ func TestE2EIngestRemote(t *testing.T) {
 		t.Errorf("-ingest-addr without -ingest: exit %d, want 2", code)
 	}
 }
+
+// TestE2EIngestRemoteReleasesSession: a remote ingest deletes its session
+// once the daemon has answered, after a refused upload as after a good
+// one, so a one-slot daemon takes any number of them in turn.
+func TestE2EIngestRemoteReleasesSession(t *testing.T) {
+	dir := t.TempDir()
+	streamFile := filepath.Join(dir, "stream.bin")
+	if code, _, errs := runCLI(t, "-emit", streamFile, "em3d"); code != 0 {
+		t.Fatalf("emit: exit %d, stderr %q", code, errs)
+	}
+	junkFile := filepath.Join(dir, "junk.bin")
+	if err := os.WriteFile(junkFile, []byte("not a stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d := introspect.NewDaemon(introspect.DaemonConfig{MaxSessions: 1})
+	addr, stop, err := d.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("daemon: %v", err)
+	}
+	defer func() {
+		stop()
+		d.Shutdown()
+	}()
+
+	if code, _, errs := runCLI(t, "-ingest", junkFile, "-ingest-addr", addr); code != 1 {
+		t.Errorf("refused upload: exit %d, want 1; stderr %q", code, errs)
+	}
+	var outs [2]string
+	for i := range outs {
+		code, out, errs := runCLI(t, "-ingest", streamFile, "-ingest-addr", addr)
+		if code != 0 {
+			t.Fatalf("remote ingest %d: exit %d, stderr %q", i, code, errs)
+		}
+		outs[i] = out
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("the two remote ingests printed different results (%d vs %d bytes)", len(outs[0]), len(outs[1]))
+	}
+	if n := d.SessionCount(); n != 0 {
+		t.Errorf("%d sessions left on the daemon, want 0", n)
+	}
+}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"umi/internal/cache"
-	"umi/internal/rio"
 	"umi/internal/stats"
 	"umi/internal/umi"
-	"umi/internal/vm"
 	"umi/internal/workloads"
 )
 
@@ -39,36 +37,18 @@ type GeometryResult struct {
 	LenSpread  float64 // max-min across lengths
 }
 
-// RunUMIWithConsumers is RunUMI plus extra profile analyses attached to
-// the system.
-func RunUMIWithConsumers(w *workloads.Workload, p *Platform, cfg umi.Config,
-	hwPrefetch bool, consumers ...umi.ProfileConsumer) (*UMIRun, error) {
-	h := p.Hierarchy(hwPrefetch)
-	m := vm.New(w.Program(), h)
-	rt := rio.NewRuntime(m)
-	s := umi.Attach(rt, cfg)
-	for _, c := range consumers {
-		s.AddConsumer(c)
-	}
-	if err := rt.Run(MaxInstrs); err != nil {
-		return nil, fmt.Errorf("%s umi: %w", w.Name, err)
-	}
-	s.Finish()
-	return &UMIRun{Report: s.Report(), RT: rt, H: h, Metrics: s.MetricsSnapshot()}, nil
-}
-
-// geometrySweep is the set of what-if cache configurations: the host L2
-// scaled from a quarter to four times its size.
-func geometrySweep() []cache.Config {
+// geometrySweep is the set of what-if cache configurations: base scaled
+// from a quarter to four times its size, the §5 what-if ladder.
+func geometrySweep(base cache.Config) []cache.Config {
 	out := make([]cache.Config, 0, 5)
 	for _, scale := range []int{4, 2, 1} {
-		c := cache.P4L2
+		c := base
 		c.Size /= scale
 		c.Name = fmt.Sprintf("L2/%d", scale)
 		out = append(out, c)
 	}
 	for _, scale := range []int{2, 4} {
-		c := cache.P4L2
+		c := base
 		c.Size *= scale
 		c.Name = fmt.Sprintf("L2x%d", scale)
 		out = append(out, c)
@@ -92,8 +72,8 @@ func SensitivityGeometry(benchNames []string) ([]*GeometryResult, error) {
 
 		// One run, many geometries over the identical profiles.
 		cfg := UMIParams(P4)
-		wi := umi.NewWhatIf(cfg.WarmupRows, geometrySweep()...)
-		if _, err := RunUMIWithConsumers(w, P4, cfg, false, wi); err != nil {
+		wi := umi.NewWhatIf(cfg.WarmupRows, geometrySweep(cache.P4L2)...)
+		if _, err := RunUMI(w, P4, cfg, false, false, wi); err != nil {
 			return nil, err
 		}
 		lo, hi := 1.0, 0.0

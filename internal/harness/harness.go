@@ -120,12 +120,17 @@ type UMIRun struct {
 func (r *UMIRun) TotalCycles() uint64 { return r.RT.TotalCycles() }
 
 // RunUMI executes the workload under the full UMI stack. withPrefetch
-// attaches the software stride prefetcher at the analysis boundary.
-func RunUMI(w *workloads.Workload, p *Platform, cfg umi.Config, hwPrefetch, withPrefetch bool) (*UMIRun, error) {
+// attaches the software stride prefetcher at the analysis boundary;
+// consumers are extra profile analyses attached to the system.
+func RunUMI(w *workloads.Workload, p *Platform, cfg umi.Config, hwPrefetch, withPrefetch bool,
+	consumers ...umi.ProfileConsumer) (*UMIRun, error) {
 	h := p.Hierarchy(hwPrefetch)
 	m := vm.New(w.Program(), h)
 	rt := rio.NewRuntime(m)
 	s := umi.Attach(rt, cfg)
+	for _, c := range consumers {
+		s.AddConsumer(c)
+	}
 	elog := s.EnableEventTrace(0)
 	var opt *prefetch.Optimizer
 	if withPrefetch {

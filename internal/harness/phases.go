@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"umi/internal/rio"
 	"umi/internal/umi"
-	"umi/internal/vm"
 )
 
 // The phases experiment is the profile-history layer's figure: per
@@ -49,18 +47,12 @@ func Phases(names []string) (*PhasesResult, error) {
 	}
 	res := &PhasesResult{Rows: make([]BenchmarkPhases, len(ws))}
 	err = forEachIndexed(len(ws), func(i int) error {
-		// A bespoke run rather than RunUMI: the ws-lines column needs a
-		// WorkingSet consumer attached, which the standard driver omits.
-		h := P4.Hierarchy(false)
-		m := vm.New(ws[i].Program(), h)
-		rt := rio.NewRuntime(m)
-		s := umi.Attach(rt, UMIParams(P4))
-		s.AddConsumer(umi.NewWorkingSet(P4.L2.LineSize))
-		if err := rt.Run(MaxInstrs); err != nil {
-			return fmt.Errorf("%s phases: %w", ws[i].Name, err)
+		// The ws-lines column reads a WorkingSet consumer.
+		run, err := RunUMI(ws[i], P4, UMIParams(P4), false, false, umi.NewWorkingSet(P4.L2.LineSize))
+		if err != nil {
+			return err
 		}
-		s.Finish()
-		hv := s.History()
+		hv := run.History
 		bp := BenchmarkPhases{
 			Name:         ws[i].Name,
 			Total:        hv.Total,

@@ -58,39 +58,11 @@ func EmitWorkloadStream(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%s umi: %w", w.Name, err)
 	}
 	s.Finish()
-	s.EmitWireTail(enc, wire.Trailer{
-		GuestCycles: m.Cycles,
-		TotalCycles: rt.TotalCycles(),
-		Instrs:      m.Instrs,
-		HWAccesses:  h.L2Stats.Accesses,
-		HWMisses:    h.L2Stats.Misses,
-		HWEvictions: h.L2.Stats().Evictions,
-	})
+	s.EmitWireTail(enc, h)
 	if err := enc.Flush(); err != nil {
 		return nil, fmt.Errorf("%s emit: %w", w.Name, err)
 	}
 	return buf.Bytes(), nil
-}
-
-// replayGeometrySweep scales the captured geometry from a quarter to four
-// times its size, mirroring the §5 what-if ladder but anchored to
-// whatever cache the stream was recorded under.
-func replayGeometrySweep(base cache.Config) []cache.Config {
-	out := make([]cache.Config, 0, 5)
-	for _, scale := range []int{4, 2, 1} {
-		c := base
-		c.Size /= scale
-		c.Name = fmt.Sprintf("L2/%d", scale)
-		out = append(out, c)
-	}
-	for _, scale := range []int{2, 4} {
-		c := base
-		c.Size *= scale
-		c.Name = fmt.Sprintf("L2x%d", scale)
-		out = append(out, c)
-	}
-	out[2].Name = base.Name // the 1x point is the captured geometry itself
-	return out
 }
 
 // ReplayGeometry sweeps one recorded stream across cache geometries: a
@@ -112,7 +84,9 @@ func ReplayGeometry(stream []byte) (*ReplayGeometryResult, error) {
 		Captured: base.MiniSimCache.Name,
 	}
 	lo, hi := 1.0, 0.0
-	for _, cc := range replayGeometrySweep(base.MiniSimCache) {
+	sweep := geometrySweep(base.MiniSimCache)
+	sweep[2].Name = base.MiniSimCache.Name // the 1x point is the captured geometry itself
+	for _, cc := range sweep {
 		if err := cc.Validate(); err != nil {
 			return nil, fmt.Errorf("harness: swept geometry %s: %w", cc.Name, err)
 		}
@@ -127,12 +101,10 @@ func ReplayGeometry(stream []byte) (*ReplayGeometryResult, error) {
 		}
 		cfg.MiniSimCache = cc
 		rp := umi.NewReplay(cfg)
-		shard, err := rp.Consume(d)
-		if err != nil {
+		if _, err := rp.Consume(d); err != nil {
 			return nil, fmt.Errorf("harness: replay %s: %w", cc.Name, err)
 		}
-		tr := shard.Trailer
-		rep := rp.Report(len(tr.TracePCs), len(tr.CandidatePCs), tr.InstrumentEvents)
+		rep := rp.Report()
 		res.Points = append(res.Points, ReplayGeometryPoint{
 			Config: cc, MissRatio: rep.SimMissRatio, Delinquent: len(rep.Delinquent),
 		})

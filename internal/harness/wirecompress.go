@@ -37,9 +37,9 @@ type WireCompressResult struct {
 }
 
 // replayFingerprint replays one stream and marshals everything the
-// RunResult surfaces from it — the report, the streamed history, and the
-// trailer-derived run accounting — so two streams with equal fingerprints
-// are interchangeable inputs to every downstream consumer.
+// Replay makes of it — the report, the streamed history and the merged
+// trailer accounting — so two streams with equal fingerprints are
+// interchangeable inputs to every downstream consumer.
 func replayFingerprint(stream []byte) ([]byte, error) {
 	dec := wire.NewDecoder(bytes.NewReader(stream))
 	h, err := dec.Header()
@@ -51,19 +51,14 @@ func replayFingerprint(stream []byte) ([]byte, error) {
 		return nil, err
 	}
 	rp := umi.NewReplay(cfg)
-	shard, err := rp.Consume(dec)
-	if err != nil {
+	if _, err := rp.Consume(dec); err != nil {
 		return nil, err
 	}
-	tr := shard.Trailer
-	rep := rp.Report(len(tr.TracePCs), len(tr.CandidatePCs), tr.InstrumentEvents)
 	return json.Marshal(struct {
-		Report      *umi.Report
-		History     umi.HistoryView
-		HWMissRatio float64
-		Cycles      uint64
-		Instrs      uint64
-	}{rep, shard.History, umi.HWMissRatio(tr.HWAccesses, tr.HWMisses), tr.TotalCycles, tr.Instrs})
+		Report  *umi.Report
+		History umi.HistoryView
+		Trailer wire.Trailer
+	}{rp.Report(), rp.History(), rp.Trailer()})
 }
 
 // WireCompress records each workload, transcodes its stream to v2, and

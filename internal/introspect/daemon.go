@@ -140,8 +140,9 @@ func (s *session) snapshot() metrics.Snapshot {
 }
 
 // history snapshots the guest's history ring. Ingest sessions serve the
-// merged streamed history from the last completed shard (their replayer
-// has no live ring of its own to scrape without draining it).
+// merged streamed history as of the last completed shard, from the
+// session's result: the replay merges each shard's history at the end of
+// an ingest that runs outside the session mutex.
 func (s *session) history() umi.HistoryView {
 	sys, _, res := s.sources()
 	switch {

@@ -3,10 +3,10 @@
 // live by `umiprof -emit-live`) and compiles them into a replay session,
 // analyzed inline or on the session's own sequencer. A single ingested
 // stream reproduces the capture process's RunResult byte for byte;
-// multiple shards merge into one logical run — trailer counts sum, PC
-// sets union, streamed window histories concatenate and compact to the
-// ring cap, and the analyzer state (delinquent set, strides, logical
-// cache) simply carries across shards.
+// multiple shards merge into one logical run inside the session's
+// umi.Replay — trailer counts sum, PC sets union, streamed window
+// histories concatenate and compact to the ring cap, and the analyzer
+// state (delinquent set, strides, logical cache) carries across shards.
 //
 // Fault handling is classified, not uniform:
 //
@@ -34,7 +34,6 @@ import (
 	"strconv"
 	"time"
 
-	"umi/internal/cache"
 	"umi/internal/metrics"
 	"umi/internal/umi"
 	"umi/internal/wire"
@@ -81,31 +80,13 @@ func newIngestMetrics() *ingestMetrics {
 	}
 }
 
-// ingestState is the per-session replay accumulator, created on the first
+// ingestState is the per-session replay state, created on the first
 // shard. Guarded by the session mutex; the handler takes ownership while
 // state is running, so only one ingest touches it at a time.
 type ingestState struct {
-	replay *umi.Replay
-	key    string // ReplayConfigKey of the first shard; later shards must match
-	guest  string // workload name from the first header
-	shards int
-
-	// Shard-mergeable accounting: counts sum, PC sets union.
-	instrumentEvents uint64
-	cycles           uint64
-	instrs           uint64
-	hw               cache.LevelStats
-	candidatePCs     map[uint64]bool
-	tracePCs         map[uint64]bool
-
-	// Streamed capture-side window history, concatenated across shards
-	// and compacted to the ring cap on render. Streamed rather than
-	// recomputed: optional capture-side consumers (working-set size) feed
-	// fields a replay cannot rebuild.
-	windows    []umi.WindowSummary
-	histTotal  uint64
-	histPhases uint64
-	histCap    int
+	replay *umi.Replay // merges the shards' analysis and accounting
+	key    string      // ReplayConfigKey of the first shard; later shards must match
+	guest  string      // workload name from the first header
 
 	// applied records the manifest of every v2 shard folded in, keyed by
 	// shard ID — the duplicate-upload idempotence check. v1 shards carry
@@ -123,13 +104,6 @@ type ingestState struct {
 // client error on an otherwise healthy session) from a decode failure.
 var errShardConfig = errors.New("shard configuration mismatch")
 
-// errShardApplied marks a shard-config mismatch detected only after the
-// shard's analyzer input was already replayed (the history cap rides in a
-// frame near the stream's end). The request is still the client's fault
-// (409), but the session cannot be restored to its previous state — the
-// merge is tainted, so it poisons.
-var errShardApplied = errors.New("shard partially applied")
-
 // errHeaderStage marks failures before any replay state was touched (bad
 // preamble, unsupported version, config rejection): the session restores
 // to its previous state so the client can retry with a corrected stream.
@@ -139,9 +113,9 @@ var errHeaderStage = errors.New("header stage")
 // from decode errors.
 var errOversized = errors.New("stream too large")
 
-// ingestStream decodes and replays one stream into the session's
-// accumulator. Caller holds no locks; the session is in state running, so
-// the accumulator is exclusively ours. resume replays a re-sent stream
+// ingestStream decodes and replays one stream into the session's replay.
+// Caller holds no locks; the session is in state running, so the ingest
+// state is exclusively ours. resume replays a re-sent stream
 // through the session's recorded resume point (skip-verify, then apply).
 func (d *Daemon) ingestStream(s *session, body io.Reader, workers int, resume bool) error {
 	dec := wire.NewDecoder(body)
@@ -169,18 +143,16 @@ func (d *Daemon) ingestStream(s *session, body io.Reader, workers int, resume bo
 		st.guest = h.Workload
 		s.mu.Unlock()
 		st.key = umi.ReplayConfigKey(h)
-		st.candidatePCs = make(map[uint64]bool)
-		st.tracePCs = make(map[uint64]bool)
 		st.applied = make(map[uint64]wire.Manifest)
 	} else if key := umi.ReplayConfigKey(h); key != st.key {
 		return fmt.Errorf("%w: session expects %q, stream carries %q", errShardConfig, st.key, key)
 	}
 
-	var shard *umi.ReplayShard
+	var man wire.Manifest
 	if resume && st.resumeFrames > 0 {
-		shard, err = st.replay.ConsumeResume(dec, st.resumeFrames, st.resumeChk)
+		man, err = st.replay.ConsumeResume(dec, st.resumeFrames, st.resumeChk)
 	} else {
-		shard, err = st.replay.Consume(dec)
+		man, err = st.replay.Consume(dec)
 	}
 	d.ingest.Frames.Add(uint64(dec.Frames()))
 	d.ingest.Bytes.Add(uint64(dec.Bytes()))
@@ -198,51 +170,17 @@ func (d *Daemon) ingestStream(s *session, body io.Reader, workers int, resume bo
 	}
 	d.ingest.Streams.Add(1)
 
-	// The history ring cap is config, but it rides in a frame near the
-	// stream's end — a disagreement is detected only after this shard's
-	// analyzer input was replayed, so it must poison alongside the 409
-	// (see errShardApplied). First shard with a history section wins;
-	// later shards must agree.
-	if st.shards > 0 && st.histCap != 0 && shard.History.Cap != 0 && shard.History.Cap != st.histCap {
-		return fmt.Errorf("%w: history cap %d, first shard recorded %d (%w)",
-			errShardConfig, shard.History.Cap, st.histCap, errShardApplied)
+	// Remember the shard's manifest (v2 streams carry one) so a retried
+	// upload declaring the same manifest is a no-op.
+	if man.ShardID != 0 {
+		st.applied[man.ShardID] = man
 	}
-
-	st.apply(shard)
 	st.resumeFrames, st.resumeChk = 0, 0
 	return nil
 }
 
-// apply folds one cleanly-consumed shard into the accumulator.
-func (st *ingestState) apply(shard *umi.ReplayShard) {
-	tr := shard.Trailer
-	st.shards++
-	st.instrumentEvents += tr.InstrumentEvents
-	st.cycles += tr.TotalCycles
-	st.instrs += tr.Instrs
-	st.hw.Accesses += tr.HWAccesses
-	st.hw.Misses += tr.HWMisses
-	for _, pc := range tr.CandidatePCs {
-		st.candidatePCs[pc] = true
-	}
-	for _, pc := range tr.TracePCs {
-		st.tracePCs[pc] = true
-	}
-	st.histTotal += shard.History.Total
-	st.histPhases += shard.History.PhaseChanges
-	if shard.History.Cap != 0 {
-		st.histCap = shard.History.Cap
-	}
-	st.windows = append(st.windows, shard.History.Windows...)
-	// Remember the shard's manifest (v2 streams carry one) so a retried
-	// upload declaring the same manifest is a no-op.
-	if m := tr.Shard; m.ShardID != 0 && st.applied != nil {
-		st.applied[m.ShardID] = m
-	}
-}
-
-// ReplayStream replays one recorded umi-profile/v1 stream outside any
-// daemon and returns its RunResult — byte-identical (marshaled) to the
+// ReplayStream replays one recorded umi-profile stream (v1 or v2) outside
+// any daemon and returns its RunResult — byte-identical (marshaled) to the
 // capture process's, at any worker count. The `umiprof -ingest` path.
 func ReplayStream(body io.Reader, workers int) (*RunResult, error) {
 	dec := wire.NewDecoder(body)
@@ -257,47 +195,25 @@ func ReplayStream(body io.Reader, workers int) (*RunResult, error) {
 	cfg.AnalyzerWorkers = workers
 	rp := umi.NewReplay(cfg)
 	defer rp.Close()
-	shard, err := rp.Consume(dec)
-	if err != nil {
+	if _, err := rp.Consume(dec); err != nil {
 		return nil, fmt.Errorf("stream decode: %w", err)
 	}
-	st := &ingestState{
-		replay:       rp,
-		candidatePCs: make(map[uint64]bool),
-		tracePCs:     make(map[uint64]bool),
-	}
-	st.apply(shard)
-	return st.result(), nil
+	return replayResult(rp), nil
 }
 
-// result assembles the session's merged RunResult: the replayed report
-// with merged run accounting, the compacted streamed history, and the
-// hardware-model ratio recomputed from summed raw counts — for a single
-// shard, byte-identical to the capture process's RunResult.
-func (st *ingestState) result() *RunResult {
-	rep := st.replay.Report(len(st.tracePCs), len(st.candidatePCs), st.instrumentEvents)
-	ws := st.windows
-	if st.histCap > 0 && len(ws) > st.histCap {
-		ws = ws[len(ws)-st.histCap:]
-	}
-	// Cap the result's windows at their length: an append to them then
-	// copies instead of writing into the accumulator's spare capacity,
-	// where a later shard's windows land.
-	ws = ws[:len(ws):len(ws)]
-	hv := (*umi.History)(nil).View()
-	hv.Total = st.histTotal
-	hv.Dropped = st.histTotal - uint64(len(ws))
-	hv.Cap = st.histCap
-	hv.PhaseChanges = st.histPhases
-	if len(ws) > 0 {
-		hv.Windows = ws
-	}
+// replayResult assembles a replay's RunResult from what the Replay merged:
+// the replayed report, the streamed history, and the run accounting the
+// trailers carried, with the hardware-model ratio recomputed from summed
+// raw counts — for a single shard, byte-identical to the capture
+// process's RunResult.
+func replayResult(rp *umi.Replay) *RunResult {
+	tr := rp.Trailer()
 	return &RunResult{
-		Report:      rep,
-		History:     hv,
-		HWMissRatio: st.hw.MissRatio(),
-		Cycles:      st.cycles,
-		Instrs:      st.instrs,
+		Report:      rp.Report(),
+		History:     rp.History(),
+		HWMissRatio: umi.HWMissRatio(tr.HWAccesses, tr.HWMisses),
+		Cycles:      tr.TotalCycles,
+		Instrs:      tr.Instrs,
 	}
 }
 
@@ -413,13 +329,8 @@ func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		s.state = stateDone
-		res = s.ing.result()
+		res = replayResult(s.ing.replay)
 		s.result = res
-	case errors.Is(err, errShardApplied):
-		// Client error (409) found only after the shard replayed: the
-		// merge is tainted, so the session poisons too.
-		s.state = stateFailed
-		s.runErr = err
 	case errors.Is(err, errShardConfig), errors.Is(err, errHeaderStage),
 		errors.Is(err, umi.ErrResume):
 		// Nothing was applied; the session stays healthy at its previous

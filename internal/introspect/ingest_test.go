@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"umi/internal/metrics"
 )
 
 // emitStream records one session config's umi-profile/v1 stream and
@@ -371,6 +373,44 @@ func TestIngestMetricsExposed(t *testing.T) {
 	code, snap := doReq(t, http.MethodGet, base+"/sessions/"+id+"/metrics", nil)
 	if code != http.StatusOK || !strings.Contains(string(snap), "umi.analyzer.invocations") {
 		t.Errorf("ingest session metrics: status %d, body %.120s", code, snap)
+	}
+}
+
+// TestIngestMetricsParity: an ingest session reports the analyzer's views
+// at every width, as a guest session does — one latency observation per
+// invocation, the analyze wall, the minisim.* mirrors — and no recycle
+// queue, since a replay never takes profile buffers back.
+func TestIngestMetricsParity(t *testing.T) {
+	_, stream := emitStream(t, traceSessionConfig(0, 0))
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			_, base := startDaemon(t, DaemonConfig{})
+			id := createIngestSession(t, base, workers)
+			if code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/ingest", stream); code != http.StatusOK {
+				t.Fatalf("ingest: status %d, body %s", code, body)
+			}
+			_, body := doReq(t, http.MethodGet, base+"/sessions/"+id+"/metrics", nil)
+			var snap metrics.Snapshot
+			if err := json.Unmarshal(body, &snap); err != nil {
+				t.Fatalf("metrics is not a Snapshot: %v\n%s", err, body)
+			}
+			inv := snap.Counter("umi.analyzer.invocations")
+			if inv == 0 {
+				t.Fatal("the replay ran no invocation")
+			}
+			if n := snap.Histogram("umi.analyzer.latency_ns").Count; n != inv {
+				t.Errorf("latency observations = %d, want one per invocation (%d)", n, inv)
+			}
+			if snap.Counter("umi.stage.analyze.wall_ns") == 0 {
+				t.Error("umi.stage.analyze.wall_ns = 0")
+			}
+			if snap.Counter("minisim.accesses") == 0 {
+				t.Error("minisim.accesses = 0")
+			}
+			if q := snap.Gauge("umi.pool.recycle_queue"); q.Value != 0 || q.Max != 0 {
+				t.Errorf("umi.pool.recycle_queue = %d (max %d), want 0", q.Value, q.Max)
+			}
+		})
 	}
 }
 

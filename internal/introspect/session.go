@@ -72,8 +72,8 @@ type SessionConfig struct {
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 
 	// Ingest declares a replay session: it runs no guest and instead
-	// accepts umi-profile/v1 streams via POST /sessions/{id}/ingest and
-	// analyzes them. Mutually exclusive with every guest-execution knob —
+	// accepts umi-profile streams (v1 or v2) via POST
+	// /sessions/{id}/ingest and analyzes them. Mutually exclusive with every guest-execution knob —
 	// the stream header carries the analyzer configuration — except
 	// Workers, which picks inline or sequencer replay.
 	Ingest bool `json:"ingest,omitempty"`
@@ -295,14 +295,7 @@ func runSession(cfg *SessionConfig, publish func(*umi.System), enc *wire.Encoder
 	}
 	sys.Finish()
 	if enc != nil {
-		sys.EmitWireTail(enc, wire.Trailer{
-			GuestCycles: rt.M.Cycles,
-			TotalCycles: rt.TotalCycles(),
-			Instrs:      m.Instrs,
-			HWAccesses:  h.L2Stats.Accesses,
-			HWMisses:    h.L2Stats.Misses,
-			HWEvictions: h.L2.Stats().Evictions,
-		})
+		sys.EmitWireTail(enc, h)
 		if err := enc.Flush(); err != nil {
 			return nil, fmt.Errorf("emit: %w", err)
 		}

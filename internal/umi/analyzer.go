@@ -132,17 +132,83 @@ func (a *Analyzer) Reset() {
 	a.hist.reset()
 }
 
+// invocation is one analyzer invocation's worth of profiles, already in
+// the fixed PC-sorted merge order with the delinquency threshold each was
+// captured with, stamped with the guest cycle count at hand-off so the
+// flush-gap check sees the same clock on every path.
+type invocation struct {
+	cycles uint64
+	// cost is the modelled analysis cost, computed once at hand-off
+	// (newInvocation); the analyzer.end span reports it on every path.
+	cost   uint64
+	profs  []*AddressProfile
+	alphas []float64
+	// settle, when non-nil, runs on the analyzer's owner right after
+	// profile i is analyzed and consumed: the inline path's tune, reset
+	// and deinstrument step, or the pipeline's hand-back of the buffer.
+	settle func(i int)
+	// barrier, when non-nil, marks a pipeline synchronization point
+	// instead of an invocation: the sequencer closes it without touching
+	// the analyzer.
+	barrier chan struct{}
+}
+
+// newInvocation stamps one hand-off with its modelled cost: the fixed
+// charge plus the per-reference charge for every recorded cell, the
+// reference count the mini-simulation will replay. It is known before any
+// profile is simulated, so the guest is charged at hand-off whichever
+// path then analyzes.
+func newInvocation(cfg *Config, cycles uint64, profs []*AddressProfile, alphas []float64) invocation {
+	cost := cfg.AnalyzerFixed
+	for _, p := range profs {
+		cost += cfg.AnalyzerPerRef * uint64(p.Recorded())
+	}
+	return invocation{cycles: cycles, cost: cost, profs: profs, alphas: alphas}
+}
+
+// invoke is the one invocation body. The System's inline path, the
+// pipeline's sequencer and Replay all run it, on whichever goroutine owns
+// the analyzer: BeginInvocation at the hand-off stamp; per profile
+// AnalyzeProfile, the consumers and inv.settle; then the window capture,
+// the latency and wall observations, the minisim.* mirrors and the
+// analyzer.end span. The span carries the hand-off cycles and the
+// modelled cost, a deterministic (ts, dur) at any width. It returns the
+// measured wall time. The analyzer must be metered.
+func (a *Analyzer) invoke(inv invocation, consumers []ProfileConsumer) uint64 {
+	start := time.Now()
+	refs0, miss0 := a.SimulatedRefs, a.totalMiss
+	a.BeginInvocation(inv.cycles)
+	for i, p := range inv.profs {
+		a.AnalyzeProfile(p, inv.alphas[i])
+		for _, c := range consumers {
+			c.Consume(p)
+		}
+		if inv.settle != nil {
+			inv.settle(i)
+		}
+	}
+	a.captureWindow(inv.cycles, consumers)
+	wall := uint64(time.Since(start))
+	a.met.AnalysisLatency.Observe(wall)
+	a.met.AnalyzeWallNs.Add(wall)
+	a.met.syncCache(a)
+	a.tlog.Emit(tracelog.Event{Type: tracelog.EvAnalyzerEnd,
+		Cycles: inv.cycles, Dur: inv.cost,
+		Arg1: a.SimulatedRefs - refs0, Arg2: a.totalMiss - miss0,
+		Arg3: uint64(len(a.delinquent))})
+	return wall
+}
+
 // AnalyzeProfile mini-simulates one address profile: rows in recording
 // order, operations in trace order, skipping the warm-up rows for miss
 // accounting. Loads whose miss ratio in this profile exceeds alpha are
 // labelled delinquent, and each load column's dominant stride is merged
 // into the stride table. The merge visits columns in trace order, so a
-// fixed profile submission order gives a fixed merge order. It returns
-// the modelled analysis cost in cycles.
-func (a *Analyzer) AnalyzeProfile(p *AddressProfile, alpha float64) uint64 {
+// fixed profile submission order gives a fixed merge order.
+func (a *Analyzer) AnalyzeProfile(p *AddressProfile, alpha float64) {
 	nOps := len(p.Ops)
 	if nOps == 0 || p.Rows() == 0 {
-		return 0
+		return
 	}
 	if cap(a.invAcc) < nOps {
 		a.invAcc = make([]uint64, nOps)
@@ -205,7 +271,6 @@ func (a *Analyzer) AnalyzeProfile(p *AddressProfile, alpha float64) uint64 {
 		}
 	}
 	a.mergeStrides(p)
-	return a.cfg.AnalyzerPerRef * refs
 }
 
 // mergeStrides runs stride discovery, which feeds the prefetcher (§8):

@@ -113,10 +113,17 @@ type History struct {
 // newHistory builds a ring of the given capacity (0 selects
 // DefaultHistoryWindows) with the given phase-detection thresholds.
 func newHistory(capacity int, missDelta, churnDelta float64) *History {
-	if capacity <= 0 {
-		capacity = DefaultHistoryWindows
+	return &History{cap: historyCap(capacity), missDelta: missDelta, churnDelta: churnDelta}
+}
+
+// historyCap is the ring cap a Config.HistoryWindows value selects, as a
+// stream's history section records it: 0 selects DefaultHistoryWindows,
+// and a negative value disables capture (cap 0).
+func historyCap(windows int) int {
+	if windows == 0 {
+		return DefaultHistoryWindows
 	}
-	return &History{cap: capacity, missDelta: missDelta, churnDelta: churnDelta}
+	return max(windows, 0)
 }
 
 // record appends one summary, dropping the oldest window when full.

@@ -173,9 +173,10 @@ func (m *Metrics) syncRIO(rt *rio.Runtime) {
 	m.reg.Counter("rio.sample_hits").Store(c.SampleHits)
 }
 
-// syncCache mirrors the analyzer's logical-cache statistics. The caller
-// must hold analyzer ownership (pipeline drained, or running on the
-// sequencer).
+// syncCache mirrors the analyzer's logical-cache statistics. The
+// invocation body calls it on the analyzer's owner after every
+// invocation, so the minisim.* mirrors are current whenever the pipeline
+// is drained.
 func (m *Metrics) syncCache(a *Analyzer) {
 	cs := a.cache.Stats()
 	m.MiniSimAccesses.Store(cs.Accesses)
@@ -199,10 +200,7 @@ func FilterRate(s metrics.Snapshot) (float64, bool) {
 // synchronizing with the analysis pipeline first so analyzer-side values
 // are complete through the last hand-off.
 func (s *System) MetricsSnapshot() metrics.Snapshot {
-	if s.pool != nil {
-		s.pool.drain()
-	}
-	s.met.syncCache(s.an)
+	s.pool.drain()
 	s.met.syncRIO(s.rt)
 	s.syncGuestMirrors()
 	return s.met.reg.Snapshot()

@@ -95,9 +95,7 @@ func (s *System) syncGuestMirrors() {
 // are settled. The modelled fields are deterministic: same program, same
 // config, same seed ⇒ identical values at any worker count.
 func (s *System) Overhead() *OverheadReport {
-	if s.pool != nil {
-		s.pool.drain()
-	}
+	s.pool.drain()
 	s.syncGuestMirrors()
 	return buildOverhead(s.met.reg.Snapshot(), &s.cfg)
 }

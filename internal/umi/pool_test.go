@@ -240,13 +240,10 @@ func TestPipelineDeterminism(t *testing.T) {
 	}
 }
 
-// TestSharedPrepEquivalence keeps the name it had when stride discovery
-// ran on a shared preparation pool of configurable width; that pool is
-// gone, and the contract it pinned now reads: a session at any
-// AnalyzerWorkers value from 2 up runs its invocations through the one
-// sequencer and produces the report the inline analyzer produces, down
-// to the modelled cycle totals.
-func TestSharedPrepEquivalence(t *testing.T) {
+// TestSequencerMatchesInline: a session at any AnalyzerWorkers value from
+// 2 up runs its invocations through the one sequencer and produces the
+// report the inline analyzer produces, down to the modelled cycle totals.
+func TestSequencerMatchesInline(t *testing.T) {
 	progs := map[string]func() *program.Program{
 		"stride":    func() *program.Program { return strideWorkload(t, 400_000) },
 		"manyloops": func() *program.Program { return manyLoopsWorkload(t, 8, 30_000) },
@@ -278,14 +275,12 @@ func sessionProg(t *testing.T, i int) *program.Program {
 	return manyLoopsWorkload(t, 4+i%4, 20_000)
 }
 
-// TestSharedPrepConcurrentSessions keeps the name it had when co-tenant
-// sessions shared one preparation pool. It runs eight Systems at once,
-// each with its own sequencer, at several AnalyzerWorkers values, and
-// holds each to its inline run: every value from 2 up selects the same
-// one-sequencer pipeline, and sessions sharing a process share no
-// analyzer state. Under -race (make check) it is the pipeline's data-race
-// net.
-func TestSharedPrepConcurrentSessions(t *testing.T) {
+// TestConcurrentSessionsMatchInline runs eight Systems at once, each with
+// its own sequencer, at several AnalyzerWorkers values, and holds each to
+// its inline run: every value from 2 up selects the same one-sequencer
+// pipeline, and sessions sharing a process share no analyzer state. Under
+// -race (make check) it is the pipeline's data-race net.
+func TestConcurrentSessionsMatchInline(t *testing.T) {
 	const sessions = 8
 	want := make([]string, sessions)
 	for i := range want {
@@ -384,8 +379,8 @@ func TestPipelineSyncFallback(t *testing.T) {
 }
 
 // TestPipelineRecyclesBuffers: with the pipeline on, analyzed profile
-// buffers flow back through the recycle queue instead of being
-// re-allocated every instrumentation.
+// buffers flow back through the System's recycle queue instead of being
+// re-allocated every instrumentation, and Finish stops the pipeline.
 func TestPipelineRecyclesBuffers(t *testing.T) {
 	prog := strideWorkload(t, 600_000)
 	cfg := testConfig()
@@ -394,6 +389,9 @@ func TestPipelineRecyclesBuffers(t *testing.T) {
 	rep := s.Report()
 	if rep.ProfilesCollected < 2 {
 		t.Skipf("only %d profiles collected; nothing to recycle", rep.ProfilesCollected)
+	}
+	if hits := s.MetricsSnapshot().Counter("umi.pool.recycle_hits"); hits == 0 {
+		t.Errorf("no instrumentation reused a recycled buffer over %d profiles", rep.ProfilesCollected)
 	}
 	if s.pool != nil {
 		t.Error("Finish did not stop the pipeline")

@@ -97,11 +97,11 @@ func (p *AddressProfile) Reset() {
 }
 
 // Reinit repurposes the profile's backing storage for a different set of
-// operations, growing it only when the new geometry needs more cells. The
-// asynchronous pipeline recycles analyzed profiles through this instead of
-// allocating a fresh buffer per instrumentation — the second half of the
-// double-buffering: one buffer is being analyzed while the trace records
-// into another.
+// operations, growing it only when the new geometry needs more cells. On
+// the pipeline path the System recycles analyzed profiles through this
+// instead of allocating a fresh buffer per instrumentation — the second
+// half of the double-buffering: one buffer is being analyzed while the
+// trace records into another.
 func (p *AddressProfile) Reinit(ops []uint64, isLoad []bool, rows int) {
 	p.Ops, p.IsLoadOp, p.rowCap = ops, isLoad, rows
 	need := rows * len(ops)

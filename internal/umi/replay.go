@@ -16,18 +16,22 @@ import (
 // safely keep waiting for a correct retry.
 var ErrResume = errors.New("resume mismatch")
 
-// Replay drives an Analyzer from a recorded umi-profile/v1 stream instead
-// of a live guest: the receiving half of capture-once/analyze-many. It
-// mirrors the in-process analysis paths exactly — BeginInvocation with
-// the recorded hand-off cycle stamp, profiles in recorded order, window
-// capture with the same stamp — inline (Workers < 2) or through the
-// asynchronous pipeline's sequencer, so a report assembled from a replay
-// is byte-identical to the capture process's report at any worker count.
+// Replay drives an Analyzer from a recorded umi-profile stream (v1 or
+// v2) instead of a live guest: the receiving half of
+// capture-once/analyze-many. Each recorded invocation runs the invocation
+// body the System's analysis paths run (Analyzer.invoke), with the
+// recorded hand-off cycle stamp and profiles in recorded order, inline
+// (AnalyzerWorkers < 2) or on the pipeline's sequencer, so a report
+// assembled from a replay is byte-identical to the capture process's
+// report at any worker count.
 //
-// A Replay outlives a single stream: feeding it several shards in
-// sequence continues the analysis (the logical cache, delinquent set, and
-// history carry across shards exactly as they carry across invocations),
-// which is the daemon's multi-shard ingest merge.
+// A Replay outlives a single stream. Feeding it several shards in
+// sequence continues the analysis: the logical cache, delinquent set and
+// strides carry across shards exactly as they carry across invocations.
+// It also merges what each cleanly consumed shard carried besides
+// analyzer input: trailer counts sum, PC sets union, and the streamed
+// histories concatenate and compact to the capture cap. That is the
+// daemon's multi-shard ingest merge.
 type Replay struct {
 	cfg  Config
 	an   *Analyzer
@@ -42,17 +46,29 @@ type Replay struct {
 	profiledPCs map[uint64]bool
 	profiles    int
 
+	// Run accounting merged from the trailers of cleanly consumed shards:
+	// sum holds the summed counts (no PC sets, no manifest). A shard that
+	// fails mid-stream merges none of this, so a resumed upload counts
+	// its trailer and history once.
+	sum          wire.Trailer
+	candidatePCs map[uint64]bool
+	tracePCs     map[uint64]bool
+
+	// The capture side's streamed phase history, merged. Streamed rather
+	// than recomputed: capture-side consumers feed fields (WSLines) a
+	// replay cannot rebuild. histCap stays 0 until a shard carries a
+	// history section.
+	windows    []WindowSummary
+	histTotal  uint64
+	histPhases uint64
+	histCap    int
+
 	// Last safe resume point: the decoder's frame count and rolling
 	// checksum immediately after the most recently applied invocation.
 	// Safe points land only on invocation boundaries — resuming anywhere
 	// else would split an invocation's profile group across uploads.
 	safeFrames uint64
 	safeChk    uint64
-
-	// Reusable per-invocation staging (profile pointers hand ownership to
-	// the analyzer; only the slice headers are recycled).
-	profs  []*AddressProfile
-	alphas []float64
 }
 
 // NewReplay builds a replayer for a stream-derived config
@@ -61,23 +77,22 @@ type Replay struct {
 // System would use.
 func NewReplay(cfg Config) *Replay {
 	r := &Replay{
-		cfg:         cfg,
-		met:         newMetrics(),
-		profiledPCs: make(map[uint64]bool),
+		cfg:          cfg,
+		met:          newMetrics(),
+		profiledPCs:  make(map[uint64]bool),
+		candidatePCs: make(map[uint64]bool),
+		tracePCs:     make(map[uint64]bool),
 	}
 	r.an = NewAnalyzer(&r.cfg)
 	r.an.met = r.met
-	if cfg.HistoryWindows >= 0 {
-		r.an.hist = newHistory(cfg.HistoryWindows, cfg.PhaseMissDelta, cfg.PhaseChurnDelta)
-	}
 	if cfg.AnalyzerWorkers >= 2 {
-		r.pool = newAnalyzerPool(r.an, nil, r.met, nil)
+		r.pool = newAnalyzerPool(r.an, nil)
 	}
 	return r
 }
 
-// invocation applies one recorded invocation: the exact sequence either
-// in-process path runs, minus the guest.
+// invocation applies one recorded invocation through the invocation body,
+// handing over the ownership of profs and alphas.
 func (r *Replay) invocation(cycles uint64, profs []*AddressProfile, alphas []float64) {
 	for _, p := range profs {
 		for _, pc := range p.Ops {
@@ -85,40 +100,25 @@ func (r *Replay) invocation(cycles uint64, profs []*AddressProfile, alphas []flo
 		}
 	}
 	r.profiles += len(profs)
-	if r.pool != nil {
-		cost := r.cfg.AnalyzerFixed
-		for _, p := range profs {
-			cost += r.cfg.AnalyzerPerRef * uint64(p.Recorded())
-		}
-		// profs and alphas are r's reused staging slices; the sequencer
-		// gets copies it owns.
-		r.pool.submit(cycles, cost, append([]*AddressProfile(nil), profs...), append([]float64(nil), alphas...))
+	inv := newInvocation(&r.cfg, cycles, profs, alphas)
+	if r.pool == nil {
+		r.an.invoke(inv, nil)
 		return
 	}
-	r.an.BeginInvocation(cycles)
-	for i, p := range profs {
-		r.an.AnalyzeProfile(p, alphas[i])
-	}
-	r.an.captureWindow(cycles, nil)
-}
-
-// ReplayShard is what one consumed stream carried besides analyzer input:
-// the capture side's streamed phase history (as recorded there — it may
-// include working-set lines a replay could not recompute) and the run
-// trailer. Trailer counts sum and PC sets union across shards; the
-// introspect layer owns that accounting.
-type ReplayShard struct {
-	History HistoryView
-	Trailer wire.Trailer
+	r.pool.submit(inv)
 }
 
 // Consume replays one stream (after its header has been read and
-// validated by the caller) into the analyzer. On a decode error the
-// analyzer keeps whatever invocations were applied before the bad frame —
-// the caller decides whether a partially-applied shard poisons the
-// session (Progress reports how far the applied prefix reached). The
-// replayer stays usable for further shards after a clean consume.
-func (r *Replay) Consume(dec *wire.Decoder) (*ReplayShard, error) {
+// validated by the caller) into the analyzer and, once the stream ends
+// cleanly, merges its trailer and history; it returns the shard's
+// manifest (zero for a v1 stream). On a decode error the analyzer keeps
+// whatever invocations were applied before the bad frame and nothing is
+// merged — the caller decides whether a partially-applied shard poisons
+// the session (Progress reports how far the applied prefix reached). A
+// history section whose cap disagrees with the one the header's
+// HistoryWindows implies is malformed. The replayer stays usable for
+// further shards after a clean consume.
+func (r *Replay) Consume(dec *wire.Decoder) (wire.Manifest, error) {
 	return r.consume(dec, 0, 0)
 }
 
@@ -138,15 +138,17 @@ func (r *Replay) Progress() (frames, checksum uint64) {
 // A mismatched checksum, a resume point inside an invocation's profile
 // group, or a stream shorter than the resume point is an error with
 // nothing applied.
-func (r *Replay) ConsumeResume(dec *wire.Decoder, skipFrames, checksum uint64) (*ReplayShard, error) {
+func (r *Replay) ConsumeResume(dec *wire.Decoder, skipFrames, checksum uint64) (wire.Manifest, error) {
 	return r.consume(dec, skipFrames, checksum)
 }
 
-func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (*ReplayShard, error) {
-	shard := &ReplayShard{}
+func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (wire.Manifest, error) {
+	var tr wire.Trailer
 	var meta *wire.HistoryMeta
 	var windows []WindowSummary
 	var pendCycles uint64
+	var profs []*AddressProfile
+	var alphas []float64
 	pendLeft := -1
 	// Progress is per-stream: until this stream applies an invocation (or
 	// clears its skip prefix), there is no safe point to resume it from.
@@ -154,11 +156,11 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (*ReplayShard,
 	skipping := skip > 0
 	if skipping {
 		if dec.Frames() > skip {
-			return nil, fmt.Errorf("umi: resume: decoder already past frame %d: %w", skip, ErrResume)
+			return wire.Manifest{}, fmt.Errorf("umi: resume: decoder already past frame %d: %w", skip, ErrResume)
 		}
 		if dec.Frames() == skip {
 			if dec.Checksum() != skipSum {
-				return nil, fmt.Errorf("umi: resume: checksum %#016x at frame %d, session recorded %#016x: %w",
+				return wire.Manifest{}, fmt.Errorf("umi: resume: checksum %#016x at frame %d, session recorded %#016x: %w",
 					dec.Checksum(), skip, skipSum, ErrResume)
 			}
 			skipping = false
@@ -170,12 +172,12 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (*ReplayShard,
 		rec, err := dec.Next()
 		if err == io.EOF {
 			if skipping {
-				return nil, fmt.Errorf("umi: resume: point at frame %d past stream end: %w", skip, ErrResume)
+				return wire.Manifest{}, fmt.Errorf("umi: resume: point at frame %d past stream end: %w", skip, ErrResume)
 			}
 			break
 		}
 		if err != nil {
-			return nil, err
+			return wire.Manifest{}, err
 		}
 		if skipping {
 			// Decode-only replay of the already-applied prefix. Safe
@@ -187,15 +189,15 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (*ReplayShard,
 			case *wire.Profile:
 				pendLeft--
 			default:
-				return nil, fmt.Errorf("umi: resume: %T frame before resume point %d: %w", rec, skip, ErrResume)
+				return wire.Manifest{}, fmt.Errorf("umi: resume: %T frame before resume point %d: %w", rec, skip, ErrResume)
 			}
 			if dec.Frames() == skip {
 				if dec.Checksum() != skipSum {
-					return nil, fmt.Errorf("umi: resume: checksum %#016x at frame %d, session recorded %#016x: %w",
+					return wire.Manifest{}, fmt.Errorf("umi: resume: checksum %#016x at frame %d, session recorded %#016x: %w",
 						dec.Checksum(), skip, skipSum, ErrResume)
 				}
 				if pendLeft > 0 {
-					return nil, fmt.Errorf("umi: resume: point at frame %d splits an invocation: %w", skip, ErrResume)
+					return wire.Manifest{}, fmt.Errorf("umi: resume: point at frame %d splits an invocation: %w", skip, ErrResume)
 				}
 				skipping = false
 				r.safeFrames, r.safeChk = skip, skipSum
@@ -206,8 +208,7 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (*ReplayShard,
 		case *wire.Invocation:
 			pendCycles = t.Cycles
 			pendLeft = t.Profiles
-			r.profs = r.profs[:0]
-			r.alphas = r.alphas[:0]
+			profs, alphas = nil, nil
 			if pendLeft == 0 {
 				r.invocation(pendCycles, nil, nil)
 				r.safeFrames, r.safeChk = dec.Frames(), dec.Checksum()
@@ -215,67 +216,93 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (*ReplayShard,
 		case *wire.Profile:
 			// The decoder's grammar guarantees profiles only follow an
 			// invocation that still expects them.
-			r.profs = append(r.profs, profileFromWire(t))
-			r.alphas = append(r.alphas, t.Alpha)
+			profs = append(profs, profileFromWire(t))
+			alphas = append(alphas, t.Alpha)
 			pendLeft--
 			if pendLeft == 0 {
-				r.invocation(pendCycles, r.profs, r.alphas)
+				r.invocation(pendCycles, profs, alphas)
 				r.safeFrames, r.safeChk = dec.Frames(), dec.Checksum()
 			}
 		case *wire.HistoryMeta:
+			if want := historyCap(r.cfg.HistoryWindows); t.Cap != want {
+				return wire.Manifest{}, fmt.Errorf("wire: history meta cap %d, header's history windows imply %d", t.Cap, want)
+			}
 			meta = t
 		case *wire.Window:
 			windows = append(windows, windowFromWire(t))
 		case *wire.Trailer:
-			shard.Trailer = *t
+			tr = *t
 		}
 		if r.OnFrame != nil {
 			r.OnFrame(time.Since(start))
 		}
 	}
-	hv := HistoryView{Schema: historySchema, Windows: []WindowSummary{}}
 	if meta != nil {
 		if meta.Total < uint64(len(windows)) {
-			return nil, fmt.Errorf("wire: history meta total %d < %d framed windows", meta.Total, len(windows))
+			return wire.Manifest{}, fmt.Errorf("wire: history meta total %d < %d framed windows", meta.Total, len(windows))
 		}
-		hv.Total = meta.Total
-		hv.Dropped = meta.Total - uint64(len(windows))
-		hv.Cap = meta.Cap
-		hv.PhaseChanges = meta.PhaseChanges
-		if len(windows) > 0 {
-			hv.Windows = windows
+		r.histTotal += meta.Total
+		r.histPhases += meta.PhaseChanges
+		r.histCap = meta.Cap
+		r.windows = append(r.windows, windows...)
+		if n := len(r.windows); r.histCap > 0 && n > r.histCap {
+			r.windows = append(r.windows[:0], r.windows[n-r.histCap:]...)
 		}
 	}
-	shard.History = hv
-	return shard, nil
+	r.sum.InstrumentEvents += tr.InstrumentEvents
+	r.sum.GuestCycles += tr.GuestCycles
+	r.sum.TotalCycles += tr.TotalCycles
+	r.sum.Instrs += tr.Instrs
+	r.sum.HWAccesses += tr.HWAccesses
+	r.sum.HWMisses += tr.HWMisses
+	r.sum.HWEvictions += tr.HWEvictions
+	for _, pc := range tr.CandidatePCs {
+		r.candidatePCs[pc] = true
+	}
+	for _, pc := range tr.TracePCs {
+		r.tracePCs[pc] = true
+	}
+	return tr.Shard, nil
 }
 
 // Sync blocks until every invocation consumed so far has been analyzed;
 // the pipeline (if any) stays up for further shards. Analyzer-derived
-// state (Report, History) is consistent after a Sync until the next
-// Consume.
-func (r *Replay) Sync() {
-	if r.pool != nil {
-		r.pool.drain()
-	}
-}
+// state (Report) is consistent after a Sync until the next Consume.
+func (r *Replay) Sync() { r.pool.drain() }
 
 // Close drains the pipeline and stops its sequencer, if any. Further
 // Consume calls fall back to inline analysis — reports are identical
 // either way.
 func (r *Replay) Close() {
-	if r.pool != nil {
-		r.pool.close()
-		r.pool = nil
-	}
+	r.pool.close()
+	r.pool = nil
 }
 
-// History returns the replay-side recomputed phase history (windows the
-// replayed invocations re-captured — not the streamed capture-side
-// history, which ReplayShard carries).
+// History returns the capture side's streamed phase history, merged
+// across the cleanly consumed shards: totals summed, windows concatenated
+// and compacted to the capture cap. For a single shard it is the capture
+// process's own history.
 func (r *Replay) History() HistoryView {
-	r.Sync()
-	return r.an.hist.View()
+	hv := (*History)(nil).View()
+	hv.Total = r.histTotal
+	hv.Dropped = r.histTotal - uint64(len(r.windows))
+	hv.Cap = r.histCap
+	hv.PhaseChanges = r.histPhases
+	if len(r.windows) > 0 {
+		// A copy: a later shard's compaction rewrites r.windows in place.
+		hv.Windows = append([]WindowSummary(nil), r.windows...)
+	}
+	return hv
+}
+
+// Trailer returns the run accounting merged from the cleanly consumed
+// shards' trailers: counts summed and PC sets unioned (sorted ascending).
+// Its Shard manifest is zero.
+func (r *Replay) Trailer() wire.Trailer {
+	t := r.sum
+	t.CandidatePCs = sortedPCs(r.candidatePCs)
+	t.TracePCs = sortedPCs(r.tracePCs)
+	return t
 }
 
 // Metrics exposes the replayer's self-observability registry (pipeline
@@ -283,9 +310,9 @@ func (r *Replay) History() HistoryView {
 func (r *Replay) Metrics() *Metrics { return r.met }
 
 // Report assembles the run report: analyzer state recomputed by the
-// replay, plus the accounting only the capture process knew, carried in
-// (and, across shards, merged from) the stream trailers.
-func (r *Replay) Report(tracesSeen, candidateOps int, instrumentEvents uint64) *Report {
+// replay, plus the accounting only the capture process knew, merged from
+// the stream trailers.
+func (r *Replay) Report() *Report {
 	r.Sync()
 	return &Report{
 		Delinquent:          r.an.Delinquent(),
@@ -293,11 +320,11 @@ func (r *Replay) Report(tracesSeen, candidateOps int, instrumentEvents uint64) *
 		OpStats:             r.an.OpStats(),
 		SimMissRatio:        r.an.MissRatio(),
 		ProfiledOps:         len(r.profiledPCs),
-		CandidateOps:        candidateOps,
+		CandidateOps:        len(r.candidatePCs),
 		ProfilesCollected:   r.profiles,
 		AnalyzerInvocations: r.an.Invocations,
-		InstrumentEvents:    int(instrumentEvents),
-		TracesSeen:          tracesSeen,
+		InstrumentEvents:    int(r.sum.InstrumentEvents),
+		TracesSeen:          len(r.tracePCs),
 		SimulatedRefs:       r.an.SimulatedRefs,
 		Flushes:             r.an.Flushes,
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"umi/internal/cache"
@@ -31,14 +33,7 @@ func emitUMI(t *testing.T, p *program.Program, cfg Config) (*System, *rio.Runtim
 		t.Fatalf("Run: %v", err)
 	}
 	s.Finish()
-	s.EmitWireTail(enc, wire.Trailer{
-		GuestCycles: rt.M.Cycles,
-		TotalCycles: rt.TotalCycles(),
-		Instrs:      m.Instrs,
-		HWAccesses:  h.L2Stats.Accesses,
-		HWMisses:    h.L2Stats.Misses,
-		HWEvictions: h.L2.Stats().Evictions,
-	})
+	s.EmitWireTail(enc, h)
 	if err := enc.Flush(); err != nil {
 		t.Fatalf("encoder flush: %v", err)
 	}
@@ -56,9 +51,8 @@ func reportKey(r *Report) string {
 }
 
 // replayStream decodes one recorded stream into a fresh Replay at the
-// given worker count and returns the replayed report, the replayer, and
-// the shard.
-func replayStream(t *testing.T, stream []byte, workers int) (*Report, *Replay, *ReplayShard) {
+// given worker count and returns the replayed report and the replayer.
+func replayStream(t *testing.T, stream []byte, workers int) (*Report, *Replay) {
 	t.Helper()
 	dec := wire.NewDecoder(bytes.NewReader(stream))
 	h, err := dec.Header()
@@ -72,21 +66,19 @@ func replayStream(t *testing.T, stream []byte, workers int) (*Report, *Replay, *
 	cfg.AnalyzerWorkers = workers
 	r := NewReplay(cfg)
 	defer r.Close()
-	shard, err := r.Consume(dec)
-	if err != nil {
+	if _, err := r.Consume(dec); err != nil {
 		t.Fatalf("Consume: %v", err)
 	}
-	tr := shard.Trailer
-	rep := r.Report(len(tr.TracePCs), len(tr.CandidatePCs), tr.InstrumentEvents)
-	return rep, r, shard
+	return r.Report(), r
 }
 
 // TestReplayMatchesInline is the wire format's load-bearing contract: a
 // recorded stream replayed through umi.Replay reproduces the capture
 // process's report — every analyzer-derived quantity, the full delinquent
-// set, stride table, and op stats — and the recomputed phase history
-// equals the live one. Checked at several replay worker counts, since the
-// replayed pipeline must preserve the same determinism the live one does.
+// set, stride table, and op stats — and the streamed phase history it
+// serves equals the live one. Checked at several replay worker counts,
+// since the replayed pipeline must preserve the same determinism the live
+// one does.
 func TestReplayMatchesInline(t *testing.T) {
 	prog := strideWorkload(t, 600_000)
 	sys, _, stream := emitUMI(t, prog, testConfig())
@@ -96,7 +88,7 @@ func TestReplayMatchesInline(t *testing.T) {
 
 	for _, workers := range []int{0, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rep, r, shard := replayStream(t, stream, workers)
+			rep, r := replayStream(t, stream, workers)
 			if got := reportKey(rep); got != liveKey {
 				t.Errorf("replayed report key diverges:\n live   %s\n replay %s", liveKey, got)
 			}
@@ -109,17 +101,13 @@ func TestReplayMatchesInline(t *testing.T) {
 			if !reflect.DeepEqual(rep.OpStats, live.OpStats) {
 				t.Errorf("op stats differ")
 			}
-			// The replay re-captures windows from the same invocations, so
-			// its recomputed history matches the live one; the shard also
-			// carries the capture side's streamed history verbatim.
+			// The replay serves the capture side's streamed history
+			// verbatim.
 			if got := r.History(); !reflect.DeepEqual(got, liveHist) {
-				t.Errorf("recomputed history diverges:\n live   %+v\n replay %+v", liveHist, got)
-			}
-			if !reflect.DeepEqual(shard.History, liveHist) {
-				t.Errorf("streamed history diverges:\n live   %+v\n stream %+v", liveHist, shard.History)
+				t.Errorf("streamed history diverges:\n live   %+v\n replay %+v", liveHist, got)
 			}
 			// Hardware-model scalars survive via raw trailer counts.
-			if shard.Trailer.HWAccesses == 0 {
+			if r.Trailer().HWAccesses == 0 {
 				t.Error("trailer carried no hardware accesses")
 			}
 		})
@@ -160,7 +148,9 @@ func TestReplayEmitWorkerInvariance(t *testing.T) {
 
 // TestReplayShardMerge feeds the same stream twice into one Replay: the
 // analysis must carry across shards exactly as it carries across
-// invocations (twice the invocations and refs, one logical run).
+// invocations (twice the invocations and refs, one logical run), and the
+// Replay merges the shards' accounting itself: trailer counts sum, PC
+// sets union, streamed histories concatenate within the capture cap.
 func TestReplayShardMerge(t *testing.T) {
 	prog := strideWorkload(t, 300_000)
 	sys, _, stream := emitUMI(t, prog, testConfig())
@@ -186,7 +176,20 @@ func TestReplayShardMerge(t *testing.T) {
 	if _, err := r.Consume(dec2); err != nil {
 		t.Fatalf("second shard: %v", err)
 	}
-	rep := r.Report(live.TracesSeen, live.CandidateOps, uint64(2*live.InstrumentEvents))
+	rep := r.Report()
+	if rep.TracesSeen != live.TracesSeen || rep.CandidateOps != live.CandidateOps {
+		t.Errorf("traces/candidates = %d/%d, want the union %d/%d",
+			rep.TracesSeen, rep.CandidateOps, live.TracesSeen, live.CandidateOps)
+	}
+	if rep.InstrumentEvents != 2*live.InstrumentEvents {
+		t.Errorf("instrument events = %d, want %d", rep.InstrumentEvents, 2*live.InstrumentEvents)
+	}
+	liveHist, hist := sys.History(), r.History()
+	if hist.Total != 2*liveHist.Total || hist.Cap != liveHist.Cap ||
+		len(hist.Windows) != min(2*len(liveHist.Windows), hist.Cap) {
+		t.Errorf("merged history total/cap/windows = %d/%d/%d from a shard's %d/%d/%d",
+			hist.Total, hist.Cap, len(hist.Windows), liveHist.Total, liveHist.Cap, len(liveHist.Windows))
+	}
 	if rep.AnalyzerInvocations != 2*live.AnalyzerInvocations {
 		t.Errorf("invocations = %d, want %d", rep.AnalyzerInvocations, 2*live.AnalyzerInvocations)
 	}
@@ -221,13 +224,13 @@ func TestReplayConsumeDecodeError(t *testing.T) {
 
 // TestReplayResumeMatchesWhole: a replay cut off mid-stream keeps what it
 // applied, and resuming it from Progress on the re-sent stream reproduces
-// the uninterrupted replay's report — inline and through the sequencer,
-// which must own its copies of the replay's reused staging slices. A
-// wrong checksum is refused with nothing applied.
+// the uninterrupted replay's report and history — its trailer and
+// history merged once — inline and through the sequencer. A wrong
+// checksum is refused with nothing applied.
 func TestReplayResumeMatchesWhole(t *testing.T) {
 	_, _, stream := emitUMI(t, strideWorkload(t, 600_000), testConfig())
 	for _, workers := range []int{0, 2} {
-		whole, _, _ := replayStream(t, stream, workers)
+		whole, wholeReplay := replayStream(t, stream, workers)
 		dec := wire.NewDecoder(bytes.NewReader(stream[:len(stream)/2]))
 		h, err := dec.Header()
 		if err != nil {
@@ -262,18 +265,78 @@ func TestReplayResumeMatchesWhole(t *testing.T) {
 		if got := r.Metrics().Snapshot().Counter("umi.analyzer.refs"); got != refs {
 			t.Errorf("workers=%d: a refused resume replayed %d refs", workers, got-refs)
 		}
-		shard, err := r.ConsumeResume(resend(), frames, chk)
-		if err != nil {
+		if _, err := r.ConsumeResume(resend(), frames, chk); err != nil {
 			t.Fatalf("workers=%d: ConsumeResume: %v", workers, err)
 		}
-		tr := shard.Trailer
-		got := r.Report(len(tr.TracePCs), len(tr.CandidatePCs), tr.InstrumentEvents)
+		got := r.Report()
+		if !reflect.DeepEqual(r.History(), wholeReplay.History()) {
+			t.Errorf("workers=%d: resumed history differs from the whole replay's", workers)
+		}
 		r.Close()
 		if reportKey(got) != reportKey(whole) || !reflect.DeepEqual(got.Strides, whole.Strides) ||
 			!reflect.DeepEqual(got.OpStats, whole.OpStats) {
 			t.Errorf("workers=%d: resumed replay differs from the whole one:\n got  %s\n want %s",
 				workers, reportKey(got), reportKey(whole))
 		}
+	}
+}
+
+// TestReplayRejectsHistoryCapMismatch: a history section whose cap
+// disagrees with the cap the header's HistoryWindows implies is a
+// malformed stream — a decode error, with nothing of the shard's trailer
+// or history merged.
+func TestReplayRejectsHistoryCapMismatch(t *testing.T) {
+	_, _, stream := emitUMI(t, strideWorkload(t, 300_000), testConfig())
+	dec := wire.NewDecoder(bytes.NewReader(stream))
+	h, err := dec.Header()
+	if err != nil {
+		t.Fatalf("decode header: %v", err)
+	}
+	// Re-encode the recording under a header declaring a different ring
+	// depth; its history section still records the capture's cap.
+	h.HistoryWindows = 32
+	var buf bytes.Buffer
+	enc := wire.NewEncoder(&buf)
+	enc.Header(h)
+	for {
+		rec, err := dec.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		switch rec := rec.(type) {
+		case *wire.Invocation:
+			enc.Invocation(rec.Cycles, rec.Profiles)
+		case *wire.Profile:
+			enc.Profile(*rec)
+		case *wire.HistoryMeta:
+			enc.History(*rec)
+		case *wire.Window:
+			enc.Window(*rec)
+		case *wire.Trailer:
+			enc.Trailer(*rec)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatalf("encoder flush: %v", err)
+	}
+	cfg, err := ConfigFromWireHeader(h)
+	if err != nil {
+		t.Fatalf("ConfigFromWireHeader: %v", err)
+	}
+	r := NewReplay(cfg)
+	d := wire.NewDecoder(bytes.NewReader(buf.Bytes()))
+	if _, err := d.Header(); err != nil {
+		t.Fatalf("decode header: %v", err)
+	}
+	if _, err := r.Consume(d); err == nil || !strings.Contains(err.Error(), "history meta cap 64") {
+		t.Fatalf("Consume: %v, want a history cap mismatch", err)
+	}
+	if tr, hv := r.Trailer(), r.History(); tr.InstrumentEvents != 0 || len(tr.TracePCs) != 0 || hv.Total != 0 {
+		t.Errorf("a malformed shard merged its trailer (%d events, %d traces) or history (%d windows)",
+			tr.InstrumentEvents, len(tr.TracePCs), hv.Total)
 	}
 }
 

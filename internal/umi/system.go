@@ -68,8 +68,12 @@ type System struct {
 	// and no synchronous hook needs analysis results at deinstrument
 	// time. poolClosed latches after Finish so late invocations fall
 	// back to the inline path instead of touching a stopped pipeline.
+	// recycle holds the analyzed buffers the sequencer hands back, for
+	// the next instrumentation to reuse; it starts with the pipeline, and
+	// the inline path, which resets each profile in place, never fills it.
 	pool       *analyzerPool
 	poolClosed bool
+	recycle    chan *AddressProfile
 
 	// statistics
 	profilesCollected int
@@ -157,9 +161,7 @@ func (s *System) EventLog() *tracelog.Log { return s.tlog }
 // analysis pipeline first so every invocation handed off so far is
 // reflected — the end-of-run (or checkpoint) view.
 func (s *System) History() HistoryView {
-	if s.pool != nil {
-		s.pool.drain()
-	}
+	s.pool.drain()
 	return s.an.hist.View()
 }
 
@@ -173,9 +175,7 @@ func (s *System) LiveHistory() HistoryView { return s.an.hist.View() }
 // the asynchronous pipeline is running, the call synchronizes with it
 // first, so the returned state reflects every profile handed off so far.
 func (s *System) Analyzer() *Analyzer {
-	if s.pool != nil {
-		s.pool.drain()
-	}
+	s.pool.drain()
 	return s.an
 }
 
@@ -188,7 +188,7 @@ func (s *System) onTrace(f *rio.Fragment) {
 	s.met.TracesSeen.Inc()
 	// Record candidate operations for Table 3 accounting even if the
 	// trace is never instrumented.
-	_, _, _ = s.noteCandidates(f)
+	s.noteCandidates(f)
 	// Filter accounting (§4.1): what the instrumentor would keep vs. drop
 	// for this trace, counted once at trace creation so the rate is
 	// per-operation, not weighted by reinstrumentation count.
@@ -200,15 +200,12 @@ func (s *System) onTrace(f *rio.Fragment) {
 	}
 }
 
-func (s *System) noteCandidates(f *rio.Fragment) (loads, stores, total int) {
+func (s *System) noteCandidates(f *rio.Fragment) {
 	for i := range f.Instrs {
-		op := f.Instrs[i].Op
-		if op.IsLoad() || op.IsStore() {
+		if op := f.Instrs[i].Op; op.IsLoad() || op.IsStore() {
 			s.candidatePCs[f.PCs[i]] = true
-			total++
 		}
 	}
-	return 0, 0, total
 }
 
 // onSample is the region selector's sampling hook: it reinforces hot
@@ -263,17 +260,17 @@ func (s *System) instrument(ts *traceState) {
 	case ts.profile == nil:
 		// No buffer attached: either the trace was never instrumented, or
 		// its last profile is still in (or went through) the pipeline.
-		// Prefer a recycled buffer over a fresh allocation.
-		if s.pool != nil {
-			ts.profile = s.pool.takeRecycled(ops, isLoad, capRows)
-		}
-		if ts.profile == nil {
-			ts.profile = NewAddressProfile(ops, isLoad, capRows)
-			s.met.RecycleMisses.Inc()
-		} else {
+		// Prefer a recycled buffer over a fresh allocation; an empty (or,
+		// inline, nil) recycle queue just means allocating.
+		select {
+		case ts.profile = <-s.recycle:
+			ts.profile.Reinit(ops, isLoad, capRows)
 			s.met.RecycleHits.Inc()
 			s.emit(tracelog.Event{Type: tracelog.EvPipelineRecycle,
 				TracePC: ts.clean.Start, Arg1: uint64(capRows)})
+		default:
+			ts.profile = NewAddressProfile(ops, isLoad, capRows)
+			s.met.RecycleMisses.Inc()
 		}
 	case len(ts.profile.Ops) != len(ops) || ts.profile.rowCap != capRows:
 		ts.profile.Reinit(ops, isLoad, capRows)
@@ -395,35 +392,81 @@ func (s *System) liveTraces() []*traceState {
 // appeared after the pool already ran, the inline path first synchronizes
 // with the pipeline so it never touches analyzer state concurrently.
 func (s *System) asyncActive() bool {
-	if s.cfg.AnalyzerWorkers < 2 || s.OnAnalyzed != nil || s.cfg.AdaptiveFrequency || s.cfg.AdaptSampling || s.poolClosed {
-		if s.pool != nil {
-			s.pool.drain()
-		}
+	if s.cfg.AnalyzerWorkers < 2 {
+		return false
+	}
+	if s.OnAnalyzed != nil || s.cfg.AdaptiveFrequency || s.cfg.AdaptSampling || s.poolClosed {
+		// A pipeline was requested but this invocation cannot use it: the
+		// guest pays the stall the sequencer was meant to hide.
+		s.pool.drain()
+		s.met.SyncFallbacks.Inc()
 		return false
 	}
 	if s.pool == nil {
-		s.pool = newAnalyzerPool(s.an, s.consumers, s.met, s.tlog)
+		s.pool = newAnalyzerPool(s.an, s.consumers)
+		s.recycle = make(chan *AddressProfile, recycleDepth)
 	}
 	return true
 }
 
-// runAnalyzer performs one profile-analyzer invocation: it mini-simulates
-// every live profile (inline, or via the pipeline hand-off), labels
-// delinquent loads, swaps every analyzed trace back to its clean clone,
-// and charges the modelled analysis cost. The invocation is stamped with
-// the synced guest clock, which no guest instruction moves until it
-// returns.
+// runAnalyzer performs one profile-analyzer invocation: it hands every
+// live profile to the invocation body (inline, or through the pipeline),
+// swaps every analyzed trace back to its clean clone, and charges the
+// modelled analysis cost at hand-off. The invocation is stamped with the
+// synced guest clock, which no guest instruction moves until it returns.
 func (s *System) runAnalyzer(trigger *traceState) {
 	now := s.now()
 	live := s.liveTraces()
 	s.emitInvocation(now, live)
 	s.tlog.Emit(tracelog.Event{Type: tracelog.EvAnalyzerBegin,
 		Cycles: now, Arg1: uint64(len(live))})
-	if s.asyncActive() {
-		s.submitAnalysis(now, live)
-	} else {
-		s.analyzeInline(now, live)
+	profs := make([]*AddressProfile, len(live))
+	alphas := make([]float64, len(live))
+	for i, ts := range live {
+		profs[i], alphas[i] = ts.profile, ts.alpha
 	}
+	inv := newInvocation(&s.cfg, now, profs, alphas)
+	s.profilesCollected += len(live)
+	s.met.ProfilesCollected.Add(uint64(len(live)))
+	s.met.AnalyzeCycles.Add(inv.cost)
+	if s.asyncActive() {
+		// The profiles go to the sequencer and every trace swaps back to
+		// clean code now; each trace's next instrumentation records into
+		// a recycled or fresh buffer while the guest runs on.
+		inv.settle = func(i int) {
+			select {
+			case s.recycle <- profs[i]:
+			default: // recycling is best-effort; let the GC have it
+			}
+			s.met.RecycleQueue.Set(int64(len(s.recycle)))
+		}
+		for _, ts := range live {
+			ts.profile = nil
+			s.deinstrument(ts)
+		}
+		backlog := s.pool.submit(inv)
+		s.tlog.Emit(tracelog.Event{Type: tracelog.EvPipelineSubmit,
+			Cycles: now, Arg1: uint64(len(live)), Arg2: uint64(backlog)})
+	} else {
+		// The guest stalls for the analysis, as in the paper. Each trace
+		// settles right after its profile's analysis, because OnAnalyzed
+		// and AdaptiveFrequency read the analyzer then.
+		inv.settle = func(i int) {
+			ts := live[i]
+			if s.cfg.AdaptiveFrequency {
+				s.tuneFrequency(ts)
+			}
+			ts.profile.Reset()
+			s.deinstrument(ts)
+		}
+		s.an.invoke(inv, s.consumers)
+		if s.cfg.AdaptSampling {
+			// AdaptSampling forces the inline path, so the window just
+			// captured is settled here and adaptation steps from it.
+			s.adaptFromWindow()
+		}
+	}
+	s.rt.AddOverhead(inv.cost)
 	if s.cfg.Adaptive {
 		trigger.alpha = s.cfg.clampAlpha(trigger.alpha - s.cfg.DelinquencyStep)
 		s.met.AdaptiveAlphaSteps.Inc()
@@ -433,79 +476,6 @@ func (s *System) runAnalyzer(trigger *traceState) {
 	}
 	s.globalRows = 0
 	s.syncGuestMirrors()
-}
-
-// analyzeInline is the synchronous path: the guest thread runs the full
-// mini-simulation before continuing, as in the paper.
-func (s *System) analyzeInline(startCycles uint64, live []*traceState) {
-	if s.cfg.AnalyzerWorkers >= 2 {
-		// A pipeline was requested but this invocation could not use it
-		// (synchronous hook, or post-Finish): the guest is paying the
-		// stall the sequencer was meant to hide.
-		s.met.SyncFallbacks.Inc()
-	}
-	start := time.Now()
-	refs0, miss0 := s.an.SimulatedRefs, s.an.totalMiss
-	cost := s.cfg.AnalyzerFixed
-	s.an.BeginInvocation(startCycles)
-	for _, ts := range live {
-		cost += s.an.AnalyzeProfile(ts.profile, ts.alpha)
-		for _, c := range s.consumers {
-			c.Consume(ts.profile)
-		}
-		if s.cfg.AdaptiveFrequency {
-			s.tuneFrequency(ts)
-		}
-		s.profilesCollected++
-		s.met.ProfilesCollected.Inc()
-		ts.profile.Reset()
-		s.deinstrument(ts)
-	}
-	// The window summary is captured with the invocation's submit-time
-	// cycle stamp — the same clock the pipeline path stamps at hand-off —
-	// so inline and async histories are byte-identical.
-	s.an.captureWindow(startCycles, s.consumers)
-	if s.cfg.AdaptSampling {
-		// The window just captured is visible here on the guest thread —
-		// AdaptSampling forces the inline path — so the adaptation state
-		// machine steps from fully-settled analysis results.
-		s.adaptFromWindow()
-	}
-	wallNs := uint64(time.Since(start))
-	s.met.AnalysisLatency.Observe(wallNs)
-	s.met.AnalyzeWallNs.Add(wallNs)
-	s.met.AnalyzeCycles.Add(cost)
-	s.tlog.Emit(tracelog.Event{Type: tracelog.EvAnalyzerEnd,
-		Cycles: startCycles, Dur: cost,
-		Arg1: s.an.SimulatedRefs - refs0, Arg2: s.an.totalMiss - miss0,
-		Arg3: uint64(len(s.an.delinquent))})
-	s.rt.AddOverhead(cost)
-}
-
-// submitAnalysis is the pipeline path: profiles are detached from their
-// traces and handed off, the traces swap back to clean code immediately,
-// and the guest continues while the pool analyzes. The modelled analysis
-// cost is charged now, at the point a synchronous run would have paid it,
-// computed from the profile's recorded-cell count — the same reference
-// count the simulation replays — so the guest-visible overhead stream is
-// identical to the inline path's.
-func (s *System) submitAnalysis(cycles uint64, live []*traceState) {
-	cost := s.cfg.AnalyzerFixed
-	profs := make([]*AddressProfile, len(live))
-	alphas := make([]float64, len(live))
-	for i, ts := range live {
-		cost += s.cfg.AnalyzerPerRef * uint64(ts.profile.Recorded())
-		profs[i], alphas[i] = ts.profile, ts.alpha
-		ts.profile = nil
-		s.profilesCollected++
-		s.met.ProfilesCollected.Inc()
-		s.deinstrument(ts)
-	}
-	backlog := s.pool.submit(cycles, cost, profs, alphas)
-	s.tlog.Emit(tracelog.Event{Type: tracelog.EvPipelineSubmit,
-		Cycles: cycles, Arg1: uint64(len(profs)), Arg2: uint64(backlog)})
-	s.met.AnalyzeCycles.Add(cost)
-	s.rt.AddOverhead(cost)
 }
 
 // tuneFrequency adapts a trace's sampling threshold to what its analysis
@@ -562,11 +532,9 @@ func (s *System) Finish() {
 		// The first live trace (fixed order) is the nominal trigger.
 		s.runAnalyzer(live[0])
 	}
-	if s.pool != nil {
-		s.pool.close()
-		s.pool = nil
-		s.poolClosed = true
-	}
+	s.pool.close()
+	s.pool = nil
+	s.poolClosed = true
 	s.syncGuestMirrors()
 }
 
@@ -613,9 +581,7 @@ type Report struct {
 // pipeline first so every handed-off profile is reflected. Call Finish
 // first for complete results.
 func (s *System) Report() *Report {
-	if s.pool != nil {
-		s.pool.drain()
-	}
+	s.pool.drain()
 	return &Report{
 		Delinquent:          s.an.Delinquent(),
 		Strides:             s.an.Strides(),

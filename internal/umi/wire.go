@@ -2,7 +2,7 @@ package umi
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"umi/internal/cache"
@@ -193,11 +193,11 @@ func (s *System) emitInvocation(cycles uint64, live []*traceState) {
 }
 
 // EmitWireTail writes the stream tail after Finish: the framed phase
-// history and the trailer. The caller fills the machine-level trailer
-// fields (cycles, instructions, hardware-model L2 counts); the System
-// adds its own run accounting — the instrument-event count and the
-// candidate/trace PC sets whose cardinalities the report cites.
-func (s *System) EmitWireTail(enc *wire.Encoder, t wire.Trailer) {
+// history and the trailer. The System fills the trailer from its own
+// runtime (guest and total cycles, instructions, the instrument-event
+// count, the candidate and trace PC sets) and from h, the run's hardware
+// model (raw L2 accesses, misses and evictions).
+func (s *System) EmitWireTail(enc *wire.Encoder, h *cache.Hierarchy) {
 	hv := s.History()
 	start := time.Now() // after the pipeline drain: time the writes, not the wait
 	enc.History(wire.HistoryMeta{
@@ -209,36 +209,30 @@ func (s *System) EmitWireTail(enc *wire.Encoder, t wire.Trailer) {
 	for _, w := range hv.Windows {
 		enc.Window(windowToWire(w))
 	}
-	t.InstrumentEvents = uint64(s.instrumentEvents)
-	t.CandidatePCs = sortedPCSet(s.candidatePCs)
-	t.TracePCs = s.TracePCs()
-	enc.Trailer(t)
+	enc.Trailer(wire.Trailer{
+		InstrumentEvents: uint64(s.instrumentEvents),
+		GuestCycles:      s.now(),
+		TotalCycles:      s.rt.TotalCycles(),
+		Instrs:           s.rt.M.Instrs,
+		HWAccesses:       h.L2Stats.Accesses,
+		HWMisses:         h.L2Stats.Misses,
+		HWEvictions:      h.L2.Stats().Evictions,
+		CandidatePCs:     sortedPCs(s.candidatePCs),
+		TracePCs:         sortedPCs(s.traces),
+	})
 	ns := uint64(time.Since(start))
 	s.met.EmitWallNs.Add(ns)
 	s.met.EmitLatency.Observe(ns)
 	s.met.EmitFrames.Inc()
 }
 
-// CandidatePCs returns the unique load/store PCs seen in traces, sorted
-// ascending (Report.CandidateOps is its cardinality).
-func (s *System) CandidatePCs() []uint64 { return sortedPCSet(s.candidatePCs) }
-
-// TracePCs returns the start PCs of every trace seen, sorted ascending
-// (Report.TracesSeen is its cardinality).
-func (s *System) TracePCs() []uint64 {
-	pcs := make([]uint64, 0, len(s.traces))
-	for pc := range s.traces {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	return pcs
-}
-
-func sortedPCSet(set map[uint64]bool) []uint64 {
+// sortedPCs returns a PC-keyed map's keys in ascending order: the wire
+// trailer's canonical PC-set layout.
+func sortedPCs[V any](set map[uint64]V) []uint64 {
 	pcs := make([]uint64, 0, len(set))
 	for pc := range set {
 		pcs = append(pcs, pc)
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	slices.Sort(pcs)
 	return pcs
 }
