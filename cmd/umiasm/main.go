@@ -15,7 +15,7 @@ import (
 	"sort"
 
 	"umi/internal/asm"
-	"umi/internal/cache"
+	"umi/internal/harness"
 	"umi/internal/isa"
 	"umi/internal/program"
 	"umi/internal/rio"
@@ -72,9 +72,9 @@ func dispatch(cmd, arg string) error {
 }
 
 func runNative(p *program.Program) error {
-	h := cache.NewP4(false)
+	h := harness.P4.Hierarchy(false)
 	m := vm.New(p, h)
-	if err := m.Run(200_000_000); err != nil {
+	if err := m.Run(harness.MaxInstrs); err != nil {
 		return err
 	}
 	fmt.Printf("halted after %d instructions, %d cycles\n", m.Instrs, m.Cycles)
@@ -88,15 +88,11 @@ func runNative(p *program.Program) error {
 }
 
 func runUMI(p *program.Program) error {
-	h := cache.NewP4(false)
+	h := harness.P4.Hierarchy(false)
 	m := vm.New(p, h)
 	rt := rio.NewRuntime(m)
-	cfg := umi.DefaultConfig(cache.P4L2)
-	cfg.SamplePeriod = 2000
-	cfg.FrequencyThreshold = 8
-	cfg.ReinstrumentGap = 100_000
-	sys := umi.Attach(rt, cfg)
-	if err := rt.Run(200_000_000); err != nil {
+	sys := umi.Attach(rt, harness.UMIParams(harness.P4))
+	if err := rt.Run(harness.MaxInstrs); err != nil {
 		return err
 	}
 	sys.Finish()

@@ -173,8 +173,7 @@ type Cache struct {
 // installs alike). Plain fields, not atomics — a Cache already requires a
 // single owner; the UMI layer mirrors these into its atomic registry at
 // synchronization points. Flush keeps the counts running (the analyzer's
-// periodic flush is part of one logical run); Reset zeroes them along with
-// everything else.
+// periodic flush is part of one logical run).
 type Stats struct {
 	Accesses  uint64
 	Misses    uint64
@@ -192,7 +191,7 @@ func (c *Cache) Stats() Stats {
 }
 
 // rngSeed is the initial xorshift state for the Random policy; fixed so
-// fresh and Reset caches replay identically.
+// every run replays identically.
 const rngSeed = 0x9E3779B97F4A7C15
 
 // New builds a cache from the config, panicking on invalid geometry
@@ -520,18 +519,6 @@ func (c *Cache) Flush() {
 	c.coldActive = false
 	c.coldLive = 0
 	c.refast()
-}
-
-// Reset restores the cache to its just-constructed state: contents
-// invalidated and the recency clock and policy state rewound. Unlike
-// Flush — which keeps the clock running, as the analyzer's periodic flush
-// wants — Reset makes a reused cache indistinguishable from a fresh one,
-// which is what a harness reusing an analyzer across runs needs.
-func (c *Cache) Reset() {
-	c.Flush() // clears lines, prefetch state, PLRU bits, FIFO pointers
-	c.clock = 0
-	c.rngState = rngSeed
-	c.stats = Stats{}
 }
 
 // Resident counts valid lines (for tests).

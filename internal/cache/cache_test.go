@@ -202,6 +202,27 @@ func TestStrideReissueLateFill(t *testing.T) {
 	}
 }
 
+// firstDivergence drives both caches through the same access sequence and
+// reports the first index where their hit/miss outcomes differ (-1: none).
+func firstDivergence(a, b *Cache, addrs []uint64) int {
+	for i, addr := range addrs {
+		if a.Access(addr).Hit != b.Access(addr).Hit {
+			return i
+		}
+	}
+	return -1
+}
+
+func replaySequence() []uint64 {
+	// A mix of streaming (conflict-heavy) and reused addresses so every
+	// policy exercises victim selection.
+	var addrs []uint64
+	for i := 0; i < 4096; i++ {
+		addrs = append(addrs, uint64(i)*64, uint64(i%37)*64, uint64(i*17)*4096)
+	}
+	return addrs
+}
+
 // TestFlushClearsPLRUState is the regression test for the Flush/PLRU bug: a
 // flushed-then-refilled PLRU cache must evict exactly like one whose sets
 // were never populated. Flush invalidates every line, so the replacement
@@ -449,7 +470,7 @@ func TestMissRatio(t *testing.T) {
 	}
 }
 
-func TestHierarchyFlushAndReset(t *testing.T) {
+func TestHierarchyFlush(t *testing.T) {
 	h := NewP4(true)
 	for addr := uint64(0); addr < 1<<20; addr += 64 {
 		h.Access(addr, 8, false)
@@ -460,10 +481,6 @@ func TestHierarchyFlushAndReset(t *testing.T) {
 	}
 	if h.L2Stats.Accesses == 0 {
 		t.Error("Flush must preserve statistics")
-	}
-	h.ResetStats()
-	if h.L2Stats.Accesses != 0 || h.L1Stats.Accesses != 0 {
-		t.Error("ResetStats must zero statistics")
 	}
 }
 

@@ -4,9 +4,8 @@ import "testing"
 
 // FuzzCacheConfig throws random geometries and access sequences at the
 // cache and checks the structural invariants the rest of the stack leans
-// on: Validate rejects unrealizable shapes before New can panic, Access
-// agrees exactly with the general path, and Reset returns a cache to a
-// state indistinguishable from freshly constructed.
+// on: Validate rejects unrealizable shapes before New can panic, and
+// Access agrees exactly with the general path.
 func FuzzCacheConfig(f *testing.F) {
 	f.Add(uint8(3), uint8(7), uint8(3), uint8(0), []byte{0, 1, 2, 3, 0, 1, 255, 128})
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), []byte{9, 9, 9})
@@ -70,21 +69,6 @@ func FuzzCacheConfig(f *testing.F) {
 		}
 		if slow.Stats() != st {
 			t.Fatalf("stats diverged: general path %+v, Access %+v", slow.Stats(), st)
-		}
-
-		// Reset equivalence: a Reset cache must replay exactly like a fresh
-		// one, statistics included.
-		fresh.Reset()
-		if fresh.Stats() != (Stats{}) {
-			t.Fatalf("Reset left stats %+v", fresh.Stats())
-		}
-		for i, a := range seq {
-			if got := fresh.Access(a); got != want[i] {
-				t.Fatalf("after Reset, access %d = %+v, want %+v", i, got, want[i])
-			}
-		}
-		if fresh.Stats() != st {
-			t.Fatalf("after Reset, stats %+v, want %+v", fresh.Stats(), st)
 		}
 	})
 }

@@ -237,13 +237,6 @@ func (h *Hierarchy) Flush() {
 	}
 }
 
-// ResetStats zeroes the statistics without touching cache contents.
-func (h *Hierarchy) ResetStats() {
-	h.L1Stats = LevelStats{}
-	h.L1IStats = LevelStats{}
-	h.L2Stats = LevelStats{}
-}
-
 func (h *Hierarchy) String() string {
 	return fmt.Sprintf("%s hierarchy\n  L1 %v\n  L2 %v", h.Name, h.L1Stats, h.L2Stats)
 }

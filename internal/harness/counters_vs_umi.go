@@ -6,7 +6,6 @@ import (
 	"umi/internal/counters"
 	"umi/internal/stats"
 	"umi/internal/vm"
-	"umi/internal/workloads"
 )
 
 // CountersVsUMI quantifies §1.2's tradeoff: what delinquent-load quality
@@ -33,21 +32,18 @@ type CvUResult struct {
 }
 
 // CountersVsUMIRun runs the comparison for the named benchmarks (default:
-// mcf, the paper's Table 1 subject).
+// mcf, the paper's Table 1 subject, swim and wupwise).
 func CountersVsUMIRun(benchNames []string) ([]*CvUResult, error) {
-	if benchNames == nil {
-		// One heavy misser (PMU-friendly), one moderate, one light: the
-		// lighter the benchmark, the finer (and costlier) the sampling a
-		// PMU needs before it sees anything at all.
-		benchNames = []string{"181.mcf", "171.swim", "168.wupwise"}
+	// One heavy misser (PMU-friendly), one moderate, one light: the
+	// lighter the benchmark, the finer (and costlier) the sampling a PMU
+	// needs before it sees anything at all.
+	ws, err := selectWorkloads(benchNames, "181.mcf", "171.swim", "168.wupwise")
+	if err != nil {
+		return nil, err
 	}
 	model := counters.DefaultSamplingModel
 	var out []*CvUResult
-	for _, name := range benchNames {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown workload %q", name)
-		}
+	for _, w := range ws {
 		cg, err := RunCachegrind(w, P4)
 		if err != nil {
 			return nil, err
@@ -59,7 +55,7 @@ func CountersVsUMIRun(benchNames []string) ([]*CvUResult, error) {
 		}
 
 		sizes := []uint64{10, 100, 1_000, 10_000, 100_000}
-		res := &CvUResult{Benchmark: name, Rows: make([]CvURow, len(sizes), len(sizes)+1)}
+		res := &CvUResult{Benchmark: w.Name, Rows: make([]CvURow, len(sizes), len(sizes)+1)}
 		err = forEachIndexed(len(sizes), func(i int) error {
 			size := sizes[i]
 			prof := counters.NewSampledProfiler(P4.L2, size)

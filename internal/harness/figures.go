@@ -67,16 +67,19 @@ func Fig2(names []string) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rs, ns, ss []float64
-	for _, row := range res.Rows {
-		rs = append(rs, row.RIO)
-		ns = append(ns, row.UMINoSamp)
-		ss = append(ss, row.UMISampling)
-	}
-	res.GeoRIO = stats.GeoMean(rs)
-	res.GeoNoS = stats.GeoMean(ns)
-	res.GeoSamp = stats.GeoMean(ss)
+	res.GeoRIO = geoMean(res.Rows, func(r Fig2Row) float64 { return r.RIO })
+	res.GeoNoS = geoMean(res.Rows, func(r Fig2Row) float64 { return r.UMINoSamp })
+	res.GeoSamp = geoMean(res.Rows, func(r Fig2Row) float64 { return r.UMISampling })
 	return res, nil
+}
+
+// geoMean is the geometric mean of one column of a figure's rows.
+func geoMean[R any](rows []R, col func(R) float64) float64 {
+	xs := make([]float64, len(rows))
+	for i, r := range rows {
+		xs[i] = col(r)
+	}
+	return stats.GeoMean(xs)
 }
 
 func (r *Fig2Result) String() string {
@@ -123,30 +126,50 @@ type PrefetchResult struct {
 	GeoBoth float64
 }
 
+// measured is what the prefetching figures read from one run.
+type measured struct {
+	cycles   uint64 // modelled running time
+	l2Misses uint64
+}
+
+// prefetchCandidate is a benchmark on which the optimizer found
+// opportunities, with what its runs measured.
+type prefetchCandidate struct {
+	w        *workloads.Workload
+	inserted int      // prefetches the optimizer injected
+	sw       measured // UMI with software prefetching: the scan's own run
+	// Figures 5 and 6 only, on the Pentium 4: native without prefetching
+	// (their baseline), native with hardware prefetching, and UMI with
+	// software and hardware prefetching together.
+	base, hw, both measured
+}
+
 // prefetchCandidates runs the selected benchmarks with the optimizer
 // attached on the given platform and keeps those where it found
-// opportunities (the paper found 11 of 32).
-func prefetchCandidates(names []string, p *Platform) ([]*workloads.Workload, error) {
+// opportunities (the paper found 11 of 32). The figures read each
+// candidate's software-prefetching run from here instead of repeating it.
+func prefetchCandidates(names []string, p *Platform) ([]prefetchCandidate, error) {
 	ws, err := selectWorkloads(names)
 	if err != nil {
 		return nil, err
 	}
-	keep := make([]bool, len(ws))
+	all := make([]prefetchCandidate, len(ws))
 	err = forEachIndexed(len(ws), func(i int) error {
 		run, err := RunUMI(ws[i], p, UMIParams(p), false, true)
 		if err != nil {
 			return err
 		}
-		keep[i] = run.Opt != nil && len(run.Opt.Insertions) > 0
+		all[i] = prefetchCandidate{w: ws[i], inserted: len(run.Opt.Insertions),
+			sw: measured{run.TotalCycles(), run.H.L2Stats.Misses}}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []*workloads.Workload
-	for i, w := range ws {
-		if keep[i] {
-			out = append(out, w)
+	var out []prefetchCandidate
+	for _, c := range all {
+		if c.inserted > 0 {
+			out = append(out, c)
 		}
 	}
 	return out, nil
@@ -172,90 +195,84 @@ func prefetchFigure(title string, names []string, p *Platform) (*PrefetchResult,
 	}
 	res := &PrefetchResult{Title: title, Rows: make([]PrefetchRow, len(cands))}
 	err = forEachIndexed(len(cands), func(i int) error {
-		w := cands[i]
-		native, err := RunNative(w, p, false)
+		c := cands[i]
+		native, err := RunNative(c.w, p, false)
 		if err != nil {
 			return err
 		}
-		plain, err := RunUMI(w, p, UMIParams(p), false, false)
-		if err != nil {
-			return err
-		}
-		sw, err := RunUMI(w, p, UMIParams(p), false, true)
+		plain, err := RunUMI(c.w, p, UMIParams(p), false, false)
 		if err != nil {
 			return err
 		}
 		res.Rows[i] = PrefetchRow{
-			Name:     w.Name,
-			Inserted: len(sw.Opt.Insertions),
+			Name:     c.w.Name,
+			Inserted: c.inserted,
 			UMIOnly:  float64(plain.TotalCycles()) / float64(native.Cycles),
-			UMISW:    float64(sw.TotalCycles()) / float64(native.Cycles),
+			UMISW:    float64(c.sw.cycles) / float64(native.Cycles),
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var umiOnly, umiSW []float64
-	for _, row := range res.Rows {
-		umiOnly = append(umiOnly, row.UMIOnly)
-		umiSW = append(umiSW, row.UMISW)
-	}
-	res.GeoUMI = stats.GeoMean(umiOnly)
-	res.GeoSW = stats.GeoMean(umiSW)
+	res.GeoUMI = geoMean(res.Rows, func(r PrefetchRow) float64 { return r.UMIOnly })
+	res.GeoSW = geoMean(res.Rows, func(r PrefetchRow) float64 { return r.UMISW })
 	return res, nil
+}
+
+// hwPrefetchCandidates finds the Pentium 4 candidates and measures
+// Figures 5 and 6's other three runs on each.
+func hwPrefetchCandidates(names []string) ([]prefetchCandidate, error) {
+	cands, err := prefetchCandidates(names, P4)
+	if err != nil {
+		return nil, err
+	}
+	err = forEachIndexed(len(cands), func(i int) error {
+		c := &cands[i]
+		base, err := RunNative(c.w, P4, false)
+		if err != nil {
+			return err
+		}
+		hw, err := RunNative(c.w, P4, true)
+		if err != nil {
+			return err
+		}
+		both, err := RunUMI(c.w, P4, UMIParams(P4), true, true)
+		if err != nil {
+			return err
+		}
+		c.base = measured{base.Cycles, base.H.L2Stats.Misses}
+		c.hw = measured{hw.Cycles, hw.H.L2Stats.Misses}
+		c.both = measured{both.TotalCycles(), both.H.L2Stats.Misses}
+		return nil
+	})
+	return cands, err
 }
 
 // Fig5 reproduces Figure 5: Pentium 4 with hardware prefetchers enabled;
 // bars normalized to native execution with no prefetching.
 func Fig5(names []string) (*PrefetchResult, error) {
-	cands, err := prefetchCandidates(names, P4)
+	cands, err := hwPrefetchCandidates(names)
 	if err != nil {
 		return nil, err
 	}
 	res := &PrefetchResult{
 		Title: "Figure 5: running time on Pentium 4, HW prefetch enabled (normalized to native, no prefetching)",
+		Rows:  make([]PrefetchRow, len(cands)),
 	}
-	res.Rows = make([]PrefetchRow, len(cands))
-	err = forEachIndexed(len(cands), func(i int) error {
-		w := cands[i]
-		base, err := RunNative(w, P4, false) // native, no prefetching
-		if err != nil {
-			return err
-		}
-		sw, err := RunUMI(w, P4, UMIParams(P4), false, true) // SW only
-		if err != nil {
-			return err
-		}
-		hw, err := RunNative(w, P4, true) // HW only
-		if err != nil {
-			return err
-		}
-		both, err := RunUMI(w, P4, UMIParams(P4), true, true) // SW + HW
-		if err != nil {
-			return err
-		}
+	for i, c := range cands {
+		base := float64(c.base.cycles)
 		res.Rows[i] = PrefetchRow{
-			Name:     w.Name,
-			Inserted: len(sw.Opt.Insertions),
-			UMISW:    float64(sw.TotalCycles()) / float64(base.Cycles),
-			HWOnly:   float64(hw.Cycles) / float64(base.Cycles),
-			UMISWHW:  float64(both.TotalCycles()) / float64(base.Cycles),
+			Name:     c.w.Name,
+			Inserted: c.inserted,
+			UMISW:    float64(c.sw.cycles) / base,
+			HWOnly:   float64(c.hw.cycles) / base,
+			UMISWHW:  float64(c.both.cycles) / base,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	var sws, hws, boths []float64
-	for _, row := range res.Rows {
-		sws = append(sws, row.UMISW)
-		hws = append(hws, row.HWOnly)
-		boths = append(boths, row.UMISWHW)
-	}
-	res.GeoSW = stats.GeoMean(sws)
-	res.GeoHW = stats.GeoMean(hws)
-	res.GeoBoth = stats.GeoMean(boths)
+	res.GeoSW = geoMean(res.Rows, func(r PrefetchRow) float64 { return r.UMISW })
+	res.GeoHW = geoMean(res.Rows, func(r PrefetchRow) float64 { return r.HWOnly })
+	res.GeoBoth = geoMean(res.Rows, func(r PrefetchRow) float64 { return r.UMISWHW })
 	return res, nil
 }
 
@@ -264,62 +281,28 @@ func Fig5(names []string) (*PrefetchResult, error) {
 // no prefetching. Lower is better; the combination should reduce misses
 // more than either scheme alone (the paper's cumulative-coverage finding).
 func Fig6(names []string) (*PrefetchResult, error) {
-	cands, err := prefetchCandidates(names, P4)
+	cands, err := hwPrefetchCandidates(names)
 	if err != nil {
 		return nil, err
 	}
 	res := &PrefetchResult{
 		Title: "Figure 6: L2 misses on Pentium 4 (normalized to native, no prefetching)",
 	}
-	rows := make([]PrefetchRow, len(cands))
-	keep := make([]bool, len(cands))
-	err = forEachIndexed(len(cands), func(i int) error {
-		w := cands[i]
-		base, err := RunNative(w, P4, false)
-		if err != nil {
-			return err
-		}
-		baseMiss := float64(base.H.L2Stats.Misses)
+	for _, c := range cands {
+		baseMiss := float64(c.base.l2Misses)
 		if baseMiss == 0 {
-			return nil
-		}
-		sw, err := RunUMI(w, P4, UMIParams(P4), false, true)
-		if err != nil {
-			return err
-		}
-		hw, err := RunNative(w, P4, true)
-		if err != nil {
-			return err
-		}
-		both, err := RunUMI(w, P4, UMIParams(P4), true, true)
-		if err != nil {
-			return err
-		}
-		rows[i] = PrefetchRow{
-			Name:     w.Name,
-			MissSW:   float64(sw.H.L2Stats.Misses) / baseMiss,
-			MissHW:   float64(hw.H.L2Stats.Misses) / baseMiss,
-			MissBoth: float64(both.H.L2Stats.Misses) / baseMiss,
-		}
-		keep[i] = true
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var sws, hws, boths []float64
-	for i, row := range rows {
-		if !keep[i] {
 			continue
 		}
-		sws = append(sws, row.MissSW)
-		hws = append(hws, row.MissHW)
-		boths = append(boths, row.MissBoth)
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, PrefetchRow{
+			Name:     c.w.Name,
+			MissSW:   float64(c.sw.l2Misses) / baseMiss,
+			MissHW:   float64(c.hw.l2Misses) / baseMiss,
+			MissBoth: float64(c.both.l2Misses) / baseMiss,
+		})
 	}
-	res.GeoSW = stats.GeoMean(sws)
-	res.GeoHW = stats.GeoMean(hws)
-	res.GeoBoth = stats.GeoMean(boths)
+	res.GeoSW = geoMean(res.Rows, func(r PrefetchRow) float64 { return r.MissSW })
+	res.GeoHW = geoMean(res.Rows, func(r PrefetchRow) float64 { return r.MissHW })
+	res.GeoBoth = geoMean(res.Rows, func(r PrefetchRow) float64 { return r.MissBoth })
 	return res, nil
 }
 

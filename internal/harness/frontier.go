@@ -5,7 +5,6 @@ import (
 
 	"umi/internal/stats"
 	"umi/internal/umi"
-	"umi/internal/workloads"
 )
 
 // The overhead/accuracy frontier: what does burst sampling and adaptive
@@ -95,16 +94,9 @@ func frontierParams(fc FrontierConfig) umi.Config {
 // workloads (default: two memory-bound SPEC benchmarks and two Olden-style
 // pointer chasers — the accuracy-table regulars).
 func OverheadFrontier(names []string) (*FrontierResult, error) {
-	if names == nil {
-		names = []string{"181.mcf", "197.parser", "em3d", "470.lbm"}
-	}
-	ws := make([]*workloads.Workload, len(names))
-	for i, n := range names {
-		w, ok := workloads.ByName(n)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown workload %q", n)
-		}
-		ws[i] = w
+	ws, err := selectWorkloads(names, "181.mcf", "197.parser", "em3d", "470.lbm")
+	if err != nil {
+		return nil, err
 	}
 	configs := frontierConfigs()
 	res := &FrontierResult{Schema: FrontierSchema,
@@ -124,7 +116,7 @@ func OverheadFrontier(names []string) (*FrontierResult, error) {
 	for ci := range preds {
 		preds[ci] = make([]map[uint64]bool, len(ws))
 	}
-	err := forEachIndexed(len(ws)*(len(configs)+1), func(cell int) error {
+	err = forEachIndexed(len(ws)*(len(configs)+1), func(cell int) error {
 		wi, ci := cell/(len(configs)+1), cell%(len(configs)+1)
 		w := ws[wi]
 		if ci == len(configs) {

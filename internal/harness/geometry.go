@@ -6,7 +6,6 @@ import (
 	"umi/internal/cache"
 	"umi/internal/stats"
 	"umi/internal/umi"
-	"umi/internal/workloads"
 )
 
 // §5 claim: "The mini-simulation results were observed to be far more
@@ -59,56 +58,44 @@ func geometrySweep(base cache.Config) []cache.Config {
 // SensitivityGeometry runs the §5 sensitivity comparison on the given
 // benchmarks (default: mcf and swim — one pointer chaser, one streamer).
 func SensitivityGeometry(benchNames []string) ([]*GeometryResult, error) {
-	if benchNames == nil {
-		benchNames = []string{"181.mcf", "171.swim"}
+	ws, err := selectWorkloads(benchNames, "181.mcf", "171.swim")
+	if err != nil {
+		return nil, err
 	}
 	var out []*GeometryResult
-	for _, name := range benchNames {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown workload %q", name)
-		}
-		res := &GeometryResult{Benchmark: name}
+	for _, w := range ws {
+		res := &GeometryResult{Benchmark: w.Name}
 
 		// One run, many geometries over the identical profiles.
 		cfg := UMIParams(P4)
 		wi := umi.NewWhatIf(cfg.WarmupRows, geometrySweep(cache.P4L2)...)
-		if _, err := RunUMI(w, P4, cfg, false, false, wi); err != nil {
+		whatIf, err := RunUMI(w, P4, cfg, false, false, wi)
+		if err != nil {
 			return nil, err
 		}
 		lo, hi := 1.0, 0.0
 		for _, r := range wi.Results() {
 			res.Geometries = append(res.Geometries, GeometryPoint{Config: r.Config, MissRatio: r.MissRatio})
-			if r.MissRatio < lo {
-				lo = r.MissRatio
-			}
-			if r.MissRatio > hi {
-				hi = r.MissRatio
-			}
+			lo, hi = min(lo, r.MissRatio), max(hi, r.MissRatio)
 		}
 		res.GeomSpread = hi - lo
 
 		// Profile-length sweep (separate runs; the recorded history
-		// itself changes).
+		// itself changes). The point whose configuration is the standard
+		// one reads the what-if run.
 		lo, hi = 1.0, 0.0
-		for rows := 16; rows <= 1024; rows *= 4 {
+		for _, rows := range []int{16, 64, 256, 1024} {
 			c := UMIParams(P4)
-			c.AddressProfileRows = rows
-			if c.TraceProfileLen < rows {
-				c.TraceProfileLen = rows * 4
-			}
-			run, err := RunUMI(w, P4, c, false, false)
-			if err != nil {
-				return nil, err
+			setProfileRows(&c, rows)
+			run := whatIf
+			if c != cfg {
+				if run, err = RunUMI(w, P4, c, false, false); err != nil {
+					return nil, err
+				}
 			}
 			r := run.Report.SimMissRatio
 			res.Lengths = append(res.Lengths, LengthPoint{Rows: rows, MissRatio: r})
-			if r < lo {
-				lo = r
-			}
-			if r > hi {
-				hi = r
-			}
+			lo, hi = min(lo, r), max(hi, r)
 		}
 		res.LenSpread = hi - lo
 		out = append(out, res)

@@ -166,10 +166,15 @@ func RunCachegrind(w *workloads.Workload, p *Platform) (*cachegrind.Simulator, e
 	return sim, nil
 }
 
-// namesOf is a selection helper: nil means the paper's 32-benchmark core.
-func selectWorkloads(names []string) ([]*workloads.Workload, error) {
+// selectWorkloads resolves an experiment's workload names. nil selects
+// the experiment's defaults, or the paper's 32-benchmark core when it
+// names none.
+func selectWorkloads(names []string, defaults ...string) ([]*workloads.Workload, error) {
 	if names == nil {
-		return workloads.CPU2000AndOlden(), nil
+		if len(defaults) == 0 {
+			return workloads.CPU2000AndOlden(), nil
+		}
+		names = defaults
 	}
 	out := make([]*workloads.Workload, 0, len(names))
 	for _, n := range names {

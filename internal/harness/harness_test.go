@@ -18,6 +18,13 @@ func TestSelectWorkloads(t *testing.T) {
 	if err != nil || len(ws) != len(subset) {
 		t.Fatalf("subset selection failed: %v", err)
 	}
+	ws, err = selectWorkloads(nil, "em3d", "ft")
+	if err != nil || len(ws) != 2 || ws[0].Name != "em3d" || ws[1].Name != "ft" {
+		t.Fatalf("nil selection with defaults = %d workloads, err %v; want em3d, ft", len(ws), err)
+	}
+	if ws, _ = selectWorkloads(subset, "em3d"); len(ws) != len(subset) {
+		t.Errorf("named selection with defaults = %d workloads, want the %d named", len(ws), len(subset))
+	}
 	if _, err := selectWorkloads([]string{"nope"}); err == nil {
 		t.Error("unknown name must error")
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"umi/internal/stats"
-	"umi/internal/workloads"
+	"umi/internal/umi"
 )
 
 // Sensitivity studies from §7.2: the frequency threshold sweep and the
@@ -31,67 +31,39 @@ type SensResult struct {
 // SensitivityThreshold sweeps the sampling frequency threshold in powers
 // of two from 1 to 1024 (§7.2).
 func SensitivityThreshold(benchNames []string) ([]*SensResult, error) {
-	if benchNames == nil {
-		benchNames = []string{"181.mcf", "197.parser"}
-	}
-	var out []*SensResult
-	for _, name := range benchNames {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown workload %q", name)
-		}
-		cg, err := RunCachegrind(w, P4)
-		if err != nil {
-			return nil, err
-		}
-		truth := cg.DelinquentSet(0.90)
-		native, err := RunNative(w, P4, false)
-		if err != nil {
-			return nil, err
-		}
-		var thresholds []int
-		for th := 1; th <= 1024; th *= 2 {
-			thresholds = append(thresholds, th)
-		}
-		res := &SensResult{Benchmark: name, Param: "frequency threshold",
-			Points: make([]SensPoint, len(thresholds))}
-		err = forEachIndexed(len(thresholds), func(i int) error {
-			cfg := UMIParams(P4)
-			cfg.FrequencyThreshold = thresholds[i]
-			run, err := RunUMI(w, P4, cfg, false, false)
-			if err != nil {
-				return err
-			}
-			p := run.Report.Delinquent
-			res.Points[i] = SensPoint{
-				Value:          thresholds[i],
-				Recall:         stats.Recall(p, truth),
-				FalsePositives: stats.FalsePositiveRatio(p, truth),
-				OverheadPct:    100 * (float64(run.TotalCycles())/float64(native.Cycles) - 1),
-				PredSize:       len(p),
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	return sensitivity(benchNames, "frequency threshold",
+		[]int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024},
+		func(cfg *umi.Config, th int) { cfg.FrequencyThreshold = th })
 }
 
 // SensitivityProfileLen sweeps the address-profile length (executions
 // recorded per trace) in powers of two from 64 to 32K (§7.2).
 func SensitivityProfileLen(benchNames []string) ([]*SensResult, error) {
-	if benchNames == nil {
-		benchNames = []string{"181.mcf", "197.parser"}
+	return sensitivity(benchNames, "address profile rows",
+		[]int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}, setProfileRows)
+}
+
+// setProfileRows sets the address-profile length, keeping the global
+// trace-profile trigger from firing before a single profile fills, as in
+// the paper's setup.
+func setProfileRows(cfg *umi.Config, rows int) {
+	cfg.AddressProfileRows = rows
+	if cfg.TraceProfileLen < rows {
+		cfg.TraceProfileLen = rows * 4
+	}
+}
+
+// sensitivity runs one §7.2 sweep: per benchmark, one UMI run for each
+// value, which set applies to the standard configuration, scored against
+// the Cachegrind reference and the native running time.
+func sensitivity(benchNames []string, param string, values []int,
+	set func(*umi.Config, int)) ([]*SensResult, error) {
+	ws, err := selectWorkloads(benchNames, "181.mcf", "197.parser")
+	if err != nil {
+		return nil, err
 	}
 	var out []*SensResult
-	for _, name := range benchNames {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown workload %q", name)
-		}
+	for _, w := range ws {
 		cg, err := RunCachegrind(w, P4)
 		if err != nil {
 			return nil, err
@@ -101,28 +73,17 @@ func SensitivityProfileLen(benchNames []string) ([]*SensResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var rowCounts []int
-		for rows := 64; rows <= 32768; rows *= 2 {
-			rowCounts = append(rowCounts, rows)
-		}
-		res := &SensResult{Benchmark: name, Param: "address profile rows",
-			Points: make([]SensPoint, len(rowCounts))}
-		err = forEachIndexed(len(rowCounts), func(i int) error {
-			rows := rowCounts[i]
+		res := &SensResult{Benchmark: w.Name, Param: param, Points: make([]SensPoint, len(values))}
+		err = forEachIndexed(len(values), func(i int) error {
 			cfg := UMIParams(P4)
-			cfg.AddressProfileRows = rows
-			// Keep the global trace-profile trigger from firing before
-			// a single profile fills, as in the paper's setup.
-			if cfg.TraceProfileLen < rows {
-				cfg.TraceProfileLen = rows * 4
-			}
+			set(&cfg, values[i])
 			run, err := RunUMI(w, P4, cfg, false, false)
 			if err != nil {
 				return err
 			}
 			p := run.Report.Delinquent
 			res.Points[i] = SensPoint{
-				Value:          rows,
+				Value:          values[i],
 				Recall:         stats.Recall(p, truth),
 				FalsePositives: stats.FalsePositiveRatio(p, truth),
 				OverheadPct:    100 * (float64(run.TotalCycles())/float64(native.Cycles) - 1),

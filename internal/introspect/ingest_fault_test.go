@@ -312,8 +312,9 @@ func startFlakyProxy(t *testing.T, upstream string, killAfter int64) string {
 
 // TestLiveShipperKillReconnect is the client half end-to-end: a
 // LiveShipper streaming a recording into a daemon through a proxy that
-// kills the connection mid-upload must reconnect, resume, and come back
-// with the capture-identical merged result — at every analyzer width.
+// kills the connection mid-upload must reconnect, resume, come back with
+// the capture-identical merged result and delete its session — at every
+// analyzer width.
 func TestLiveShipperKillReconnect(t *testing.T) {
 	live, v1 := emitStream(t, traceSessionConfig(1, 0))
 	want := resultBytes(t, live)
@@ -344,14 +345,43 @@ func TestLiveShipperKillReconnect(t *testing.T) {
 			if !bytes.Equal(resultBytes(t, res), want) {
 				t.Errorf("live-shipped result diverges from capture result")
 			}
-			inf := sessionListing(t, base, sh.SessionID())
-			if inf.State != "done" {
-				t.Errorf("session state %q, want done", inf.State)
+			if got := d.SessionCount(); got != 0 {
+				t.Errorf("SessionCount = %d after Close, want 0 (session gone)", got)
 			}
 			if got := d.ingest.Streams.Load(); got != 1 {
 				t.Errorf("streams = %d, want 1", got)
 			}
-			_ = d
 		})
+	}
+}
+
+// TestLiveShipperReleasesSession pins that a live-tailed run gives its
+// session slot back: two LiveShippers in a row against a daemon that
+// admits one session both return the capture-identical result, and the
+// daemon holds no session after either Close.
+func TestLiveShipperReleasesSession(t *testing.T) {
+	live, v1 := emitStream(t, traceSessionConfig(1, 0))
+	want := resultBytes(t, live)
+	d, base := startDaemon(t, DaemonConfig{MaxSessions: 1})
+	for i := 1; i <= 2; i++ {
+		sh, err := NewLiveShipper(base, LiveConfig{})
+		if err != nil {
+			t.Fatalf("shipper %d: NewLiveShipper: %v", i, err)
+		}
+		enc := wire.NewEncoderV2(sh)
+		enc.SetFrameHook(sh.FrameEnd)
+		if err := wire.TranscodeInto(enc, bytes.NewReader(v1)); err != nil {
+			t.Fatalf("shipper %d: TranscodeInto: %v", i, err)
+		}
+		res, err := sh.Close()
+		if err != nil {
+			t.Fatalf("shipper %d: Close: %v", i, err)
+		}
+		if !bytes.Equal(resultBytes(t, res), want) {
+			t.Errorf("shipper %d: live-shipped result diverges from capture result", i)
+		}
+		if got := d.SessionCount(); got != 0 {
+			t.Errorf("shipper %d: SessionCount = %d after Close, want 0", i, got)
+		}
 	}
 }

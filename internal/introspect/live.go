@@ -55,7 +55,8 @@ func (c LiveConfig) withDefaults() LiveConfig {
 // LiveShipper streams one wire-encoded telemetry stream into a daemon
 // ingest session as it is produced. Use it as the encoder's destination
 // writer and install FrameEnd as the encoder's frame hook; Close after
-// the encoder's final Flush returns the daemon's merged RunResult.
+// the encoder's final Flush returns the daemon's merged RunResult and
+// deletes the session.
 type LiveShipper struct {
 	base   string
 	id     string
@@ -134,14 +135,22 @@ func (s *LiveShipper) FrameEnd() {
 }
 
 // Close signals end of stream, waits for the daemon to acknowledge the
-// complete upload, and returns its merged RunResult. Call after the
-// encoder's final Flush.
+// complete upload, and returns its merged RunResult. Once the outcome is
+// in, on success and failure alike, it deletes the session, so a
+// live-tailed run never keeps one of the daemon's session slots; a failed
+// DELETE leaves the outcome as it was. Call after the encoder's final
+// Flush.
 func (s *LiveShipper) Close() (*RunResult, error) {
 	if !s.closed {
 		s.closed = true
 		close(s.window)
+		<-s.done
+		if req, err := http.NewRequest(http.MethodDelete, s.base+"/sessions/"+s.id, nil); err == nil {
+			if resp, err := s.client.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
 	}
-	<-s.done
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.result, s.err

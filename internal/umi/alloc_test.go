@@ -83,3 +83,33 @@ func TestAnalyzeProfileSparseZeroAllocs(t *testing.T) {
 		t.Errorf("sparse AnalyzeProfile allocated %v times per invocation in steady state", n)
 	}
 }
+
+// TestWorkingSetColdTouchZeroAllocs pins that a stack miss on a warm LRU
+// stack pushes in place: the stack holds up to 64K lines, so a copy per
+// cold touch would move half a megabyte.
+func TestWorkingSetColdTouchZeroAllocs(t *testing.T) {
+	const depth, evicted = 1 << 16, 256
+	w := NewWorkingSet(64)
+	// A full stack of lines evicted..evicted+depth-1, most recent first;
+	// lines 0..evicted-1 fell off its bottom earlier but stay seen, so
+	// touching one again misses the stack and inserts nothing new.
+	w.stack = make([]uint64, depth)
+	for i := range w.stack {
+		w.stack[i] = uint64(evicted+depth-1-i) * 64
+	}
+	for i := uint64(0); i < evicted+depth; i++ {
+		w.seen[i*64] = true
+	}
+	next := uint64(0)
+	touch := func() {
+		w.observe(next * 64)
+		next++
+	}
+	if n := testing.AllocsPerRun(100, touch); n != 0 {
+		t.Errorf("a cold touch on a warm stack allocated %v times, want 0", n)
+	}
+	if w.Cold != next || len(w.stack) != depth || w.stack[0] != (next-1)*64 {
+		t.Errorf("cold = %d of %d touches, stack depth %d, top %#x: want every touch cold and on top",
+			w.Cold, next, len(w.stack), w.stack[0])
+	}
+}

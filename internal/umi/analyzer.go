@@ -89,8 +89,8 @@ func NewAnalyzer(cfg *Config) *Analyzer {
 
 // BeginInvocation starts one analyzer invocation at the given guest cycle
 // count, flushing the logical cache if the configured gap has elapsed.
-// Non-monotonic cycle counts (a harness reset reusing the analyzer against
-// a rewound clock) are treated as a zero gap: the subtraction is unsigned,
+// Non-monotonic cycle counts (a Replay fed a further shard, whose capture's
+// clock starts over) are treated as a zero gap: the subtraction is unsigned,
 // and without the ordering guard a backwards step would wrap to a huge gap
 // and spuriously flush on every invocation.
 func (a *Analyzer) BeginInvocation(nowCycles uint64) {
@@ -109,27 +109,6 @@ func (a *Analyzer) BeginInvocation(nowCycles uint64) {
 	}
 	a.lastRun = nowCycles
 	a.ranBefore = true
-}
-
-// Reset returns the analyzer to its just-constructed state so a harness
-// can reuse one across runs: cumulative results are cleared and the
-// logical cache is rewound (cache.Reset, not just Flush, so the LRU clock
-// restarts too). The invocation clock also restarts, so the first
-// BeginInvocation after a Reset never flushes regardless of the new run's
-// cycle counter.
-func (a *Analyzer) Reset() {
-	a.cache.Reset()
-	a.lastRun = 0
-	a.ranBefore = false
-	a.Invocations = 0
-	a.SimulatedRefs = 0
-	a.Flushes = 0
-	a.opStats = make(map[uint64]*OpStat)
-	a.delinquent = make(map[uint64]bool)
-	a.strides = make(map[uint64]StrideInfo)
-	a.columns = make(map[uint64][]uint64)
-	a.totalAcc, a.totalMiss = 0, 0
-	a.hist.reset()
 }
 
 // invocation is one analyzer invocation's worth of profiles, already in

@@ -88,7 +88,10 @@ func (w *WorkingSet) observe(line uint64) {
 	if len(w.stack) >= 1<<16 {
 		w.stack = w.stack[:1<<16-1]
 	}
-	w.stack = append([]uint64{line}, w.stack...)
+	// Push in place, without allocating: the stack holds up to 64K lines.
+	w.stack = append(w.stack, 0)
+	copy(w.stack[1:], w.stack)
+	w.stack[0] = line
 }
 
 // DistinctLines returns the working-set size, in lines, over everything

@@ -170,25 +170,6 @@ func (h *History) lastWindow() (WindowSummary, bool) {
 	return h.buf[(h.start+h.n-1)%len(h.buf)], true
 }
 
-// reset rewinds the ring and the capture baseline to the just-constructed
-// state, so an analyzer reused across runs (Analyzer.Reset) records the
-// same history a fresh one would. Nil-safe: standalone analyzers built in
-// tests run history-less.
-func (h *History) reset() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.buf = h.buf[:0]
-	h.start, h.n = 0, 0
-	h.total, h.phases = 0, 0
-	h.mu.Unlock()
-	h.prevRefs, h.prevAcc, h.prevMiss = 0, 0, 0
-	h.prevRatio = 0
-	h.prevSet = h.prevSet[:0]
-	h.hasPrev = false
-}
-
 // Total returns the number of windows ever recorded.
 func (h *History) Total() uint64 {
 	h.mu.Lock()

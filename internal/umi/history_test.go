@@ -247,17 +247,6 @@ func TestPhaseChangeDetection(t *testing.T) {
 	if a.hist.View().PhaseChanges != 2 {
 		t.Errorf("PhaseChanges = %d, want 2", a.hist.View().PhaseChanges)
 	}
-
-	// Reset rewinds both ring and baseline: the next capture is a fresh
-	// first window again.
-	a.Reset()
-	a.Invocations = 1
-	a.SimulatedRefs, a.totalAcc, a.totalMiss = 50, 50, 25
-	a.captureWindow(500, nil)
-	w = a.hist.Windows()
-	if len(w) != 1 || w[0].PhaseChange || w[0].Jaccard != 1 || w[0].Refs != 50 {
-		t.Errorf("post-Reset window = %+v, want fresh first window", w[0])
-	}
 }
 
 func TestModalStride(t *testing.T) {

@@ -22,8 +22,8 @@ func TestBeginInvocationNonMonotonicClock(t *testing.T) {
 	cfg.FlushCycleGap = 1000
 	an := NewAnalyzer(&cfg)
 	an.BeginInvocation(10_000)
-	// A cycle count below the previous invocation's (e.g. a harness reset
-	// reused the analyzer against a rewound clock) used to underflow the
+	// A cycle count below the previous invocation's (e.g. a Replay fed a
+	// further shard, whose clock starts over) used to underflow the
 	// uint64 gap and flush on every invocation.
 	an.BeginInvocation(500)
 	if an.Flushes != 0 {
@@ -34,34 +34,6 @@ func TestBeginInvocationNonMonotonicClock(t *testing.T) {
 	an.BeginInvocation(5_000)
 	if an.Flushes != 1 {
 		t.Errorf("Flushes = %d after genuine gap, want 1", an.Flushes)
-	}
-}
-
-func TestAnalyzerReset(t *testing.T) {
-	cfg := testConfig()
-	cfg.FlushCycleGap = 1000
-	an := NewAnalyzer(&cfg)
-	p := NewAddressProfile([]uint64{0x400000}, []bool{true}, 4)
-	for i := 0; i < 4; i++ {
-		row, _ := p.OpenRow()
-		p.Record(row, 0, uint64(0x1000+4096*i))
-	}
-	an.BeginInvocation(100)
-	an.AnalyzeProfile(p, 0.5)
-	if an.SimulatedRefs == 0 || len(an.OpStats()) == 0 {
-		t.Fatal("analysis recorded nothing; test setup broken")
-	}
-	an.Reset()
-	if an.Invocations != 0 || an.SimulatedRefs != 0 || an.Flushes != 0 ||
-		len(an.OpStats()) != 0 || len(an.Delinquent()) != 0 || len(an.Strides()) != 0 ||
-		an.MissRatio() != 0 {
-		t.Errorf("Reset left state behind: %v", an)
-	}
-	// The first invocation after Reset must never flush, whatever the
-	// clock says — the reset rewound the invocation history.
-	an.BeginInvocation(1)
-	if an.Flushes != 0 {
-		t.Errorf("Flushes = %d on first post-Reset invocation, want 0", an.Flushes)
 	}
 }
 
