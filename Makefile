@@ -21,8 +21,8 @@ test:
 # allocation counts; TestRunQueueZeroAllocs is the reference queue's), the
 # machine's hand-off to its model worker at one P and at more Ps than
 # cores (the transparency and run-lifecycle tests under -cpu 1,4), then
-# the full suite under the race detector (the reference queue, analyzer
-# pipeline and harness fan-out are concurrent; -race is what validates
+# the full suite under the race detector (the reference queue, a replay's
+# sequencer and harness fan-out are concurrent; -race is what validates
 # their synchronization). The harness package runs every experiment
 # driver; under the race detector's ~10x slowdown that outgrows go test's
 # default 10m per-package timeout.

@@ -372,18 +372,17 @@ func BenchmarkAnalyzeProfile(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*refsPerOp), "ns/ref")
 }
 
-// BenchmarkPipelineEndToEnd runs a full workload through the asynchronous
-// analysis pipeline (4 preparation workers + sequencer) — guest execution,
-// instrumentation, profile recording, hand-off, mini-simulation, merge —
-// and reports wall time per guest instruction: the whole run's cost, which
-// the substrate dominates, not just the analyzer's share.
+// BenchmarkPipelineEndToEnd times one inline UMI run of 181.mcf — guest
+// execution, instrumentation, profile recording and mini-simulation on
+// the guest goroutine — and reports wall time per guest instruction: the
+// whole run's cost, which the substrate dominates, not just the
+// analyzer's share.
 func BenchmarkPipelineEndToEnd(b *testing.B) {
 	w, ok := workloads.ByName("181.mcf")
 	if !ok {
 		b.Fatal("workload 181.mcf missing")
 	}
 	cfg := harness.UMIParams(harness.P4)
-	cfg.AnalyzerWorkers = 4
 	var instrs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -648,8 +647,9 @@ func BenchmarkWireDecodeV2(b *testing.B) {
 }
 
 // BenchmarkReplayStream measures capture once, analyze many on recorded
-// guests: introspect.ReplayStream at two analyzer workers over the v2
-// streams of 181.mcf, em3d and mysql, each recorded once. One op replays
+// guests: introspect.ReplayStream, which decodes on the caller's goroutine
+// and analyzes on the replay's sequencer, over the v2 streams of 181.mcf,
+// em3d and mysql, each recorded once. One op replays
 // all three; ns/ref is per recorded reference (profile cell) and covers
 // decode, stride discovery and mini-simulation — the work umid does per
 // ingested reference, which BenchmarkWireDecodeV2's synthetic stream and

@@ -138,13 +138,12 @@ func TestDaemonE2E(t *testing.T) {
 		t.Fatalf("run: status %d, body %.200s", code, runOut)
 	}
 
-	// Byte-equivalence against the standalone path (inline workers): the
-	// daemon must add exactly nothing to the profile.
+	// Byte-equivalence against the standalone path: the daemon must add
+	// exactly nothing to the profile.
 	var cfg introspect.SessionConfig
 	if err := json.Unmarshal(body, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 0
 	want, err := introspect.RunStandalone(cfg)
 	if err != nil {
 		t.Fatalf("standalone baseline: %v", err)

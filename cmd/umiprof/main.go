@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	umiprof [-machine p4|k7] [-hwpf] [-swpf] [-no-sampling] [-workers n] [-top n]
+//	umiprof [-machine p4|k7] [-hwpf] [-swpf] [-no-sampling] [-top n]
 //	        [-metrics] [-metrics-json file] [-overhead] [-trace-out file]
 //	        [-history] [-history-out file] [-emit file] [-emit-format 1|2]
 //	        [-emit-live host:port] [-live-window n]
 //	        [-http addr] [-http-linger d] <workload>
-//	umiprof -ingest file [-workers n]             replay a recorded stream locally
+//	umiprof -ingest file                          replay a recorded stream locally
 //	umiprof -ingest file -ingest-addr host:port   ship it to a umid daemon
 //	umiprof -transcode file -o file [-emit-format 1|2]   re-encode a recording
 //	umiprof -list
@@ -52,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hwpf := fs.Bool("hwpf", false, "enable hardware prefetchers (P4 only)")
 	swpf := fs.Bool("swpf", false, "enable the online software prefetcher")
 	noSampling := fs.Bool("no-sampling", false, "instrument every trace at creation")
-	workers := fs.Int("workers", 1,
-		"at >= 2 profiles are analyzed on one sequencer goroutine off the guest thread; below 2 inline (same results)")
 	top := fs.Int("top", 10, "top missing operations to print")
 	ws := fs.Bool("ws", false, "report working-set and reuse-distance characterization")
 	patterns := fs.Bool("patterns", false, "classify reference patterns per operation")
@@ -110,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runTranscode(*transcodeIn, *transcodeOut, *emitFormat, stderr)
 	}
 	if *ingestIn != "" {
-		return runIngest(*ingestIn, *ingestAddr, *workers, stdout, stderr)
+		return runIngest(*ingestIn, *ingestAddr, stdout, stderr)
 	}
 	if *ingestAddr != "" {
 		fmt.Fprintln(stderr, "umiprof: -ingest-addr requires -ingest")
@@ -139,7 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg := harness.UMIParams(plat)
 	cfg.UseSampling = !*noSampling
-	cfg.AnalyzerWorkers = *workers
 
 	h := plat.Hierarchy(*hwpf)
 	m := vm.New(w.Program(), h)
@@ -169,10 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sys.EnableWireEmit(emitEnc)
 	}
 	if *emitLive != "" {
-		sh, err := introspect.NewLiveShipper(*emitLive, introspect.LiveConfig{
-			Workers: *workers,
-			Window:  *liveWindow,
-		})
+		sh, err := introspect.NewLiveShipper(*emitLive, introspect.LiveConfig{Window: *liveWindow})
 		if err != nil {
 			fmt.Fprintf(stderr, "umiprof: emit-live: %v\n", err)
 			return 1
@@ -448,9 +442,9 @@ func runTranscode(in, out string, version int, stderr io.Writer) int {
 // or — with addr — shipped to a umid daemon over POST
 // /sessions/{id}/ingest, printing the daemon's response. Either way the
 // output is byte-identical to the capture process's marshaled result.
-func runIngest(path, addr string, workers int, stdout, stderr io.Writer) int {
+func runIngest(path, addr string, stdout, stderr io.Writer) int {
 	if addr != "" {
-		return runIngestRemote(path, addr, workers, stdout, stderr)
+		return runIngestRemote(path, addr, stdout, stderr)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -458,7 +452,7 @@ func runIngest(path, addr string, workers int, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer f.Close()
-	res, err := introspect.ReplayStream(f, workers)
+	res, err := introspect.ReplayStream(f, 0)
 	if err != nil {
 		fmt.Fprintf(stderr, "umiprof: ingest: %v\n", err)
 		return 1
@@ -476,7 +470,7 @@ func runIngest(path, addr string, workers int, stdout, stderr io.Writer) int {
 // the stream, prints the daemon's RunResult response, and deletes the
 // session once the response is read, whether the upload succeeded or not,
 // so a remote ingest never keeps one of the daemon's session slots.
-func runIngestRemote(path, addr string, workers int, stdout, stderr io.Writer) int {
+func runIngestRemote(path, addr string, stdout, stderr io.Writer) int {
 	stream, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "umiprof: ingest: %v\n", err)
@@ -486,8 +480,7 @@ func runIngestRemote(path, addr string, workers int, stdout, stderr io.Writer) i
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	cfgBody := fmt.Sprintf(`{"ingest": true, "workers": %d}`, workers)
-	resp, err := http.Post(base+"/sessions", "application/json", strings.NewReader(cfgBody))
+	resp, err := http.Post(base+"/sessions", "application/json", strings.NewReader(`{"ingest": true}`))
 	if err != nil {
 		fmt.Fprintf(stderr, "umiprof: ingest: create session: %v\n", err)
 		return 1

@@ -41,12 +41,13 @@ func reportKey(t *testing.T, name string, cfg umi.Config) string {
 	return s + fmt.Sprint(ops) + fmt.Sprint(st)
 }
 
-// TestAnalyzerWorkersDeterminism asserts the pipeline's core contract:
-// workers=1 (inline) and workers=4 (asynchronous) produce identical
-// reports. 197.parser regularly has several live profiles per analyzer
-// invocation, so it exercises the fixed PC-sorted merge order; mcf is the
-// memory-intensive single-hot-loop case. Run under -race (make check)
-// this also validates the pipeline's synchronization.
+// TestAnalyzerWorkersDeterminism pins that the ignored
+// Config.AnalyzerWorkers changes nothing: the whole-run benchmark holds
+// its inline runs to a reference run at AnalyzerWorkers 2, so workers=1
+// and workers=4 must produce identical reports. 197.parser regularly has
+// several live profiles per analyzer invocation, so it exercises the
+// fixed PC-sorted merge order; mcf is the memory-intensive
+// single-hot-loop case.
 func TestAnalyzerWorkersDeterminism(t *testing.T) {
 	for _, name := range []string{"197.parser", "181.mcf"} {
 		serial := UMIParams(P4)

@@ -94,7 +94,7 @@ type UMIRun struct {
 	H      *cache.Hierarchy
 	Opt    *prefetch.Optimizer // nil unless prefetching was enabled
 	// Metrics is the run's final self-observability snapshot (filter
-	// counts, analysis latency, pipeline queue pressure).
+	// counts, analysis latency).
 	Metrics metrics.Snapshot
 	// Events is the run's structured event timeline. The harness always
 	// records it: recording is observational (every experiment's modelled

@@ -1,6 +1,6 @@
 // The umid daemon: a long-lived control plane multiplexing many
-// concurrent profiling sessions. Each session keeps its own System (its
-// own sequencer, logical cache and history ring) and shares nothing
+// concurrent profiling sessions. Each session keeps its own System or
+// Replay (its own logical cache and history) and shares nothing
 // analytical with its co-tenants, so co-tenancy cannot perturb results —
 // a session run through the daemon produces byte-identical output to the
 // same config run standalone.
@@ -20,9 +20,10 @@
 //
 // Admission control: creates past MaxSessions are rejected with 429, and
 // during a drain every mutating request gets 503. Work stays bounded
-// without a daemon-wide queue: at most MaxSessions sessions, each with at
-// most four invocations (umi's seqDepth) queued behind its sequencer, and
-// a full queue blocks only that session's own guest or upload.
+// without a daemon-wide queue: at most MaxSessions sessions, each
+// analyzing on its own run goroutine, or for an upload on a sequencer with
+// at most four invocations (umi's seqDepth) queued, where a full queue
+// blocks only that upload.
 package introspect
 
 import (
@@ -92,26 +93,12 @@ type session struct {
 	ing    *ingestState
 	result *RunResult
 	runErr error
-	// deleted latches on DELETE, so an ingest still in flight then
-	// closes its replay when it finishes.
+	// deleted latches on DELETE, so an ingest that looked the session up
+	// just before is refused.
 	deleted bool
 	// prev is the snapshot the previous metrics/delta scrape took, so
 	// each scrape reports one interval.
 	prev metrics.Snapshot
-}
-
-// release marks the session deleted and returns the ingest replay to
-// close now — nil while an ingest is in flight (it closes the replay
-// itself when it finishes) or when there is none. Closing drains the
-// replay's pipeline and stops its sequencer.
-func (s *session) release() *umi.Replay {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.deleted = true
-	if s.state == stateRunning || s.ing == nil {
-		return nil
-	}
-	return s.ing.replay
 }
 
 // sources resolves what the session's views read: the guest System (nil
@@ -147,7 +134,7 @@ func (s *session) history() umi.HistoryView {
 	sys, _, res := s.sources()
 	switch {
 	case sys != nil:
-		return sys.LiveHistory()
+		return sys.History()
 	case res != nil:
 		return res.History
 	}
@@ -564,12 +551,13 @@ func (d *Daemon) deleteSession(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	// A run still executing holds its own reference and completes; its
-	// result is simply unreachable. Accounting is exact the moment the
-	// delete returns.
-	if rp := s.release(); rp != nil {
-		rp.Close()
-	}
+	// A run or upload still executing holds its own reference and
+	// completes; its result is simply unreachable. An upload's sequencer
+	// stops with the upload, so nothing is left to close. Accounting is
+	// exact the moment the delete returns.
+	s.mu.Lock()
+	s.deleted = true
+	s.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 

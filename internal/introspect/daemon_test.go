@@ -108,11 +108,11 @@ func resultBytes(t *testing.T, res *RunResult) []byte {
 // --- the load-bearing invariant ---
 
 // TestDaemonSessionEquivalence is the daemon's contract: a session run
-// through the daemon produces byte-identical output to the same
-// config run standalone — at any worker count, with any number of
-// co-tenant sessions running concurrently. The baseline is the inline
-// (workers=0) standalone run, so the comparison also re-proves pipeline
-// worker-count invariance end to end through the HTTP surface.
+// through the daemon produces byte-identical output to the same config
+// run standalone, with any number of co-tenant sessions running
+// concurrently. The baseline is the workers=0 standalone run, so the
+// comparison also proves end to end through the HTTP surface that the
+// session's workers key, accepted and ignored, changes nothing.
 func TestDaemonSessionEquivalence(t *testing.T) {
 	const signatures = 4
 	baseline := make([][]byte, signatures)

@@ -1,7 +1,8 @@
 // Remote ingestion: POST /sessions/{id}/ingest accepts umi-profile/v1 and
 // /v2 streams (recorded by `umiprof -emit` or EmitStandalone, or tailed
-// live by `umiprof -emit-live`) and compiles them into a replay session,
-// analyzed inline or on the session's own sequencer. A single ingested
+// live by `umiprof -emit-live`) and compiles them into a replay session:
+// each upload decodes on its request goroutine and analyzes on a sequencer
+// that lives for that upload. A single ingested
 // stream reproduces the capture process's RunResult byte for byte;
 // multiple shards merge into one logical run inside the session's
 // umi.Replay — trailer counts sum, PC sets union, streamed window
@@ -61,8 +62,8 @@ type ingestMetrics struct {
 }
 
 // frameLatencyBuckets: 250ns doubling through ~4s (24 buckets) — decode
-// plus apply for one frame, where the apply may be a whole profile's
-// mini-simulation.
+// plus hand-off for one frame, where the hand-off may wait behind a full
+// sequencer queue.
 var frameLatencyBuckets = metrics.ExpBuckets(250, 24)
 
 func newIngestMetrics() *ingestMetrics {
@@ -117,7 +118,7 @@ var errOversized = errors.New("stream too large")
 // Caller holds no locks; the session is in state running, so the ingest
 // state is exclusively ours. resume replays a re-sent stream
 // through the session's recorded resume point (skip-verify, then apply).
-func (d *Daemon) ingestStream(s *session, body io.Reader, workers int, resume bool) error {
+func (d *Daemon) ingestStream(s *session, body io.Reader, resume bool) error {
 	dec := wire.NewDecoder(body)
 	h, err := dec.Header()
 	if err != nil {
@@ -131,7 +132,6 @@ func (d *Daemon) ingestStream(s *session, body io.Reader, workers int, resume bo
 			d.ingest.DecodeErrors.Add(1)
 			return fmt.Errorf("stream header: %w (%w)", err, errHeaderStage)
 		}
-		cfg.AnalyzerWorkers = workers
 		rp := umi.NewReplay(cfg)
 		rp.OnFrame = func(lat time.Duration) {
 			d.ingest.FrameLatency.Observe(uint64(lat))
@@ -181,7 +181,9 @@ func (d *Daemon) ingestStream(s *session, body io.Reader, workers int, resume bo
 
 // ReplayStream replays one recorded umi-profile stream (v1 or v2) outside
 // any daemon and returns its RunResult — byte-identical (marshaled) to the
-// capture process's, at any worker count. The `umiprof -ingest` path.
+// capture process's. The `umiprof -ingest` path. workers is ignored: the
+// replay always analyzes on its own sequencer. The parameter remains only
+// because the whole-run benchmark (perfbench/) passes it.
 func ReplayStream(body io.Reader, workers int) (*RunResult, error) {
 	dec := wire.NewDecoder(body)
 	h, err := dec.Header()
@@ -192,9 +194,7 @@ func ReplayStream(body io.Reader, workers int) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream header: %w", err)
 	}
-	cfg.AnalyzerWorkers = workers
 	rp := umi.NewReplay(cfg)
-	defer rp.Close()
 	if _, err := rp.Consume(dec); err != nil {
 		return nil, fmt.Errorf("stream decode: %w", err)
 	}
@@ -282,7 +282,7 @@ func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	switch {
 	case s.deleted:
-		// Deleted after the lookup: its replay is closed or closing.
+		// Deleted after the lookup: nobody can read what it would ingest.
 		s.mu.Unlock()
 		http.NotFound(w, r)
 		return
@@ -321,7 +321,7 @@ func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	err := d.ingestStream(s, http.MaxBytesReader(w, r.Body, MaxStreamBytes), s.cfg.Workers, prev == stateResumable)
+	err := d.ingestStream(s, http.MaxBytesReader(w, r.Body, MaxStreamBytes), prev == stateResumable)
 
 	s.mu.Lock()
 	var res *RunResult
@@ -354,15 +354,7 @@ func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request) {
 		s.state = stateFailed
 		s.runErr = err
 	}
-	var orphan *umi.Replay
-	if s.deleted {
-		// Deleted mid-ingest: nobody can reach the session any more.
-		orphan = s.ing.replay
-	}
 	s.mu.Unlock()
-	if orphan != nil {
-		orphan.Close()
-	}
 
 	switch {
 	case err == nil:

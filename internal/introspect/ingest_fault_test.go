@@ -313,19 +313,20 @@ func startFlakyProxy(t *testing.T, upstream string, killAfter int64) string {
 // TestLiveShipperKillReconnect is the client half end-to-end: a
 // LiveShipper streaming a recording into a daemon through a proxy that
 // kills the connection mid-upload must reconnect, resume, come back with
-// the capture-identical merged result and delete its session — at every
-// analyzer width.
+// the capture-identical merged result and delete its session — whatever
+// workers value the capturing session's config carries, since the key
+// is accepted and ignored.
 func TestLiveShipperKillReconnect(t *testing.T) {
-	live, v1 := emitStream(t, traceSessionConfig(1, 0))
+	live, _ := emitStream(t, traceSessionConfig(1, 0))
 	want := resultBytes(t, live)
 
 	for _, workers := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			_, v1 := emitStream(t, traceSessionConfig(1, workers))
 			d, base := startDaemon(t, DaemonConfig{})
 			proxy := startFlakyProxy(t, strings.TrimPrefix(base, "http://"), 2000)
 
 			sh, err := NewLiveShipper(proxy, LiveConfig{
-				Workers:     workers,
 				Window:      8,
 				MaxAttempts: 6,
 				RetryDelay:  20 * time.Millisecond,

@@ -309,12 +309,12 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
-// ranSession runs a guest session through a daemon, on its own
-// sequencer, and returns the daemon's base URL and the session id.
+// ranSession runs a guest session through a daemon and returns the
+// daemon's base URL and the session id.
 func ranSession(t *testing.T) (string, string) {
 	t.Helper()
 	_, base := startDaemon(t, DaemonConfig{})
-	id := createSession(t, base, traceSessionConfig(0, 2))
+	id := createSession(t, base, traceSessionConfig(0, 0))
 	if code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/run", nil); code != http.StatusOK {
 		t.Fatalf("run: status %d, body %s", code, body)
 	}

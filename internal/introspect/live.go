@@ -26,8 +26,6 @@ import (
 
 // LiveConfig sizes a LiveShipper.
 type LiveConfig struct {
-	// Workers is the session's analyzer width on the daemon.
-	Workers int
 	// Window bounds in-flight (sent-but-unacknowledged-by-TCP) frames;
 	// the producer blocks past it. Default 64.
 	Window int
@@ -88,8 +86,7 @@ func NewLiveShipper(base string, cfg LiveConfig) (*LiveShipper, error) {
 		done:   make(chan struct{}),
 	}
 	s.window = make(chan []byte, s.cfg.Window)
-	cfgBody := fmt.Sprintf(`{"ingest": true, "workers": %d}`, s.cfg.Workers)
-	resp, err := s.client.Post(s.base+"/sessions", "application/json", strings.NewReader(cfgBody))
+	resp, err := s.client.Post(s.base+"/sessions", "application/json", strings.NewReader(`{"ingest": true}`))
 	if err != nil {
 		return nil, fmt.Errorf("create session: %w", err)
 	}

@@ -28,9 +28,8 @@ const (
 	// address can materialize a guest memory page, so the cap bounds
 	// per-session guest memory.
 	MaxTraceAddrs = 8192
-	// MaxSessionWorkers caps the workers value a session may request. Any
-	// value from 2 up selects the same one-sequencer pipeline; the cap
-	// only keeps the accepted range what it has always been.
+	// MaxSessionWorkers caps the ignored workers value a session may
+	// send, so the accepted range stays what it has always been.
 	MaxSessionWorkers = 64
 	// maxTraceReps caps the submitted-trace replay count.
 	maxTraceReps = 4096
@@ -59,10 +58,10 @@ type SessionConfig struct {
 	HWPrefetch bool `json:"hw_prefetch,omitempty"`
 	// Sampling toggles sample-based region selection (default true).
 	Sampling *bool `json:"sampling,omitempty"`
-	// Workers selects where the session's analyzer runs: 0 or 1 inline on
-	// the session's run goroutine (or the ingest request's), 2 or more on
-	// the session's own sequencer goroutine — every such value alike.
-	// Reports are byte-identical at any setting.
+	// Workers is accepted, range-checked and ignored: a run session
+	// analyzes on its run goroutine, and an ingest upload on a sequencer
+	// that lives for that upload. The key remains because the whole-run
+	// benchmark (perfbench/) sends it.
 	Workers int `json:"workers,omitempty"`
 	// HistoryWindows bounds the session's profile-history ring (0 keeps
 	// the library default, negative disables).
@@ -73,9 +72,9 @@ type SessionConfig struct {
 
 	// Ingest declares a replay session: it runs no guest and instead
 	// accepts umi-profile streams (v1 or v2) via POST
-	// /sessions/{id}/ingest and analyzes them. Mutually exclusive with every guest-execution knob —
-	// the stream header carries the analyzer configuration — except
-	// Workers, which picks inline or sequencer replay.
+	// /sessions/{id}/ingest and analyzes them. Mutually exclusive with
+	// every guest-execution knob: the stream header carries the analyzer
+	// configuration.
 	Ingest bool `json:"ingest,omitempty"`
 }
 
@@ -101,16 +100,16 @@ func ParseSessionConfig(data []byte) (SessionConfig, error) {
 
 // Validate checks a decoded config against the daemon's limits.
 func (c *SessionConfig) Validate() error {
+	if c.Workers < 0 || c.Workers > MaxSessionWorkers {
+		return fmt.Errorf("config: workers %d outside [0, %d]", c.Workers, MaxSessionWorkers)
+	}
 	if c.Ingest {
 		// An ingest session's analyzer configuration arrives in the stream
 		// header; every guest-execution knob here would be silently dead,
 		// so their presence is an error.
 		if c.Workload != "" || len(c.Trace) > 0 || c.Reps != 0 || c.Machine != "" ||
 			c.HWPrefetch || c.Sampling != nil || c.MaxInstrs != 0 || c.HistoryWindows != 0 {
-			return errors.New("config: ingest only admits the workers knob; analyzer configuration comes from the stream header")
-		}
-		if c.Workers < 0 || c.Workers > MaxSessionWorkers {
-			return fmt.Errorf("config: workers %d outside [0, %d]", c.Workers, MaxSessionWorkers)
+			return errors.New("config: ingest admits no guest-execution knob; analyzer configuration comes from the stream header")
 		}
 		return nil
 	}
@@ -137,9 +136,6 @@ func (c *SessionConfig) Validate() error {
 	if c.Machine != "" && c.Machine != "p4" && c.Machine != "k7" {
 		return fmt.Errorf("config: machine %q not in {p4, k7}", c.Machine)
 	}
-	if c.Workers < 0 || c.Workers > MaxSessionWorkers {
-		return fmt.Errorf("config: workers %d outside [0, %d]", c.Workers, MaxSessionWorkers)
-	}
 	if c.HistoryWindows > 1<<20 {
 		return fmt.Errorf("config: history_windows %d too large", c.HistoryWindows)
 	}
@@ -164,7 +160,6 @@ func (c *SessionConfig) umiConfig() umi.Config {
 	if c.Sampling != nil {
 		cfg.UseSampling = *c.Sampling
 	}
-	cfg.AnalyzerWorkers = c.Workers
 	if c.HistoryWindows != 0 {
 		cfg.HistoryWindows = c.HistoryWindows
 	}

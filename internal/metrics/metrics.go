@@ -2,8 +2,8 @@
 // dependency-free registry of atomic counters, gauges, and fixed-bucket
 // histograms. UMI's whole pitch is that introspection is cheap enough to
 // leave on in production; this package is how the runtime measures its own
-// cost — instrumentation events, analysis latency, pipeline queue
-// pressure, profile fill and filter rates — continuously, the way PROMPT
+// cost — instrumentation events, analysis latency, replay backlog,
+// profile fill and filter rates — continuously, the way PROMPT
 // and Examem treat profiler self-accounting as a first-class output.
 //
 // The hot paths (Counter.Inc, Gauge.Set, Histogram.Observe) are single

@@ -79,7 +79,6 @@ const (
 	tidRIO      = 1
 	tidSelector = 2
 	tidAnalyzer = 3
-	tidPipeline = 4
 )
 
 func chromeTid(t Type) int {
@@ -88,10 +87,8 @@ func chromeTid(t Type) int {
 		return tidRIO
 	case EvTraceInstrumented, EvTraceDeinstrumented, EvProfileFill, EvAdaptiveStep:
 		return tidSelector
-	case EvAnalyzerBegin, EvAnalyzerEnd, EvCacheFlush:
-		return tidAnalyzer
 	default:
-		return tidPipeline
+		return tidAnalyzer
 	}
 }
 
@@ -144,9 +141,9 @@ func chromeArgs(e Event) map[string]any {
 // in the format's microsecond field, so one timeline microsecond equals
 // one modelled cycle; analyzer invocations appear as complete ("X") spans
 // with their modelled cost as the duration, lifecycle events as
-// thread-scoped instants, and two derived counter tracks plot delinquent-
-// set size and pipeline queue depth over time. Output is byte-
-// deterministic for deterministic event content.
+// thread-scoped instants, and a derived counter track plots delinquent-
+// set size over time. Output is byte-deterministic for deterministic event
+// content.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	evs := Sorted(events)
 	out := make([]chromeEvent, 0, len(evs)+8)
@@ -155,7 +152,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		metaEvent("thread_name", tidRIO, "rio code cache"),
 		metaEvent("thread_name", tidSelector, "region selector / instrumentor"),
 		metaEvent("thread_name", tidAnalyzer, "profile analyzer"),
-		metaEvent("thread_name", tidPipeline, "analysis pipeline"),
 	)
 	for _, e := range evs {
 		switch e.Type {
@@ -169,17 +165,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 				Name: "delinquent set", Ph: "C", Ts: e.Cycles + e.Dur,
 				Pid: chromePid, Tid: tidCounters,
 				Args: map[string]any{"size": e.Arg3},
-			})
-		case EvPipelineSubmit:
-			out = append(out, chromeEvent{
-				Name: e.Type.String(), Ph: "i", S: "t", Ts: e.Cycles,
-				Pid: chromePid, Tid: tidPipeline, Args: chromeArgs(e),
-			})
-			// Derived counter: pipeline queue depth at hand-off.
-			out = append(out, chromeEvent{
-				Name: "queue depth", Ph: "C", Ts: e.Cycles,
-				Pid: chromePid, Tid: tidCounters,
-				Args: map[string]any{"seq": e.Arg2},
 			})
 		default:
 			out = append(out, chromeEvent{

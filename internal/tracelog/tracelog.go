@@ -8,19 +8,18 @@
 // the modelled guest-cycle clock, so the recorded timeline is a modelled
 // quantity: deterministic, golden-testable, and independent of host speed.
 //
-// Concurrency model, mirroring internal/metrics: producers (the guest
-// thread, the pipeline's sequencer goroutine) append lock-free — one
-// atomic slot reservation plus one atomic pointer store — and readers
-// snapshot from any goroutine at any time, including mid-run over the
-// introspection HTTP endpoint. On overflow the ring drops the oldest
-// events and counts the drops; it never blocks and never grows.
+// Concurrency model, mirroring internal/metrics: producers append
+// lock-free — one atomic slot reservation plus one atomic pointer store —
+// and readers snapshot from any goroutine at any time, including mid-run
+// over the introspection HTTP endpoint. On overflow the ring drops the
+// oldest events and counts the drops; it never blocks and never grows.
 //
 // Determinism contract: an attached log never feeds back into modelled
 // state, so every report is byte-identical with tracing on or off. Event
-// *content* is deterministic on the inline analyzer path; Seq (append
-// order) and WallNs (host wall clock) are not, and every deterministic
-// renderer in this package excludes them — the same split as the metrics
-// layer's String vs LiveString.
+// *content* is deterministic; Seq (append order) and WallNs (host wall
+// clock) are not, and every deterministic renderer in this package
+// excludes them — the same split as the metrics layer's String vs
+// LiveString.
 package tracelog
 
 import (
@@ -55,12 +54,6 @@ const (
 	EvAnalyzerBegin
 	// EvCacheFlush: the analyzer flushed its logical cache (§5 gap rule).
 	EvCacheFlush
-	// EvPipelineSubmit: an invocation was handed off to the asynchronous
-	// pipeline (Arg1 = jobs, Arg2 = sequencer backlog).
-	EvPipelineSubmit
-	// EvPipelineRecycle: an instrumentation reused a recycled profile
-	// buffer instead of allocating (Arg1 = row capacity).
-	EvPipelineRecycle
 	// EvTraceDeinstrumented: a trace swapped back to its clean clone.
 	EvTraceDeinstrumented
 	// EvAdaptiveStep: the adaptive delinquency threshold stepped
@@ -81,8 +74,6 @@ var typeNames = [numTypes]string{
 	EvProfileFill:         "profile.fill",
 	EvAnalyzerBegin:       "analyzer.begin",
 	EvCacheFlush:          "analyzer.cache_flush",
-	EvPipelineSubmit:      "pipeline.submit",
-	EvPipelineRecycle:     "pipeline.recycle",
 	EvTraceDeinstrumented: "trace.deinstrumented",
 	EvAdaptiveStep:        "adaptive.step",
 	EvAnalyzerEnd:         "analyzer.end",
@@ -107,10 +98,6 @@ func (t Type) argNames() [3]string {
 		return [3]string{"rows", "global"}
 	case EvAnalyzerBegin:
 		return [3]string{"profiles"}
-	case EvPipelineSubmit:
-		return [3]string{"jobs", "seq_backlog"}
-	case EvPipelineRecycle:
-		return [3]string{"rows"}
 	case EvAdaptiveStep:
 		return [3]string{"alpha"}
 	case EvAnalyzerEnd:

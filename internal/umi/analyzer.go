@@ -41,19 +41,19 @@ type Analyzer struct {
 	cfg   *Config
 	cache *cache.Cache
 	// met, when non-nil, receives invocation/flush/ref counts as they
-	// happen (Attach sets it; analyzers built standalone in tests run
-	// unmetered). On the asynchronous path these increments execute on the
-	// sequencer goroutine — they are atomics, safe to snapshot from the
-	// guest thread at any time.
+	// happen (Attach and NewReplay set it; analyzers built standalone in
+	// tests run unmetered). In a Replay these increments execute on the
+	// sequencer goroutine — they are atomics, safe to snapshot from any
+	// goroutine at any time.
 	met *Metrics
 	// tlog, when non-nil, receives analyzer lifecycle events (cache
-	// flushes). Same ownership story as met: inline-path emits happen on
-	// the guest thread, pipeline-path emits on the sequencer.
+	// flushes). Only a System attaches one, and a System analyzes on the
+	// guest thread.
 	tlog *tracelog.Log
 	// hist, when non-nil, receives one WindowSummary per invocation via
-	// captureWindow. Same ownership story again: capture runs on whichever
-	// thread owns the analyzer, so history state needs no extra locking
-	// beyond the ring's own snapshot mutex.
+	// captureWindow. Capture runs on whichever goroutine owns the
+	// analyzer, so history state needs no extra locking beyond the ring's
+	// own snapshot mutex.
 	hist *History
 
 	lastRun   uint64 // guest cycles at last invocation
@@ -122,21 +122,15 @@ type invocation struct {
 	cost   uint64
 	profs  []*AddressProfile
 	alphas []float64
-	// settle, when non-nil, runs on the analyzer's owner right after
-	// profile i is analyzed and consumed: the inline path's tune, reset
-	// and deinstrument step, or the pipeline's hand-back of the buffer.
+	// settle, when non-nil, runs right after profile i is analyzed and
+	// consumed: the System's tune, reset and deinstrument step.
 	settle func(i int)
-	// barrier, when non-nil, marks a pipeline synchronization point
-	// instead of an invocation: the sequencer closes it without touching
-	// the analyzer.
-	barrier chan struct{}
 }
 
 // newInvocation stamps one hand-off with its modelled cost: the fixed
 // charge plus the per-reference charge for every recorded cell, the
 // reference count the mini-simulation will replay. It is known before any
-// profile is simulated, so the guest is charged at hand-off whichever
-// path then analyzes.
+// profile is simulated, so the guest is charged at hand-off.
 func newInvocation(cfg *Config, cycles uint64, profs []*AddressProfile, alphas []float64) invocation {
 	cost := cfg.AnalyzerFixed
 	for _, p := range profs {
@@ -145,14 +139,14 @@ func newInvocation(cfg *Config, cycles uint64, profs []*AddressProfile, alphas [
 	return invocation{cycles: cycles, cost: cost, profs: profs, alphas: alphas}
 }
 
-// invoke is the one invocation body. The System's inline path, the
-// pipeline's sequencer and Replay all run it, on whichever goroutine owns
-// the analyzer: BeginInvocation at the hand-off stamp; per profile
-// AnalyzeProfile, the consumers and inv.settle; then the window capture,
-// the latency and wall observations, the minisim.* mirrors and the
-// analyzer.end span. The span carries the hand-off cycles and the
-// modelled cost, a deterministic (ts, dur) at any width. It returns the
-// measured wall time. The analyzer must be metered.
+// invoke is the one invocation body. The System runs it on the guest
+// goroutine and a Replay on its sequencer: BeginInvocation at the
+// hand-off stamp; per profile AnalyzeProfile, the consumers and
+// inv.settle; then the window capture, the latency and wall
+// observations, the minisim.* mirrors and the analyzer.end span. The
+// span carries the hand-off cycles and the modelled cost, a
+// deterministic (ts, dur). It returns the measured wall time. The
+// analyzer must be metered.
 func (a *Analyzer) invoke(inv invocation, consumers []ProfileConsumer) uint64 {
 	start := time.Now()
 	refs0, miss0 := a.SimulatedRefs, a.totalMiss

@@ -114,17 +114,11 @@ type Config struct {
 	PhaseMissDelta  float64
 	PhaseChurnDelta float64
 
-	// AnalyzerWorkers selects where the profile analyzer runs. Below 2
-	// it runs inline on the guest thread (the paper's synchronous model).
-	// At 2 or more — every value alike — filled profiles are handed off
-	// over a bounded queue to one sequencer goroutine that owns the
-	// logical cache and runs each profile's whole analysis, so the guest
-	// keeps executing while profiles are analyzed; the sequencer replays
-	// profiles in the fixed PC-sorted submission order, so results are
-	// identical either way. The pipeline silently falls back to the
-	// synchronous path when OnAnalyzed, AdaptiveFrequency or AdaptSampling
-	// needs analysis results at deinstrumentation time. It stays an int,
-	// not a bool, because existing callers pass worker counts.
+	// AnalyzerWorkers is ignored. Where analysis runs follows the
+	// producer: a System analyzes inline on the guest thread (the paper's
+	// synchronous model), and a Replay on a sequencer goroutine that lives
+	// for one Consume. The field remains only because the whole-run
+	// benchmark (perfbench/), frozen outside a benchmark change, sets it.
 	AnalyzerWorkers int
 
 	// Burst sampling (Examem-style): when BurstPeriod > 1 an instrumented
@@ -136,7 +130,7 @@ type Config struct {
 	// invocation sees a ~1/BurstPeriod row sample. The schedule is
 	// deterministic — derived from SamplerSeed and the trace's start PC,
 	// advanced by the trace's own entry counter, all guest-thread modelled
-	// state — so reports stay byte-identical at every worker count.
+	// state — so reports stay byte-identical for a fixed seed.
 	// BurstPeriod ≤ 1 disables burst sampling (today's behaviour exactly).
 	BurstPeriod int
 
@@ -160,8 +154,8 @@ type Config struct {
 	// per-trace row target and doubling the reinstrumentation cooldown —
 	// down to at most adaptMaxLevel steps; any PhaseChange re-arms level 0
 	// (full profiling) immediately. Adaptation reads analysis results at
-	// deinstrument time, so (like OnAnalyzed and AdaptiveFrequency) it
-	// forces the inline analysis path. Requires HistoryWindows ≥ 0.
+	// deinstrument time, like OnAnalyzed and AdaptiveFrequency. Requires
+	// HistoryWindows ≥ 0.
 	AdaptSampling bool
 
 	// AdaptStableWindows is the consecutive phase-stable window count K

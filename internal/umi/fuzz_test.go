@@ -16,8 +16,8 @@ import (
 // [0,1], and the delinquent set restricted to profiled loads. The counts
 // must equal a naive cell-by-cell replay through a fresh mini-simulator,
 // and a second analyzer replaying the same profile must land on identical
-// results (determinism is what makes the pipeline's out-of-band analysis
-// legal).
+// results (determinism is what makes a replay's analysis, apart from the
+// guest that captured the profiles, legal).
 func FuzzAnalyzerProfile(f *testing.F) {
 	f.Add(uint8(2), uint8(8), uint8(30), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add(uint8(1), uint8(1), uint8(0), []byte{})

@@ -14,26 +14,25 @@ import (
 // cumulative end-of-run state; the paper's premise (§3.3, §5) is that
 // memory behaviour evolves and the analyzer runs periodically precisely to
 // track it. This file keeps the time axis: after each analyzer invocation
-// the owner thread (the guest on the inline path, the sequencer on the
-// pipeline path) captures one WindowSummary — the window's miss ratio, the
+// the analyzer's owner (a System's guest thread, a Replay's sequencer)
+// captures one WindowSummary — the window's miss ratio, the
 // delinquent-set membership and its churn against the previous window, the
 // stride mix, the working-set size — into a bounded ring.
 //
 // Everything captured derives from modelled state stamped at profile
-// hand-off time, never from wall clocks or queue depths, so inline
-// (workers=0) and asynchronous (workers=N) runs record byte-identical
-// histories, and recording never feeds back into modelled results:
+// hand-off time, never from wall clocks, so a run's history is
+// deterministic, and recording never feeds back into modelled results:
 // history-on and history-off reports are byte-identical by construction.
 
 // WindowSummary is one analyzer invocation's compact record of memory
 // behaviour: what this window looked like, and how far it moved from the
 // previous one. All fields derive from the modelled execution, so a fixed
-// workload produces a byte-identical summary sequence at any worker count.
+// workload produces a byte-identical summary sequence.
 type WindowSummary struct {
 	// Invocation is the 1-based analyzer invocation number.
 	Invocation int `json:"invocation"`
 	// Cycles is the modelled guest-cycle stamp at profile hand-off — the
-	// same clock BeginInvocation sees, identical inline and async.
+	// same clock BeginInvocation sees.
 	Cycles uint64 `json:"cycles"`
 	// Refs counts references mini-simulated in this window (warm-up
 	// included, matching Analyzer.SimulatedRefs accounting).
@@ -98,8 +97,8 @@ type History struct {
 	total  uint64          // windows ever recorded
 	phases uint64          // windows flagged PhaseChange, ever
 
-	// Capture state, touched only by the analyzer owner (the pipeline's
-	// ownership hand-offs give the necessary happens-before edges).
+	// Capture state, touched only by the analyzer owner (a Replay's
+	// sequencer hand-offs give the necessary happens-before edges).
 	missDelta  float64
 	churnDelta float64
 	prevRefs   uint64
@@ -156,7 +155,7 @@ func (h *History) Windows() []WindowSummary {
 
 // lastWindow returns the most recently recorded summary, or false when
 // none has been captured yet. Nil-safe: the adaptation state machine
-// consults it after every inline invocation, and a history-less run
+// consults it after every invocation, and a history-less run
 // (HistoryWindows < 0) simply never adapts.
 func (h *History) lastWindow() (WindowSummary, bool) {
 	if h == nil {
@@ -255,8 +254,8 @@ func jaccard(a, b []uint64) float64 {
 // captureWindow records one WindowSummary for the invocation that just
 // completed. It must run on the thread that owns the analyzer, after every
 // profile of the invocation has been analyzed and consumed, with the
-// modelled cycle stamp the invocation was submitted at — the rule that
-// makes inline and asynchronous histories byte-identical.
+// modelled cycle stamp the invocation was handed off at — the rule that
+// makes a replay's history equal the capture's.
 func (a *Analyzer) captureWindow(cycles uint64, consumers []ProfileConsumer) {
 	h := a.hist
 	if h == nil {

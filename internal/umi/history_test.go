@@ -18,54 +18,22 @@ func historyKey(t *testing.T, v HistoryView) string {
 	return string(b)
 }
 
-// TestHistoryDeterminismAcrossWorkers is the tentpole contract: the
-// sequencer stamps every window with the modelled hand-off cycle count, so
-// inline and asynchronous pipelines record byte-identical histories.
-func TestHistoryDeterminismAcrossWorkers(t *testing.T) {
-	for _, name := range []string{"manyloops", "stride"} {
-		prog := strideWorkload(t, 400_000)
-		if name == "manyloops" {
-			prog = manyLoopsWorkload(t, 8, 30_000)
-		}
-		cfg := testConfig()
-		run := func(workers int) string {
-			cfg.AnalyzerWorkers = workers
-			s, _ := runUMI(t, prog, cfg)
-			return historyKey(t, s.History())
-		}
-		want := run(0)
-		if !strings.Contains(want, historySchema) {
-			t.Fatalf("%s: history view missing schema: %s", name, want[:80])
-		}
-		for _, workers := range []int{1, 4} {
-			if got := run(workers); got != want {
-				t.Errorf("%s: workers=%d history differs from inline:\n  got  %s\n  want %s",
-					name, workers, got, want)
-			}
-		}
-	}
-}
-
 // TestHistoryInert: capture only reads modelled state, so the full report —
 // delinquent set, miss ratios, modelled cycles — is byte-identical whether
 // the history ring exists (default), is tiny, or is disabled outright.
 func TestHistoryInert(t *testing.T) {
 	prog := manyLoopsWorkload(t, 8, 30_000)
-	for _, workers := range []int{0, 4} {
-		cfg := testConfig()
-		cfg.HistoryWindows = -1 // capture disabled
-		off := workerKey(t, prog, cfg, workers)
+	cfg := testConfig()
+	cfg.HistoryWindows = -1 // capture disabled
+	off := runKey(t, prog, cfg)
 
-		cfg.HistoryWindows = 0 // default ring
-		on := workerKey(t, prog, cfg, workers)
-		if on != off {
-			t.Errorf("workers=%d: history-on report differs from history-off:\n  on  %s\n  off %s",
-				workers, on, off)
-		}
-		cfg.HistoryWindows = 2 // tiny ring, maximal dropping
-		if tiny := workerKey(t, prog, cfg, workers); tiny != off {
-			t.Errorf("workers=%d: tiny-ring report differs from history-off", workers)
-		}
+	cfg.HistoryWindows = 0 // default ring
+	if on := runKey(t, prog, cfg); on != off {
+		t.Errorf("history-on report differs from history-off:\n  on  %s\n  off %s", on, off)
+	}
+	cfg.HistoryWindows = 2 // tiny ring, maximal dropping
+	if tiny := runKey(t, prog, cfg); tiny != off {
+		t.Error("tiny-ring report differs from history-off")
 	}
 }
 

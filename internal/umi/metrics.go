@@ -11,11 +11,11 @@ import (
 // Self-observability for the UMI runtime. The paper's claim is that
 // introspection is cheap enough to leave on in production; this file is
 // how the runtime continuously measures its own cost instead of asserting
-// it. Every System carries a Metrics set: atomic counters, gauges, and
-// latency histograms updated on the thread that owns each event — the
-// guest thread for region-selection and instrumentation events, the
-// sequencer goroutine for analysis events — so a snapshot is safe from any
-// goroutine and the hot-path cost is a handful of uncontended atomic adds.
+// it. Every System and Replay carries a Metrics set: atomic counters,
+// gauges, and latency histograms updated on the goroutine that owns each
+// event — a System's guest thread, a Replay's sequencer for its analysis
+// events — so a snapshot is safe from any goroutine and the hot-path cost
+// is a handful of uncontended atomic adds.
 //
 // Metric names, by layer:
 //
@@ -23,7 +23,7 @@ import (
 //	umi.candidates.*    operation filtering (§4.1) accounting
 //	umi.profiles.*      address-profile fill events
 //	umi.analyzer.*      profile-analyzer invocations and latency
-//	umi.pool.*          asynchronous pipeline health (queue depths, busy time)
+//	umi.pool.*          a Replay's sequencer (submits, backlog, busy time)
 //	minisim.*           the analyzer's logical cache (accesses, misses, evictions)
 //	rio.*               substrate counters mirrored at snapshot points
 type Metrics struct {
@@ -42,7 +42,7 @@ type Metrics struct {
 	AdaptiveAlphaSteps   *metrics.Counter
 	AdaptiveFreqSteps    *metrics.Counter
 
-	// Analyzer (sequencer goroutine, or guest thread on the inline path).
+	// Analyzer (a System's guest thread, a Replay's sequencer).
 	Invocations      *metrics.Counter
 	Flushes          *metrics.Counter
 	SimulatedRefs    *metrics.Counter
@@ -51,30 +51,26 @@ type Metrics struct {
 	MiniSimEvictions *metrics.Counter
 	AnalysisLatency  *metrics.Histogram // wall ns per analyzer invocation
 
-	// Pipeline (pool.go).
-	Submits       *metrics.Counter
-	SyncFallbacks *metrics.Counter // invocations forced inline despite workers >= 2
-	SeqBacklog    *metrics.Gauge   // whole invocations queued behind the sequencer
-	RecycleQueue  *metrics.Gauge   // idle recycled buffers
-	RecycleHits   *metrics.Counter // instrumentations served from a recycled buffer
-	RecycleMisses *metrics.Counter // instrumentations that had to allocate
-	PrepBusyNs    *metrics.Counter // cumulative stride-discovery time (analyzer owner)
-	SeqBusyNs     *metrics.Counter // cumulative sequencer busy time
+	// A Replay's sequencer (pool.go), and stride discovery on either.
+	Submits    *metrics.Counter
+	SeqBacklog *metrics.Gauge   // whole invocations queued behind the sequencer
+	PrepBusyNs *metrics.Counter // cumulative stride-discovery time (analyzer owner)
+	SeqBusyNs  *metrics.Counter // cumulative sequencer busy time
 
 	// Per-stage self-overhead attribution (overhead.go). Event counters
 	// feed the modelled cost model (cycles = events × configured unit
 	// cost); wall counters hold measured nanoseconds. Each cell is written
-	// only by the thread that owns its stage — guest thread for
-	// instrument/fill/analyze-charge/emit, the analyzer owner (sequencer
-	// goroutine or inline guest) for history capture and prep — so
-	// scraping them from any goroutine is race-free.
+	// only by the goroutine that owns its stage — the guest thread for
+	// instrument/fill/analyze-charge/emit, the analyzer owner (the guest,
+	// or a Replay's sequencer) for history capture and prep — so scraping
+	// them from any goroutine is race-free.
 	FillPrologs       *metrics.Counter   // instrumented trace entries (prolog executions)
 	FillRefs          *metrics.Counter   // profiled references recorded by hooks
 	FillWallNs        *metrics.Counter   // prolog wall time (sampled estimator, see overhead.go)
 	InstrumentWallNs  *metrics.Counter   // clone-and-patch wall time
 	InstrumentLatency *metrics.Histogram // wall ns per instrument event
 	AnalyzeCycles     *metrics.Counter   // modelled analysis cost charged to the guest
-	AnalyzeWallNs     *metrics.Counter   // measured analysis wall (inline stall or sequencer busy)
+	AnalyzeWallNs     *metrics.Counter   // measured analysis wall (guest stall or sequencer busy)
 	PrepLatency       *metrics.Histogram // wall ns per profile's stride discovery
 	HistoryWallNs     *metrics.Counter   // window-capture wall time
 	HistoryLatency    *metrics.Histogram // wall ns per captured window
@@ -128,11 +124,7 @@ func newMetrics() *Metrics {
 		MiniSimEvictions:     reg.Counter("minisim.evictions"),
 		AnalysisLatency:      reg.Histogram("umi.analyzer.latency_ns", analysisLatencyBuckets),
 		Submits:              reg.Counter("umi.pool.submits"),
-		SyncFallbacks:        reg.Counter("umi.pool.sync_fallbacks"),
 		SeqBacklog:           reg.Gauge("umi.pool.seq_backlog"),
-		RecycleQueue:         reg.Gauge("umi.pool.recycle_queue"),
-		RecycleHits:          reg.Counter("umi.pool.recycle_hits"),
-		RecycleMisses:        reg.Counter("umi.pool.recycle_misses"),
 		PrepBusyNs:           reg.Counter("umi.pool.prep_busy_ns"),
 		SeqBusyNs:            reg.Counter("umi.pool.seq_busy_ns"),
 		FillPrologs:          reg.Counter("umi.stage.fill.prologs"),
@@ -175,8 +167,7 @@ func (m *Metrics) syncRIO(rt *rio.Runtime) {
 
 // syncCache mirrors the analyzer's logical-cache statistics. The
 // invocation body calls it on the analyzer's owner after every
-// invocation, so the minisim.* mirrors are current whenever the pipeline
-// is drained.
+// invocation, so the minisim.* mirrors are current after each one.
 func (m *Metrics) syncCache(a *Analyzer) {
 	cs := a.cache.Stats()
 	m.MiniSimAccesses.Store(cs.Accesses)
@@ -197,21 +188,19 @@ func FilterRate(s metrics.Snapshot) (float64, bool) {
 }
 
 // MetricsSnapshot returns a point-in-time copy of every runtime metric,
-// synchronizing with the analysis pipeline first so analyzer-side values
-// are complete through the last hand-off.
+// with the substrate and guest-clock mirrors synced first. Guest thread
+// only.
 func (s *System) MetricsSnapshot() metrics.Snapshot {
-	s.pool.drain()
 	s.met.syncRIO(s.rt)
 	s.syncGuestMirrors()
 	return s.met.reg.Snapshot()
 }
 
-// LiveMetricsSnapshot copies the registry as-is, without draining the
-// pipeline or mirroring substrate counters. Unlike MetricsSnapshot it is
-// safe to call from any goroutine while the guest is mid-run — the
-// registry is all atomics — which is what the HTTP introspection endpoint
-// needs. Analyzer-side values may lag by in-flight invocations, and the
-// rio.* / minisim.* mirrors hold their last synced values.
+// LiveMetricsSnapshot copies the registry as-is, without mirroring
+// substrate counters. Unlike MetricsSnapshot it is safe to call from any
+// goroutine while the guest is mid-run — the registry is all atomics —
+// which is what the HTTP introspection endpoint needs. The rio.* and
+// guest-clock mirrors hold their last synced values.
 func (s *System) LiveMetricsSnapshot() metrics.Snapshot {
 	return s.met.reg.Snapshot()
 }
@@ -225,8 +214,8 @@ func (s *System) Metrics() *Metrics { return s.met }
 func (m *Metrics) Snapshot() metrics.Snapshot { return m.reg.Snapshot() }
 
 // FormatMetrics renders a snapshot as the CLI's self-overhead section:
-// derived headline rates first (filter rate, analysis latency summary,
-// queue high-water marks), then the full registry dump.
+// derived headline rates first (filter rate, analysis latency summary),
+// then the full registry dump.
 func FormatMetrics(snap metrics.Snapshot) string {
 	var sb strings.Builder
 	if rate, ok := FilterRate(snap); ok {
@@ -238,9 +227,6 @@ func FormatMetrics(snap metrics.Snapshot) string {
 		fmt.Fprintf(&sb, "analysis latency: %d invocations, mean %.0fns p50=%dns p99=%dns max=%dns\n",
 			lat.Count, lat.Mean(), lat.Quantile(0.50), lat.Quantile(0.99), lat.Max)
 	}
-	fmt.Fprintf(&sb, "queue pressure:   sequencer %d (max %d), recycle %d (max %d)\n",
-		snap.Gauge("umi.pool.seq_backlog").Value, snap.Gauge("umi.pool.seq_backlog").Max,
-		snap.Gauge("umi.pool.recycle_queue").Value, snap.Gauge("umi.pool.recycle_queue").Max)
 	sb.WriteString(snap.String())
 	return sb.String()
 }

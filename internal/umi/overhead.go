@@ -19,7 +19,7 @@ import (
 //	fill        guest-thread profile filling: prologs (PrologCost each)
 //	            plus recorded references (PerRefCost each)
 //	analyze     analyzer invocations (the AnalyzerFixed/AnalyzerPerRef
-//	            cost charged at hand-off, inline or pipelined)
+//	            cost charged at hand-off)
 //	prep        stride discovery, timed inside each profile's analysis:
 //	            its wall is part of analyze's, not added to it (modelled
 //	            0: the analyze charge already covers it); events are the
@@ -91,11 +91,9 @@ func (s *System) syncGuestMirrors() {
 }
 
 // Overhead assembles the end-of-run (or checkpoint) attribution report,
-// synchronizing with the analysis pipeline first so every stage's cells
-// are settled. The modelled fields are deterministic: same program, same
-// config, same seed ⇒ identical values at any worker count.
+// with the guest-clock mirrors synced first. The modelled fields are
+// deterministic: same program, same config, same seed ⇒ identical values.
 func (s *System) Overhead() *OverheadReport {
-	s.pool.drain()
 	s.syncGuestMirrors()
 	return buildOverhead(s.met.reg.Snapshot(), &s.cfg)
 }
@@ -154,9 +152,8 @@ func buildOverhead(snap metrics.Snapshot, cfg *Config) *OverheadReport {
 	return r
 }
 
-// String renders the deterministic (modelled-cycles) view: golden-safe,
-// byte-identical at every worker count. Wall measurements live in
-// LiveString.
+// String renders the deterministic (modelled-cycles) view: golden-safe
+// and byte-identical across runs. Wall measurements live in LiveString.
 func (r *OverheadReport) String() string {
 	if r == nil || r.GuestCycles == 0 {
 		return "self-overhead: no guest cycles recorded\n"

@@ -1,11 +1,13 @@
 package umi
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -13,6 +15,7 @@ import (
 	"umi/internal/program"
 	"umi/internal/rio"
 	"umi/internal/vm"
+	"umi/internal/wire"
 )
 
 // --- satellite: BeginInvocation must not wrap on non-monotonic clocks ---
@@ -113,7 +116,7 @@ func TestAdaptiveAlphaNeverLeavesWindow(t *testing.T) {
 	}
 }
 
-// --- profile double-buffering primitives ---
+// --- profile buffer primitives ---
 
 func TestProfileRecordedCount(t *testing.T) {
 	p := NewAddressProfile([]uint64{0x10, 0x20}, []bool{true, true}, 4)
@@ -159,7 +162,7 @@ func TestProfileReinit(t *testing.T) {
 	}
 }
 
-// --- pipeline determinism and lifecycle ---
+// --- placement: a System analyzes inline, a Replay on its sequencer ---
 
 // systemKey serializes a System's full report deterministically.
 func systemKey(s *System, rt interface{ TotalCycles() uint64 }) string {
@@ -185,55 +188,68 @@ func systemKey(s *System, rt interface{ TotalCycles() uint64 }) string {
 		r.ProfilesCollected, r.InstrumentEvents, rt.TotalCycles(), ops, strides)
 }
 
-func workerKey(t *testing.T, prog *program.Program, cfg Config, workers int) string {
+// runKey runs prog under UMI and returns its systemKey.
+func runKey(t *testing.T, prog *program.Program, cfg Config) string {
 	t.Helper()
-	cfg.AnalyzerWorkers = workers
 	s, rt := runUMI(t, prog, cfg)
 	return systemKey(s, rt)
 }
 
-// TestPipelineDeterminism is the pool's core contract on a multi-trace
-// workload: every worker count produces the report the inline analyzer
-// produces, down to the modelled cycle totals.
-func TestPipelineDeterminism(t *testing.T) {
+// TestSequencerMatchesInline: a Replay at AnalyzerWorkers 0 (the value
+// ConfigFromWireHeader leaves) hands every recorded invocation to its
+// sequencer, and the report it assembles equals the capture's, which the
+// System analyzed inline.
+func TestSequencerMatchesInline(t *testing.T) {
 	progs := map[string]*program.Program{
-		"manyloops": manyLoopsWorkload(t, 8, 30_000),
 		"stride":    strideWorkload(t, 400_000),
+		"manyloops": manyLoopsWorkload(t, 8, 30_000),
 	}
 	for name, prog := range progs {
-		cfg := testConfig()
-		want := workerKey(t, prog, cfg, 0) // pre-pipeline serial path
-		for _, workers := range []int{1, 2, 4, 8} {
-			if got := workerKey(t, prog, cfg, workers); got != want {
-				t.Errorf("%s: workers=%d differs from serial:\n  got  %s\n  want %s",
-					name, workers, got, want)
-			}
+		sys, _, stream := emitUMI(t, prog, testConfig())
+		rep, r := replayStream(t, stream, 0)
+		if submits := r.Metrics().Snapshot().Counter("umi.pool.submits"); submits != uint64(rep.AnalyzerInvocations) {
+			t.Errorf("%s: %d of %d invocations went through the sequencer",
+				name, submits, rep.AnalyzerInvocations)
+		}
+		got, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(sys.Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: replayed report differs from the capture's:\n got  %s\n want %s", name, got, want)
 		}
 	}
 }
 
-// TestSequencerMatchesInline: a session at any AnalyzerWorkers value from
-// 2 up runs its invocations through the one sequencer and produces the
-// report the inline analyzer produces, down to the modelled cycle totals.
-func TestSequencerMatchesInline(t *testing.T) {
-	progs := map[string]func() *program.Program{
-		"stride":    func() *program.Program { return strideWorkload(t, 400_000) },
-		"manyloops": func() *program.Program { return manyLoopsWorkload(t, 8, 30_000) },
+// TestReplayConsumeJoinsSequencer: a Replay built as the whole-run
+// benchmark builds one, at AnalyzerWorkers 2, leaves no goroutine behind
+// once Consume returns — there is no Close to forget.
+func TestReplayConsumeJoinsSequencer(t *testing.T) {
+	_, _, stream := emitUMI(t, strideWorkload(t, 300_000), testConfig())
+	dec := wire.NewDecoder(bytes.NewReader(stream))
+	h, err := dec.Header()
+	if err != nil {
+		t.Fatalf("decode header: %v", err)
 	}
-	for name, build := range progs {
-		want := workerKey(t, build(), testConfig(), 0)
-		for _, workers := range []int{2, 4, 64} {
-			cfg := testConfig()
-			cfg.AnalyzerWorkers = workers
-			s, rt := runUMI(t, build(), cfg)
-			if s.met.Submits.Load() == 0 {
-				t.Errorf("%s: workers=%d: no invocation went through the sequencer", name, workers)
-			}
-			if got := systemKey(s, rt); got != want {
-				t.Errorf("%s: workers=%d differs from inline:\n  got  %s\n  want %s",
-					name, workers, got, want)
-			}
-		}
+	cfg, err := ConfigFromWireHeader(h)
+	if err != nil {
+		t.Fatalf("ConfigFromWireHeader: %v", err)
+	}
+	cfg.AnalyzerWorkers = 2
+	base := runtime.NumGoroutine()
+	r := NewReplay(cfg)
+	if _, err := r.Consume(dec); err != nil {
+		t.Fatalf("Consume: %v", err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Consume returned, %d before NewReplay", n, base)
+	}
+	if r.Report().AnalyzerInvocations == 0 {
+		t.Error("the replay analyzed nothing")
 	}
 }
 
@@ -247,129 +263,46 @@ func sessionProg(t *testing.T, i int) *program.Program {
 	return manyLoopsWorkload(t, 4+i%4, 20_000)
 }
 
-// TestConcurrentSessionsMatchInline runs eight Systems at once, each with
-// its own sequencer, at several AnalyzerWorkers values, and holds each to
-// its inline run: every value from 2 up selects the same one-sequencer
-// pipeline, and sessions sharing a process share no analyzer state. Under
-// -race (make check) it is the pipeline's data-race net.
+// TestConcurrentSessionsMatchInline runs eight Systems at once, each at
+// AnalyzerWorkers 4, and holds each to its solo run: a System analyzes on
+// its own guest goroutine whatever the field says, so none submits to a
+// sequencer, and sessions sharing a process share no analyzer state.
+// Under -race (make check) it is the data-race net for co-resident
+// sessions.
 func TestConcurrentSessionsMatchInline(t *testing.T) {
 	const sessions = 8
 	want := make([]string, sessions)
 	for i := range want {
-		want[i] = workerKey(t, sessionProg(t, i), testConfig(), 0)
+		want[i] = runKey(t, sessionProg(t, i), testConfig())
 	}
-	for _, workers := range []int{2, 4, 64} {
-		got := make([]string, sessions)
-		submits := make([]uint64, sessions)
-		var wg sync.WaitGroup
-		for i := 0; i < sessions; i++ {
-			cfg := testConfig()
-			cfg.AnalyzerWorkers = workers
-			rt := rio.NewRuntime(vm.New(sessionProg(t, i), cache.NewP4(false)))
-			s := Attach(rt, cfg)
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if err := rt.Run(50_000_000); err != nil {
-					t.Errorf("workers=%d session %d: Run: %v", workers, i, err)
-					return
-				}
-				s.Finish()
-				got[i] = systemKey(s, rt)
-				submits[i] = s.met.Submits.Load()
-			}(i)
-		}
-		wg.Wait()
-		for i := range got {
-			if submits[i] == 0 {
-				t.Errorf("workers=%d session %d: no invocation went through the sequencer", workers, i)
+	got := make([]string, sessions)
+	submits := make([]uint64, sessions)
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		cfg := testConfig()
+		cfg.AnalyzerWorkers = 4
+		rt := rio.NewRuntime(vm.New(sessionProg(t, i), cache.NewP4(false)))
+		s := Attach(rt, cfg)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := rt.Run(50_000_000); err != nil {
+				t.Errorf("session %d: Run: %v", i, err)
+				return
 			}
-			if got[i] != want[i] {
-				t.Errorf("workers=%d session %d differs from its inline run:\n  got  %s\n  want %s",
-					workers, i, got[i], want[i])
-			}
+			s.Finish()
+			got[i] = systemKey(s, rt)
+			submits[i] = s.met.Submits.Load()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if submits[i] != 0 {
+			t.Errorf("session %d: %d invocations went through a sequencer", i, submits[i])
 		}
-	}
-}
-
-// TestFormatMetricsQueuePressure: the CLI's metrics section leads with
-// the derived headline lines, and its queue-pressure line reads the
-// sequencer backlog and the recycle queue.
-func TestFormatMetricsQueuePressure(t *testing.T) {
-	cfg := testConfig()
-	cfg.AnalyzerWorkers = 2
-	s, _ := runUMI(t, manyLoopsWorkload(t, 8, 30_000), cfg)
-	snap := s.MetricsSnapshot()
-	out := FormatMetrics(snap)
-	backlog := snap.Gauge("umi.pool.seq_backlog")
-	recycle := snap.Gauge("umi.pool.recycle_queue")
-	for _, want := range []string{
-		"filter rate:",
-		"analysis latency:",
-		fmt.Sprintf("queue pressure:   sequencer %d (max %d), recycle %d (max %d)\n",
-			backlog.Value, backlog.Max, recycle.Value, recycle.Max),
-		"umi.pool.seq_backlog",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatMetrics lacks %q:\n%s", want, out)
+		if got[i] != want[i] {
+			t.Errorf("session %d differs from its solo run:\n  got  %s\n  want %s", i, got[i], want[i])
 		}
-	}
-	if rate, ok := FilterRate(snap); !ok || rate < 0 || rate > 1 {
-		t.Errorf("FilterRate = %v, %v", rate, ok)
-	}
-}
-
-// TestPipelineSyncFallback: OnAnalyzed needs analyzer state at the
-// deinstrument boundary, so AnalyzerWorkers must silently degrade to the
-// inline path — same results, hook still invoked.
-func TestPipelineSyncFallback(t *testing.T) {
-	prog := strideWorkload(t, 400_000)
-	cfg := testConfig()
-	cfg.AnalyzerWorkers = 4
-
-	m := vm.New(prog, cache.NewP4(false))
-	rt := rio.NewRuntime(m)
-	s := Attach(rt, cfg)
-	hookRuns := 0
-	s.OnAnalyzed = func(clean *rio.Fragment, an *Analyzer) *rio.Fragment {
-		hookRuns++
-		if an.Invocations == 0 {
-			t.Error("OnAnalyzed saw an analyzer that has not run")
-		}
-		return nil
-	}
-	if err := rt.Run(50_000_000); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	s.Finish()
-	if hookRuns == 0 {
-		t.Fatal("OnAnalyzed never ran")
-	}
-	if s.pool != nil {
-		t.Error("pipeline started despite a synchronous OnAnalyzed hook")
-	}
-}
-
-// TestPipelineRecyclesBuffers: with the pipeline on, analyzed profile
-// buffers flow back through the System's recycle queue instead of being
-// re-allocated every instrumentation, and Finish stops the pipeline.
-func TestPipelineRecyclesBuffers(t *testing.T) {
-	prog := strideWorkload(t, 600_000)
-	cfg := testConfig()
-	cfg.AnalyzerWorkers = 2
-	s, _ := runUMI(t, prog, cfg)
-	rep := s.Report()
-	if rep.ProfilesCollected < 2 {
-		t.Skipf("only %d profiles collected; nothing to recycle", rep.ProfilesCollected)
-	}
-	if hits := s.MetricsSnapshot().Counter("umi.pool.recycle_hits"); hits == 0 {
-		t.Errorf("no instrumentation reused a recycled buffer over %d profiles", rep.ProfilesCollected)
-	}
-	if s.pool != nil {
-		t.Error("Finish did not stop the pipeline")
-	}
-	if !s.poolClosed {
-		t.Error("poolClosed not latched after Finish")
 	}
 }
 

@@ -63,9 +63,8 @@ func (p *AddressProfile) Record(row, col int, addr uint64) {
 }
 
 // Recorded reports the number of populated cells: the reference count the
-// mini-simulation will replay. The asynchronous pipeline charges the
-// modelled analysis cost from this at hand-off time, before the profile is
-// actually simulated.
+// mini-simulation will replay. The modelled analysis cost is charged from
+// this at hand-off time, before the profile is actually simulated.
 func (p *AddressProfile) Recorded() int { return p.recorded }
 
 // ReuseRow clears one already-open row so a new execution can record over
@@ -97,11 +96,9 @@ func (p *AddressProfile) Reset() {
 }
 
 // Reinit repurposes the profile's backing storage for a different set of
-// operations, growing it only when the new geometry needs more cells. On
-// the pipeline path the System recycles analyzed profiles through this
-// instead of allocating a fresh buffer per instrumentation — the second
-// half of the double-buffering: one buffer is being analyzed while the
-// trace records into another.
+// operations or row count, growing it only when the new geometry needs
+// more cells. The System reinstruments a trace through this when an
+// optimizer rewrote its code or adaptation changed its row target.
 func (p *AddressProfile) Reinit(ops []uint64, isLoad []bool, rows int) {
 	p.Ops, p.IsLoadOp, p.rowCap = ops, isLoad, rows
 	need := rows * len(ops)

@@ -19,11 +19,12 @@ var ErrResume = errors.New("resume mismatch")
 // Replay drives an Analyzer from a recorded umi-profile stream (v1 or
 // v2) instead of a live guest: the receiving half of
 // capture-once/analyze-many. Each recorded invocation runs the invocation
-// body the System's analysis paths run (Analyzer.invoke), with the
-// recorded hand-off cycle stamp and profiles in recorded order, inline
-// (AnalyzerWorkers < 2) or on the pipeline's sequencer, so a report
-// assembled from a replay is byte-identical to the capture process's
-// report at any worker count.
+// body the System runs (Analyzer.invoke), with the recorded hand-off cycle
+// stamp and profiles in recorded order, so a report assembled from a
+// replay is byte-identical to the capture process's report. A replay has
+// no guest to stall, so each Consume decodes on the caller's goroutine
+// while a sequencer goroutine (pool.go) analyzes; the sequencer is joined
+// before Consume returns.
 //
 // A Replay outlives a single stream. Feeding it several shards in
 // sequence continues the analysis: the logical cache, delinquent set and
@@ -33,14 +34,14 @@ var ErrResume = errors.New("resume mismatch")
 // histories concatenate and compact to the capture cap. That is the
 // daemon's multi-shard ingest merge.
 type Replay struct {
-	cfg  Config
-	an   *Analyzer
-	met  *Metrics
-	pool *analyzerPool
+	cfg Config
+	an  *Analyzer
+	met *Metrics
 
 	// OnFrame, when set, observes the wall-clock latency of each stream
-	// record Consume processed (decode plus apply) — the ingest path's
-	// per-frame latency histogram feed. Purely observational.
+	// record Consume processed (decode plus hand-off to the sequencer) —
+	// the ingest path's per-frame latency histogram feed. Purely
+	// observational.
 	OnFrame func(time.Duration)
 
 	profiledPCs map[uint64]bool
@@ -72,9 +73,7 @@ type Replay struct {
 }
 
 // NewReplay builds a replayer for a stream-derived config
-// (ConfigFromWireHeader, plus AnalyzerWorkers layered on by the caller).
-// With AnalyzerWorkers ≥ 2 analysis runs through the same pipeline a live
-// System would use.
+// (ConfigFromWireHeader). It starts no goroutine.
 func NewReplay(cfg Config) *Replay {
 	r := &Replay{
 		cfg:          cfg,
@@ -85,33 +84,27 @@ func NewReplay(cfg Config) *Replay {
 	}
 	r.an = NewAnalyzer(&r.cfg)
 	r.an.met = r.met
-	if cfg.AnalyzerWorkers >= 2 {
-		r.pool = newAnalyzerPool(r.an, nil)
-	}
 	return r
 }
 
-// invocation applies one recorded invocation through the invocation body,
-// handing over the ownership of profs and alphas.
-func (r *Replay) invocation(cycles uint64, profs []*AddressProfile, alphas []float64) {
+// invocation hands one recorded invocation to the sequencer, with the
+// ownership of profs and alphas.
+func (r *Replay) invocation(seq *sequencer, cycles uint64, profs []*AddressProfile, alphas []float64) {
 	for _, p := range profs {
 		for _, pc := range p.Ops {
 			r.profiledPCs[pc] = true
 		}
 	}
 	r.profiles += len(profs)
-	inv := newInvocation(&r.cfg, cycles, profs, alphas)
-	if r.pool == nil {
-		r.an.invoke(inv, nil)
-		return
-	}
-	r.pool.submit(inv)
+	seq.submit(newInvocation(&r.cfg, cycles, profs, alphas))
 }
 
 // Consume replays one stream (after its header has been read and
 // validated by the caller) into the analyzer and, once the stream ends
 // cleanly, merges its trailer and history; it returns the shard's
-// manifest (zero for a v1 stream). On a decode error the analyzer keeps
+// manifest (zero for a v1 stream). Every invocation it applied is
+// analyzed, and its sequencer stopped, by the time it returns, on
+// success and error alike. On a decode error the analyzer keeps
 // whatever invocations were applied before the bad frame and nothing is
 // merged — the caller decides whether a partially-applied shard poisons
 // the session (Progress reports how far the applied prefix reached). A
@@ -150,6 +143,8 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (wire.Manifest
 	var profs []*AddressProfile
 	var alphas []float64
 	pendLeft := -1
+	seq := startSequencer(r.an)
+	defer seq.stop()
 	// Progress is per-stream: until this stream applies an invocation (or
 	// clears its skip prefix), there is no safe point to resume it from.
 	r.safeFrames, r.safeChk = 0, 0
@@ -210,7 +205,7 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (wire.Manifest
 			pendLeft = t.Profiles
 			profs, alphas = nil, nil
 			if pendLeft == 0 {
-				r.invocation(pendCycles, nil, nil)
+				r.invocation(seq, pendCycles, nil, nil)
 				r.safeFrames, r.safeChk = dec.Frames(), dec.Checksum()
 			}
 		case *wire.Profile:
@@ -220,7 +215,7 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (wire.Manifest
 			alphas = append(alphas, t.Alpha)
 			pendLeft--
 			if pendLeft == 0 {
-				r.invocation(pendCycles, profs, alphas)
+				r.invocation(seq, pendCycles, profs, alphas)
 				r.safeFrames, r.safeChk = dec.Frames(), dec.Checksum()
 			}
 		case *wire.HistoryMeta:
@@ -265,19 +260,6 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (wire.Manifest
 	return tr.Shard, nil
 }
 
-// Sync blocks until every invocation consumed so far has been analyzed;
-// the pipeline (if any) stays up for further shards. Analyzer-derived
-// state (Report) is consistent after a Sync until the next Consume.
-func (r *Replay) Sync() { r.pool.drain() }
-
-// Close drains the pipeline and stops its sequencer, if any. Further
-// Consume calls fall back to inline analysis — reports are identical
-// either way.
-func (r *Replay) Close() {
-	r.pool.close()
-	r.pool = nil
-}
-
 // History returns the capture side's streamed phase history, merged
 // across the cleanly consumed shards: totals summed, windows concatenated
 // and compacted to the capture cap. For a single shard it is the capture
@@ -305,15 +287,14 @@ func (r *Replay) Trailer() wire.Trailer {
 	return t
 }
 
-// Metrics exposes the replayer's self-observability registry (pipeline
+// Metrics exposes the replayer's self-observability registry (sequencer
 // gauges, analyzer counters) for the session /metrics surface.
 func (r *Replay) Metrics() *Metrics { return r.met }
 
 // Report assembles the run report: analyzer state recomputed by the
 // replay, plus the accounting only the capture process knew, merged from
-// the stream trailers.
+// the stream trailers. Not concurrent with Consume.
 func (r *Replay) Report() *Report {
-	r.Sync()
 	return &Report{
 		Delinquent:          r.an.Delinquent(),
 		Strides:             r.an.Strides(),

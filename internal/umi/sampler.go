@@ -20,8 +20,8 @@ package umi
 //
 // Everything here is guest-thread modelled state: the schedules derive
 // only from the seed, the trace PC, and deterministic counters, never
-// from wall time or worker interleaving — so sampled reports, like
-// unsampled ones, are byte-identical at every analyzer worker count.
+// from wall time — so sampled reports, like unsampled ones, are
+// byte-identical for a fixed seed.
 
 // splitmix64 is the SplitMix64 output function: a fast, well-mixed
 // 64-bit permutation used both to derive per-trace schedule offsets from
@@ -93,9 +93,9 @@ func (s *System) effGap() uint64 {
 	return gap << uint(s.adaptLevel)
 }
 
-// adaptFromWindow runs the adaptation state machine after an inline
-// analyzer invocation (AdaptSampling forces the inline path, so the
-// just-captured window is visible here on the guest thread). A
+// adaptFromWindow runs the adaptation state machine after an analyzer
+// invocation (the System analyzes on the guest thread, so the
+// just-captured window is visible here). A
 // PhaseChange re-arms full profiling; K consecutive stable windows step
 // the level down one notch.
 func (s *System) adaptFromWindow() {

@@ -44,8 +44,8 @@ func twoPhaseWorkload(t *testing.T, itersA, elemsB int64) *program.Program {
 }
 
 // TestSamplingDeterminism: every sampled configuration must report
-// byte-identically at workers 0, 1, and 4 — the schedules derive from the
-// seed and trace PCs alone, never from pipeline interleaving.
+// byte-identically run after run — the schedules derive from the seed and
+// trace PCs alone.
 func TestSamplingDeterminism(t *testing.T) {
 	progs := map[string]*program.Program{
 		"manyloops": manyLoopsWorkload(t, 8, 30_000),
@@ -69,12 +69,8 @@ func TestSamplingDeterminism(t *testing.T) {
 		for pname, prog := range progs {
 			cfg := testConfig()
 			mod(&cfg)
-			want := workerKey(t, prog, cfg, 0)
-			for _, workers := range []int{1, 4} {
-				if got := workerKey(t, prog, cfg, workers); got != want {
-					t.Errorf("%s/%s: workers=%d differs from serial:\n  got  %s\n  want %s",
-						mname, pname, workers, got, want)
-				}
+			if got, want := runKey(t, prog, cfg), runKey(t, prog, cfg); got != want {
+				t.Errorf("%s/%s: runs differ:\n  got  %s\n  want %s", mname, pname, got, want)
 			}
 		}
 	}
@@ -87,7 +83,7 @@ func TestSamplingDeterminism(t *testing.T) {
 func TestSamplingOffInert(t *testing.T) {
 	prog := strideWorkload(t, 400_000)
 	base := testConfig()
-	want := workerKey(t, prog, base, 0)
+	want := runKey(t, prog, base)
 	offs := map[string]func(*Config){
 		"period-1":      func(c *Config) { c.BurstPeriod = 1 },
 		"seed-only":     func(c *Config) { c.SamplerSeed = 0xdead },
@@ -97,7 +93,7 @@ func TestSamplingOffInert(t *testing.T) {
 	for name, mod := range offs {
 		cfg := testConfig()
 		mod(&cfg)
-		if got := workerKey(t, prog, cfg, 0); got != want {
+		if got := runKey(t, prog, cfg); got != want {
 			t.Errorf("%s: sampled-off run differs from seed behaviour:\n  got  %s\n  want %s",
 				name, got, want)
 		}
@@ -201,14 +197,19 @@ func TestAdaptRearmsOnPhaseChange(t *testing.T) {
 }
 
 // TestAdaptForcesInline: AdaptSampling reads the just-captured window on
-// the guest thread, so it must force the inline analyzer path even when
-// workers are configured — and still match the serial report.
+// the guest thread, so an adaptive run analyzes inline, submitting
+// nothing to a sequencer, and the ignored AnalyzerWorkers changes nothing.
 func TestAdaptForcesInline(t *testing.T) {
 	prog := strideWorkload(t, 400_000)
 	cfg := testConfig()
 	cfg.AdaptSampling = true
-	want := workerKey(t, prog, cfg, 0)
-	if got := workerKey(t, prog, cfg, 4); got != want {
-		t.Errorf("adaptive run with workers differs from serial:\n  got  %s\n  want %s", got, want)
+	want := runKey(t, prog, cfg)
+	cfg.AnalyzerWorkers = 4
+	s, rt := runUMI(t, prog, cfg)
+	if n := s.met.Submits.Load(); n != 0 {
+		t.Errorf("adaptive run submitted %d invocations to a sequencer", n)
+	}
+	if got := systemKey(s, rt); got != want {
+		t.Errorf("adaptive run at AnalyzerWorkers 4 differs:\n  got  %s\n  want %s", got, want)
 	}
 }

@@ -63,18 +63,6 @@ type System struct {
 	globalRows int
 	consumers  []ProfileConsumer
 
-	// pool is the asynchronous analysis pipeline (pool.go), started
-	// lazily on the first analyzer invocation when AnalyzerWorkers ≥ 2
-	// and no synchronous hook needs analysis results at deinstrument
-	// time. poolClosed latches after Finish so late invocations fall
-	// back to the inline path instead of touching a stopped pipeline.
-	// recycle holds the analyzed buffers the sequencer hands back, for
-	// the next instrumentation to reuse; it starts with the pipeline, and
-	// the inline path, which resets each profile in place, never fills it.
-	pool       *analyzerPool
-	poolClosed bool
-	recycle    chan *AddressProfile
-
 	// statistics
 	profilesCollected int
 	profiledPCs       map[uint64]bool
@@ -83,7 +71,7 @@ type System struct {
 
 	// Sampler adaptation state (sampler.go): the current shrink level and
 	// the consecutive phase-stable window count feeding it. Guest thread
-	// only — adaptation forces the inline analysis path.
+	// only.
 	adaptLevel  int
 	adaptStable int
 
@@ -107,11 +95,10 @@ type System struct {
 	tlog *tracelog.Log
 
 	// wenc, when non-nil, records every analyzer invocation's inputs as a
-	// umi-profile/v1 stream (EnableWireEmit / wire.go). Emission happens on
-	// the guest thread before either analysis path consumes the profiles,
-	// with the same cycle stamp both paths use, so the recorded stream is
-	// byte-identical at any worker count — and, like met/tlog, it never
-	// feeds back into modelled state.
+	// umi-profile stream (EnableWireEmit / wire.go). Emission happens on
+	// the guest thread before the analyzer consumes the profiles, with the
+	// invocation's cycle stamp, and, like met/tlog, it never feeds back
+	// into modelled state.
 	wenc *wire.Encoder
 }
 
@@ -142,8 +129,8 @@ func Attach(rt *rio.Runtime, cfg Config) *System {
 
 // EnableEventTrace attaches a structured event log of the given ring
 // capacity (0 selects tracelog.DefaultCapacity) and wires it through the
-// region selector, instrumentor, analyzer, pipeline, and the underlying
-// rio runtime. Must be called before the runtime starts executing; the
+// region selector, instrumentor, analyzer and the underlying rio
+// runtime. Must be called before the runtime starts executing; the
 // returned log may be snapshotted from any goroutine at any time.
 func (s *System) EnableEventTrace(capacity int) *tracelog.Log {
 	l := tracelog.NewLog(capacity)
@@ -157,27 +144,14 @@ func (s *System) EnableEventTrace(capacity int) *tracelog.Log {
 // was called).
 func (s *System) EventLog() *tracelog.Log { return s.tlog }
 
-// History snapshots the profile-history ring, synchronizing with the
-// analysis pipeline first so every invocation handed off so far is
-// reflected — the end-of-run (or checkpoint) view.
-func (s *System) History() HistoryView {
-	s.pool.drain()
-	return s.an.hist.View()
-}
+// History snapshots the profile-history ring. The ring has its own
+// snapshot lock, so the introspection server may call it from any
+// goroutine mid-run; every invocation finished so far is reflected.
+func (s *System) History() HistoryView { return s.an.hist.View() }
 
-// LiveHistory snapshots the ring without draining the pipeline: windows
-// the sequencer has not reached yet are simply absent. This is the path
-// the introspection HTTP server scrapes mid-run — it must never block on,
-// or interleave with, pipeline progress.
-func (s *System) LiveHistory() HistoryView { return s.an.hist.View() }
-
-// Analyzer exposes the profile analyzer and its cumulative results. When
-// the asynchronous pipeline is running, the call synchronizes with it
-// first, so the returned state reflects every profile handed off so far.
-func (s *System) Analyzer() *Analyzer {
-	s.pool.drain()
-	return s.an
-}
+// Analyzer exposes the profile analyzer and its cumulative results. Guest
+// thread only while the guest runs.
+func (s *System) Analyzer() *Analyzer { return s.an }
 
 // onTrace is the region selector's trace-creation hook.
 func (s *System) onTrace(f *rio.Fragment) {
@@ -258,20 +232,7 @@ func (s *System) instrument(ts *traceState) {
 	ts.rowsSeen = 0
 	switch {
 	case ts.profile == nil:
-		// No buffer attached: either the trace was never instrumented, or
-		// its last profile is still in (or went through) the pipeline.
-		// Prefer a recycled buffer over a fresh allocation; an empty (or,
-		// inline, nil) recycle queue just means allocating.
-		select {
-		case ts.profile = <-s.recycle:
-			ts.profile.Reinit(ops, isLoad, capRows)
-			s.met.RecycleHits.Inc()
-			s.emit(tracelog.Event{Type: tracelog.EvPipelineRecycle,
-				TracePC: ts.clean.Start, Arg1: uint64(capRows)})
-		default:
-			ts.profile = NewAddressProfile(ops, isLoad, capRows)
-			s.met.RecycleMisses.Inc()
-		}
+		ts.profile = NewAddressProfile(ops, isLoad, capRows)
 	case len(ts.profile.Ops) != len(ops) || ts.profile.rowCap != capRows:
 		ts.profile.Reinit(ops, isLoad, capRows)
 	default:
@@ -369,7 +330,7 @@ func (s *System) instrument(ts *traceState) {
 }
 
 // liveTraces returns the traces with a non-empty profile, sorted by trace
-// start PC — the fixed merge order every analysis path uses. The previous
+// start PC — the fixed merge order the recorded stream also keeps. The previous
 // map-order walk made reports depend on Go's randomized map iteration
 // whenever an invocation covered more than one live profile (the shared
 // logical cache makes the mini-simulation order-sensitive).
@@ -385,35 +346,12 @@ func (s *System) liveTraces() []*traceState {
 	return live
 }
 
-// asyncActive reports whether this invocation should go through the
-// pipeline, starting it lazily on first use. The pipeline is off the
-// table whenever a synchronous hook (OnAnalyzed, AdaptiveFrequency,
-// AdaptSampling) needs analysis results at deinstrument time; if one
-// appeared after the pool already ran, the inline path first synchronizes
-// with the pipeline so it never touches analyzer state concurrently.
-func (s *System) asyncActive() bool {
-	if s.cfg.AnalyzerWorkers < 2 {
-		return false
-	}
-	if s.OnAnalyzed != nil || s.cfg.AdaptiveFrequency || s.cfg.AdaptSampling || s.poolClosed {
-		// A pipeline was requested but this invocation cannot use it: the
-		// guest pays the stall the sequencer was meant to hide.
-		s.pool.drain()
-		s.met.SyncFallbacks.Inc()
-		return false
-	}
-	if s.pool == nil {
-		s.pool = newAnalyzerPool(s.an, s.consumers)
-		s.recycle = make(chan *AddressProfile, recycleDepth)
-	}
-	return true
-}
-
-// runAnalyzer performs one profile-analyzer invocation: it hands every
-// live profile to the invocation body (inline, or through the pipeline),
-// swaps every analyzed trace back to its clean clone, and charges the
-// modelled analysis cost at hand-off. The invocation is stamped with the
-// synced guest clock, which no guest instruction moves until it returns.
+// runAnalyzer performs one profile-analyzer invocation on the guest
+// goroutine: the guest stalls for the analysis, as in the paper. It runs
+// every live profile through the invocation body, swaps every analyzed
+// trace back to its clean clone, and charges the modelled analysis cost.
+// The invocation is stamped with the synced guest clock, which no guest
+// instruction moves until it returns.
 func (s *System) runAnalyzer(trigger *traceState) {
 	now := s.now()
 	live := s.liveTraces()
@@ -429,42 +367,21 @@ func (s *System) runAnalyzer(trigger *traceState) {
 	s.profilesCollected += len(live)
 	s.met.ProfilesCollected.Add(uint64(len(live)))
 	s.met.AnalyzeCycles.Add(inv.cost)
-	if s.asyncActive() {
-		// The profiles go to the sequencer and every trace swaps back to
-		// clean code now; each trace's next instrumentation records into
-		// a recycled or fresh buffer while the guest runs on.
-		inv.settle = func(i int) {
-			select {
-			case s.recycle <- profs[i]:
-			default: // recycling is best-effort; let the GC have it
-			}
-			s.met.RecycleQueue.Set(int64(len(s.recycle)))
+	// Each trace settles right after its profile's analysis, because
+	// OnAnalyzed and AdaptiveFrequency read the analyzer then.
+	inv.settle = func(i int) {
+		ts := live[i]
+		if s.cfg.AdaptiveFrequency {
+			s.tuneFrequency(ts)
 		}
-		for _, ts := range live {
-			ts.profile = nil
-			s.deinstrument(ts)
-		}
-		backlog := s.pool.submit(inv)
-		s.tlog.Emit(tracelog.Event{Type: tracelog.EvPipelineSubmit,
-			Cycles: now, Arg1: uint64(len(live)), Arg2: uint64(backlog)})
-	} else {
-		// The guest stalls for the analysis, as in the paper. Each trace
-		// settles right after its profile's analysis, because OnAnalyzed
-		// and AdaptiveFrequency read the analyzer then.
-		inv.settle = func(i int) {
-			ts := live[i]
-			if s.cfg.AdaptiveFrequency {
-				s.tuneFrequency(ts)
-			}
-			ts.profile.Reset()
-			s.deinstrument(ts)
-		}
-		s.an.invoke(inv, s.consumers)
-		if s.cfg.AdaptSampling {
-			// AdaptSampling forces the inline path, so the window just
-			// captured is settled here and adaptation steps from it.
-			s.adaptFromWindow()
-		}
+		ts.profile.Reset()
+		s.deinstrument(ts)
+	}
+	s.an.invoke(inv, s.consumers)
+	if s.cfg.AdaptSampling {
+		// The window just captured is settled, and adaptation steps from
+		// it.
+		s.adaptFromWindow()
 	}
 	s.rt.AddOverhead(inv.cost)
 	if s.cfg.Adaptive {
@@ -503,8 +420,7 @@ func (s *System) tuneFrequency(ts *traceState) {
 }
 
 // deinstrument swaps a trace back to its clean clone and runs the
-// optimization hook. The caller has already settled the profile: reset in
-// place on the inline path, detached into the pipeline on the async one.
+// optimization hook. The caller has already reset the profile in place.
 func (s *System) deinstrument(ts *traceState) {
 	ts.instr = nil
 	ts.rowOpen = false
@@ -524,17 +440,12 @@ func (s *System) deinstrument(ts *traceState) {
 }
 
 // Finish analyzes any profiles still live when execution ends, so short
-// runs report complete results, then drains and stops the analysis
-// pipeline if one is running. Further analyzer invocations (none are
-// expected after execution ends) fall back to the inline path.
+// runs report complete results.
 func (s *System) Finish() {
 	if live := s.liveTraces(); len(live) > 0 {
 		// The first live trace (fixed order) is the nominal trigger.
 		s.runAnalyzer(live[0])
 	}
-	s.pool.close()
-	s.pool = nil
-	s.poolClosed = true
 	s.syncGuestMirrors()
 }
 
@@ -577,11 +488,9 @@ type Report struct {
 	Flushes             int
 }
 
-// Report returns the run summary, synchronizing with the analysis
-// pipeline first so every handed-off profile is reflected. Call Finish
-// first for complete results.
+// Report returns the run summary. Call Finish first for complete
+// results.
 func (s *System) Report() *Report {
-	s.pool.drain()
 	return &Report{
 		Delinquent:          s.an.Delinquent(),
 		Strides:             s.an.Strides(),

@@ -42,7 +42,7 @@ func WireHeader(cfg *Config, workload, machine string) wire.Header {
 // ConfigFromWireHeader validates a received header and rebuilds the
 // analyzer-relevant Config a replay needs. Fields that only steer guest
 // execution (sampling, thresholds, costs charged to the guest) stay zero:
-// a replay has no guest. The caller layers on AnalyzerWorkers.
+// a replay has no guest.
 func ConfigFromWireHeader(h wire.Header) (Config, error) {
 	const maxCacheBytes = 1 << 30
 	if h.CacheSize == 0 || h.CacheSize > maxCacheBytes {
@@ -166,9 +166,8 @@ func windowFromWire(w *wire.Window) WindowSummary {
 // EnableWireEmit attaches a stream encoder: from now on every analyzer
 // invocation is recorded (hand-off cycle stamp plus each live profile,
 // in the fixed merge order) before it is analyzed. Emission runs on the
-// guest thread at the same point both analysis paths branch from, so the
-// recorded stream — like the report — is identical at any worker count,
-// and emit-on runs report exactly what emit-off runs report. Call before
+// guest thread with the invocation's own cycle stamp, and emit-on runs
+// report exactly what emit-off runs report. Call before
 // the runtime starts; pair with EmitWireTail after Finish. Encoder errors
 // are sticky and surface from the encoder's Flush.
 func (s *System) EnableWireEmit(enc *wire.Encoder) { s.wenc = enc }
@@ -199,7 +198,7 @@ func (s *System) emitInvocation(cycles uint64, live []*traceState) {
 // model (raw L2 accesses, misses and evictions).
 func (s *System) EmitWireTail(enc *wire.Encoder, h *cache.Hierarchy) {
 	hv := s.History()
-	start := time.Now() // after the pipeline drain: time the writes, not the wait
+	start := time.Now()
 	enc.History(wire.HistoryMeta{
 		Total:        hv.Total,
 		PhaseChanges: hv.PhaseChanges,

@@ -24,6 +24,7 @@ import (
 	"io"
 
 	"umi/internal/cache"
+	"umi/internal/harness"
 	"umi/internal/metrics"
 	"umi/internal/prefetch"
 	"umi/internal/program"
@@ -48,8 +49,8 @@ type (
 	MetricsSnapshot = metrics.Snapshot
 	// Event is one structured lifecycle event recorded by WithEventTrace:
 	// a typed record (trace promoted/instrumented/deinstrumented, profile
-	// fill, analyzer invocation span, cache flush, pipeline hand-off)
-	// stamped with the modelled guest-cycle clock. The Seq and WallNs
+	// fill, analyzer invocation span, cache flush) stamped with the
+	// modelled guest-cycle clock. The Seq and WallNs
 	// fields are the only non-deterministic content.
 	Event = tracelog.Event
 	// EventLog is the ring-buffered event timeline: bounded memory,
@@ -147,21 +148,6 @@ func WithGlobalDelinquencyThreshold(alpha float64) Option {
 	}
 }
 
-// WithAnalyzerWorkers selects where profile analysis runs: at n ≥ 2 —
-// every such n alike — filled address profiles are handed off over a
-// bounded channel to one sequencer goroutine that owns the analyzer, so
-// the guest keeps executing while analysis proceeds on another core. At
-// n ≤ 1 (the default) the analyzer runs inline on the guest thread.
-// Reports are identical either way — profiles are merged in a fixed
-// PC-sorted order. Sessions with
-// WithSoftwarePrefetch or WithCacheBypass fall back to the inline path:
-// their optimizers need analysis results at the deinstrument boundary.
-func WithAnalyzerWorkers(n int) Option {
-	return func(s *Session) {
-		s.cfgEdit = append(s.cfgEdit, func(c *iumi.Config) { c.AnalyzerWorkers = n })
-	}
-}
-
 // WithMaxInstructions bounds the run (default 200M).
 func WithMaxInstructions(n uint64) Option { return func(s *Session) { s.maxInstrs = n } }
 
@@ -199,7 +185,7 @@ func FormatHistory(windows []WindowSummary) string { return iumi.FormatHistory(w
 // executions, on a deterministic schedule derived from seed and the
 // trace's start PC; skipped executions run without profiling hooks,
 // paying only the prolog conditional. period ≤ 1 disables. Sampled runs
-// remain byte-identical across analyzer worker counts for a fixed seed.
+// are byte-identical for a fixed seed.
 func WithBurstSampling(period int, seed uint64) Option {
 	return func(s *Session) {
 		s.cfgEdit = append(s.cfgEdit, func(c *iumi.Config) {
@@ -226,7 +212,7 @@ func WithRowReservoir(n int) Option {
 // reinstrumentation cooldown (one level per step, bounded); any
 // phase-change flag re-arms full profiling immediately. stableWindows ≤ 0
 // selects the default (4). Adaptation reads analysis results at the
-// deinstrument boundary, so such sessions run the inline analysis path.
+// deinstrument boundary.
 func WithAdaptiveSampling(stableWindows int) Option {
 	return func(s *Session) {
 		s.cfgEdit = append(s.cfgEdit, func(c *iumi.Config) {
@@ -246,7 +232,7 @@ func FormatOverheadLive(r *OverheadReport) string { return r.LiveString() }
 // WriteChromeTrace serializes recorded events as Chrome trace-event JSON,
 // loadable in Perfetto or chrome://tracing: analyzer invocations as
 // duration spans per component track, lifecycle events as instants, and
-// derived counter tracks for delinquent-set size and pipeline queue depth.
+// a derived counter track for delinquent-set size.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	return tracelog.WriteChromeTrace(w, events)
 }
@@ -257,8 +243,8 @@ func FormatTimeline(events []Event, drops uint64) string {
 }
 
 // FormatMetrics renders a snapshot as the CLIs' self-overhead section:
-// headline rates (candidate filter rate, analysis latency summary, queue
-// pressure) followed by the full name-sorted registry dump.
+// headline rates (candidate filter rate, analysis latency summary)
+// followed by the full name-sorted registry dump.
 func FormatMetrics(snap MetricsSnapshot) string { return iumi.FormatMetrics(snap) }
 
 // FilterRate extracts the candidate-operation filter rate from a snapshot
@@ -300,7 +286,7 @@ type Session struct {
 
 // NewSession prepares a session for the program.
 func NewSession(p *Program, opts ...Option) *Session {
-	s := &Session{prog: p, maxInstrs: 200_000_000}
+	s := &Session{prog: p, maxInstrs: harness.MaxInstrs}
 	for _, o := range opts {
 		o(s)
 	}
@@ -316,22 +302,14 @@ func (s *Session) Run() (*Report, error) {
 	if s.report != nil {
 		return nil, ErrAlreadyRun
 	}
-	var h *cache.Hierarchy
-	var l2 cache.Config
-	switch s.machine {
-	case AMDK7:
-		h = cache.NewK7()
-		l2 = cache.K7L2
-	default:
-		h = cache.NewP4(s.hwPrefetch)
-		l2 = cache.P4L2
+	plat := harness.P4
+	if s.machine == AMDK7 {
+		plat = harness.K7
 	}
+	h := plat.Hierarchy(s.hwPrefetch)
 	m := vm.New(s.prog, h)
 	rt := rio.NewRuntime(m)
-	cfg := iumi.DefaultConfig(l2)
-	cfg.SamplePeriod = 2_000
-	cfg.FrequencyThreshold = 8
-	cfg.ReinstrumentGap = 100_000
+	cfg := harness.UMIParams(plat)
 	for _, edit := range s.cfgEdit {
 		edit(&cfg)
 	}
@@ -352,7 +330,7 @@ func (s *Session) Run() (*Report, error) {
 		s.events = sys.EnableEventTrace(s.traceCapacity)
 	}
 	if s.wantWorkingSet {
-		s.workingSet = iumi.NewWorkingSet(l2.LineSize)
+		s.workingSet = iumi.NewWorkingSet(plat.L2.LineSize)
 		sys.AddConsumer(s.workingSet)
 	}
 	if s.wantPatterns {
@@ -381,7 +359,7 @@ func (s *Session) Report() *Report { return s.report }
 
 // Metrics returns the final self-observability snapshot of the run: what
 // the runtime's introspection cost, from instrumentation and filter
-// counts through analysis latency and pipeline queue pressure. The zero
+// counts through analysis latency. The zero
 // Snapshot before Run.
 func (s *Session) Metrics() MetricsSnapshot { return s.metrics }
 

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"testing"
 
+	"umi/internal/harness"
 	"umi/internal/isa"
 	"umi/internal/program"
+	"umi/internal/workloads"
 )
 
 // demo builds a streaming workload with one delinquent strided load.
@@ -237,5 +239,49 @@ func TestSessionHistory(t *testing.T) {
 	}
 	if a, b := off.Report().String(), sess.Report().String(); a != b {
 		t.Errorf("history setting perturbed the report:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestSessionMatchesHarness: Session.Run uses the harness's platform
+// models and UMI parameters, so a session on 181.mcf marshals the same
+// Report, at the same TotalCycles, as harness.RunUMI with the same
+// settings — on the P4 with its hardware prefetchers, and on the K7.
+func TestSessionMatchesHarness(t *testing.T) {
+	w, ok := workloads.ByName("181.mcf")
+	if !ok {
+		t.Fatal("workload 181.mcf missing")
+	}
+	for _, tc := range []struct {
+		name string
+		plat *harness.Platform
+		hw   bool
+		opts []Option
+	}{
+		{"p4-hwpf", harness.P4, true, []Option{WithHWPrefetch()}},
+		{"k7", harness.K7, false, []Option{WithMachine(AMDK7)}},
+	} {
+		sess := NewSession(w.Program(), tc.opts...)
+		rep, err := sess.Run()
+		if err != nil {
+			t.Fatalf("%s: Run: %v", tc.name, err)
+		}
+		run, err := harness.RunUMI(w, tc.plat, harness.UMIParams(tc.plat), tc.hw, false)
+		if err != nil {
+			t.Fatalf("%s: RunUMI: %v", tc.name, err)
+		}
+		got, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(run.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: session report differs from the harness's:\n got  %s\n want %s", tc.name, got, want)
+		}
+		if got, want := sess.TotalCycles(), run.RT.TotalCycles(); got != want {
+			t.Errorf("%s: TotalCycles = %d, harness %d", tc.name, got, want)
+		}
 	}
 }
