@@ -4,7 +4,7 @@ FUZZTIME ?= 5s
 # The perf-trajectory micro-benchmarks: the hot paths every simulated
 # reference crosses. bench-json pins -benchtime/-count so BENCH_umi.json
 # baselines are comparable run to run on one machine.
-BENCH_HOT = ^Benchmark(CacheAccess|AnalyzeProfile|PipelineEndToEnd|WireEncode|WireEncodeV2|WireDecode|WireDecodeV2|ReplayStream|SampledAccess|OverheadAttribution)$$
+BENCH_HOT = ^Benchmark(CacheAccess|AnalyzeProfile|PipelineEndToEnd|RIODispatch|WireEncode|WireEncodeV2|WireDecode|WireDecodeV2|ReplayStream|SampledAccess|OverheadAttribution)$$
 BENCH_TIME ?= 300ms
 BENCH_COUNT ?= 3
 

@@ -377,10 +377,20 @@ func BenchmarkAnalyzeProfile(b *testing.B) {
 // the guest goroutine — and reports wall time per guest instruction: the
 // whole run's cost, which the substrate dominates, not just the
 // analyzer's share.
-func BenchmarkPipelineEndToEnd(b *testing.B) {
-	w, ok := workloads.ByName("181.mcf")
+func BenchmarkPipelineEndToEnd(b *testing.B) { benchUMIRun(b, "181.mcf") }
+
+// BenchmarkRIODispatch is BenchmarkPipelineEndToEnd on 197.parser, a guest
+// that builds some 200 traces and leaves them tens of thousands of times,
+// so rio's per-entry path (dispatch, links, exit bookkeeping) is a large
+// share of its run; 181.mcf, a one-trace loop, barely enters that path.
+func BenchmarkRIODispatch(b *testing.B) { benchUMIRun(b, "197.parser") }
+
+// benchUMIRun times whole inline UMI runs of one workload on the P4
+// hierarchy and reports wall time per guest instruction.
+func benchUMIRun(b *testing.B, name string) {
+	w, ok := workloads.ByName(name)
 	if !ok {
-		b.Fatal("workload 181.mcf missing")
+		b.Fatalf("workload %s missing", name)
 	}
 	cfg := harness.UMIParams(harness.P4)
 	var instrs uint64

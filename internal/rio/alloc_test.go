@@ -49,7 +49,7 @@ func TestProfiledEntryZeroAllocs(t *testing.T) {
 		PrologCost: 3,
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := rt.execFragment(tr); err != nil {
+		if _, _, _, err := rt.execFragment(tr); err != nil {
 			t.Fatal(err)
 		}
 	})

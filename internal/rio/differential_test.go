@@ -2,8 +2,11 @@ package rio_test
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"umi/internal/cache"
@@ -30,9 +33,47 @@ import (
 // and the fuzz target starts from.
 const transparencySeeds = 40
 
+var update = flag.Bool("update", false, "rewrite golden files with current output")
+
+// countersGolden pins rio's modelled counters for every corpus seed under
+// every mode, the full run and the budget-cut one: transparency compares
+// guest state only, and the charges (dispatches, lookups, builds, samples,
+// credit) reach TotalCycles and every harness golden.
+const countersGolden = "testdata/counters.golden"
+
 func TestDifferentialRandomPrograms(t *testing.T) {
+	want := map[string]string{}
+	if !*update {
+		b, err := os.ReadFile(countersGolden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		for _, block := range strings.SplitAfter(string(b), "\n\n") {
+			seed, _, _ := strings.Cut(block, " ")
+			want[seed] = block
+		}
+	}
+	var all strings.Builder
 	for seed := int64(0); seed < transparencySeeds; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkTransparency(t, seed) })
+		name := fmt.Sprintf("seed%d", seed)
+		t.Run(name, func(t *testing.T) {
+			var got strings.Builder
+			checkTransparency(t, seed, func(mode string, rt *rio.Runtime) {
+				fmt.Fprintf(&got, "%s %-15s overhead=%d credit=%d total=%d dispatches=%d indirect=%d samples=%d hits=%d traces=%d blocks=%d flushes=%d\n",
+					name, mode, rt.Overhead, rt.Credit, rt.TotalCycles(), rt.Dispatches, rt.IndirectLks,
+					rt.Samples, rt.SampleHits, rt.TracesBuilt, rt.BlocksBuilt, rt.BlockFlushes)
+			})
+			got.WriteString("\n")
+			all.WriteString(got.String())
+			if !*update && got.String() != want[name] {
+				t.Errorf("modelled counters moved:\ngot\n%swant\n%s", got.String(), want[name])
+			}
+		})
+	}
+	if *update {
+		if err := os.WriteFile(countersGolden, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -40,11 +81,12 @@ func FuzzRioTransparency(f *testing.F) {
 	for seed := int64(0); seed < transparencySeeds; seed++ {
 		f.Add(seed)
 	}
-	f.Fuzz(checkTransparency)
+	f.Fuzz(func(t *testing.T, seed int64) { checkTransparency(t, seed, nil) })
 }
 
 // genProgram builds a random but bounded program: a sequence of counted
-// loops with random ALU/memory bodies, helper calls, and an ending that
+// loops with random ALU/memory bodies (some with data-dependent forward
+// branches and jump-table switches), helper calls, and an ending that
 // halts, jumps out of the code image, or divides by zero. About a quarter
 // of its loads and stores are non-temporal.
 func genProgram(r *rand.Rand) *program.Program {
@@ -53,13 +95,13 @@ func genProgram(r *rand.Rand) *program.Program {
 	e.AddI(isa.SP, isa.SP, -128)
 	e.Mov(isa.BP, isa.SP)
 	e.MovI(isa.R2, int64(program.HeapBase))
+	var tables []jumpTable
 	nLoops := 1 + r.Intn(4)
 	for li := 0; li < nLoops; li++ {
 		pre := b.Block(fmt.Sprintf("pre%d", li))
 		pre.MovI(isa.R0, 0)
 		trip := int64(50 + r.Intn(300))
-		l := b.Block(fmt.Sprintf("loop%d", li))
-		emitRandomBody(r, l)
+		l := emitRandomBody(r, b, b.Block(fmt.Sprintf("loop%d", li)), &tables)
 		l.AddI(isa.R0, isa.R0, 1)
 		l.BrI(isa.CondLT, isa.R0, trip, fmt.Sprintf("loop%d", li))
 	}
@@ -91,6 +133,20 @@ func genProgram(r *rand.Rand) *program.Program {
 	if err != nil {
 		panic(err)
 	}
+	if len(tables) > 0 {
+		// The switch tables hold code addresses, known once the layout is:
+		// install them and assemble again (layout does not depend on data).
+		for _, t := range tables {
+			words := make([]uint64, len(t.cases))
+			for k, c := range t.cases {
+				words[k] = p.Symbols[c]
+			}
+			b.AddWords(t.addr, words)
+		}
+		if p, err = b.Assemble(); err != nil {
+			panic(err)
+		}
+	}
 	for i := range p.Instrs {
 		if op := p.Instrs[i].Op; (op.IsLoad() || op.IsStore()) && r.Intn(4) == 0 {
 			p.Instrs[i].NT = true
@@ -99,14 +155,23 @@ func genProgram(r *rand.Rand) *program.Program {
 	return p
 }
 
-// emitRandomBody appends 3-10 random instructions to a loop body. Memory
-// addresses stay inside a 1 MiB heap window via masking.
-func emitRandomBody(r *rand.Rand, blk *program.BlockBuilder) {
+// jumpTable is one switch's table of case labels, installed at addr in
+// the globals segment.
+type jumpTable struct {
+	addr  uint64
+	cases []string
+}
+
+// emitRandomBody appends 3-10 random instructions to a loop body and
+// returns the block the loop continues in. Memory addresses stay inside a
+// 1 MiB heap window via masking. A forward branch or a switch starts a new
+// block: the branch's target, or the switch's join.
+func emitRandomBody(r *rand.Rand, b *program.Builder, blk *program.BlockBuilder, tables *[]jumpTable) *program.BlockBuilder {
 	n := 3 + r.Intn(8)
 	for i := 0; i < n; i++ {
 		rd := isa.Reg(3 + r.Intn(9)) // r3..r11: avoid loop/base registers
 		rs := isa.Reg(3 + r.Intn(9))
-		switch r.Intn(11) {
+		switch r.Intn(13) {
 		case 0:
 			blk.Add(rd, rd, rs)
 		case 1:
@@ -139,8 +204,36 @@ func emitRandomBody(r *rand.Rand, blk *program.BlockBuilder) {
 		case 10: // software prefetch, in or beyond the heap window
 			blk.AndI(isa.R12, rs, (1<<18)-1)
 			blk.Prefetch(isa.MemIdx(isa.R2, isa.R12, 8, 0))
+		case 11: // data-dependent forward branch over a store and an update
+			skip := fmt.Sprintf("%s_%d", blk.Label(), i)
+			blk.Xor(isa.R12, rs, isa.R0)
+			blk.AndI(isa.R12, isa.R12, int64(1<<r.Intn(3)))
+			blk.BrI(isa.CondEQ, isa.R12, 0, skip)
+			blk.Store(rd, 8, isa.Mem(isa.BP, int64(8*r.Intn(8))))
+			blk.MulI(rd, rd, int64(r.Intn(5))+3)
+			blk = b.Block(skip)
+		case 12: // switch: a bounds check to the default case, then an
+			// indirect jump through a jump table whose slot 0 is that case
+			join := fmt.Sprintf("%s_%d", blk.Label(), i)
+			t := jumpTable{addr: program.GlobalBase + 64*uint64(len(*tables))}
+			ncase := 2 << r.Intn(2)
+			for k := 0; k < ncase; k++ {
+				t.cases = append(t.cases, fmt.Sprintf("%s_case%d", join, k))
+			}
+			blk.Xor(isa.R12, rs, isa.R0)
+			blk.AndI(isa.R12, isa.R12, int64(2*ncase-1))
+			blk.BrI(isa.CondGE, isa.R12, int64(ncase), t.cases[0])
+			blk.MovI(isa.R1, int64(t.addr))
+			blk.Load(isa.R12, 8, isa.MemIdx(isa.R1, isa.R12, 8, 0))
+			blk.JmpInd(isa.R12)
+			for k, c := range t.cases {
+				b.Block(c).AddI(rd, rd, int64(k+1)).Jmp(join)
+			}
+			*tables = append(*tables, t)
+			blk = b.Block(join)
 		}
 	}
+	return blk
 }
 
 type ref struct {
@@ -264,7 +357,7 @@ var rioModes = []rioMode{
 // bounded program accrues stays far below it.
 const perRefCost = 1 << 32
 
-func runRIO(p *program.Program, icache bool, budget uint64, mode rioMode, r *rand.Rand) (outcome, []*hookLog, uint64) {
+func runRIO(p *program.Program, icache bool, budget uint64, mode rioMode, r *rand.Rand) (outcome, []*hookLog, *rio.Runtime) {
 	m, h, refs := newMachine(p, icache)
 	rt := rio.NewRuntime(m)
 	rt.BlockCacheCap = mode.blockCap
@@ -334,10 +427,13 @@ func runRIO(p *program.Program, icache bool, budget uint64, mode rioMode, r *ran
 		}
 	}
 	err := rt.Run(budget)
-	return settle(m, h, *refs, err), logs, rt.Overhead / perRefCost
+	return settle(m, h, *refs, err), logs, rt
 }
 
-func checkTransparency(t *testing.T, seed int64) {
+// checkTransparency runs one seed's program every way and compares; each
+// rio run's finished runtime goes to counters, when non-nil, under its
+// mode's name (budget-cut runs as name@cut).
+func checkTransparency(t *testing.T, seed int64, counters func(mode string, rt *rio.Runtime)) {
 	r := rand.New(rand.NewSource(seed))
 	p := genProgram(r)
 	icache := seed%2 != 0
@@ -348,7 +444,11 @@ func checkTransparency(t *testing.T, seed int64) {
 	}
 	compareOutcomes(t, "step", want, runStep(p, icache, budget))
 	for _, mode := range rioModes {
-		got, logs, charged := runRIO(p, icache, budget, mode, r)
+		got, logs, rt := runRIO(p, icache, budget, mode, r)
+		if counters != nil {
+			counters(mode.name, rt)
+		}
+		charged := rt.Overhead / perRefCost
 		compareOutcomes(t, mode.name, want, got)
 		// Each hook delivers native references at its PC, in order, each
 		// as the machine's RefHook saw it; the covered mode delivers all
@@ -385,7 +485,10 @@ func checkTransparency(t *testing.T, seed int64) {
 	}
 	compareOutcomes(t, fmt.Sprintf("step at budget %d", small), cut, runStep(p, icache, small))
 	for _, mode := range rioModes {
-		got, _, _ := runRIO(p, icache, small, mode, r)
+		got, _, rt := runRIO(p, icache, small, mode, r)
+		if counters != nil {
+			counters(mode.name+"@cut", rt)
+		}
 		if !errors.Is(got.err, rio.ErrNotHalted) && !(got.instrs == want.instrs && sameErr(got.err, want.err)) {
 			t.Fatalf("%s at budget %d: %v, want rio.ErrNotHalted", mode.name, small, got.err)
 		}

@@ -15,7 +15,6 @@ package rio
 
 import (
 	"fmt"
-	"slices"
 
 	"umi/internal/isa"
 	"umi/internal/vm"
@@ -70,7 +69,7 @@ type Fragment struct {
 	// links records exit targets with established direct links; a
 	// transition through a linked exit bypasses dispatch. A fragment has
 	// a handful of direct exits, so a scan beats hashing.
-	links []uint64
+	links []link
 
 	// blocks lists the head PCs of the basic blocks inlined into a trace
 	// (for diagnostics and tests).
@@ -83,10 +82,32 @@ func (f *Fragment) NumInstrs() int { return len(f.Instrs) }
 // Blocks returns the head PCs of the blocks inlined into this trace.
 func (f *Fragment) Blocks() []uint64 { return f.blocks }
 
-// Linked reports whether an exit to target has been linked.
-func (f *Fragment) Linked(target uint64) bool { return slices.Contains(f.links, target) }
+// link is one established direct link. It carries the fragment its
+// target resolved to when the link was last used, valid only while the
+// runtime's code-cache generation is still gen.
+type link struct {
+	target uint64
+	to     *Fragment
+	gen    uint64
+}
 
-func (f *Fragment) link(target uint64) { f.links = append(f.links, target) }
+// Linked reports whether an exit to target has been linked.
+func (f *Fragment) Linked(target uint64) bool { return f.linkTo(target) != nil }
+
+// linkTo returns the link for an exit to target, nil if there is none.
+func (f *Fragment) linkTo(target uint64) *link {
+	for i := range f.links {
+		if f.links[i].target == target {
+			return &f.links[i]
+		}
+	}
+	return nil
+}
+
+func (f *Fragment) link(target uint64) *link {
+	f.links = append(f.links, link{target: target})
+	return &f.links[len(f.links)-1]
+}
 
 // unlinkAll drops every established link (used when a fragment is
 // replaced, since its successors may now differ).

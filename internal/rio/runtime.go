@@ -90,10 +90,16 @@ type Runtime struct {
 
 	// The code cache is indexed by instruction: blocks[i] and traces[i]
 	// hold the fragments headed at Prog.Instrs[i], and headCount[i]
-	// counts executions of instruction i as a trace-head candidate.
+	// counts executions of instruction i as a trace-head candidate. A
+	// trace slot never empties once filled.
 	blocks    []*Fragment
 	traces    []*Fragment
 	headCount []uint64
+	// gen is the code-cache generation: every change that can move what a
+	// PC resolves to (a trace installed by promotion or ReplaceTrace, a
+	// block-cache flush) bumps it, and so invalidates every link's cached
+	// target at once.
+	gen uint64
 
 	// Overhead accumulates runtime-system cycles; Credit accumulates
 	// trace-layout savings.
@@ -179,9 +185,10 @@ func (rt *Runtime) ReplaceTrace(frag *Fragment) {
 	if old := rt.traces[i]; old != nil {
 		old.unlinkAll()
 	}
-	// Links into the replaced fragment are modelled implicitly: linking
-	// is by target PC, so successors are unaffected.
+	// Links into the replaced fragment stay established (linking is by
+	// target PC); the new generation makes each resolve its target again.
 	rt.traces[i] = frag
+	rt.gen++
 }
 
 // Run executes until the program halts or maxInstrs guest instructions
@@ -201,38 +208,67 @@ func (rt *Runtime) run(maxInstrs uint64) error {
 	if rt.SamplePeriod > 0 && rt.nextSample == 0 {
 		rt.nextSample = rt.M.Instrs + rt.SamplePeriod
 	}
+	// prev is the fragment the last transition resolved to, prevIndirect
+	// whether it left through an indirect branch, and l its link to pc
+	// when it left through a linked direct exit.
 	var prev *Fragment
 	var prevIndirect bool
+	var l *link
 	for !rt.M.Halted {
 		if rt.M.Instrs-start >= maxInstrs {
 			return fmt.Errorf("%w (%d instructions)", ErrNotHalted, maxInstrs)
 		}
-		frag, rebuilt, err := rt.lookup(pc)
-		if err != nil {
-			return err
+		var frag *Fragment
+		if l != nil && l.gen == rt.gen {
+			// A linked exit whose target still resolves as cached: free,
+			// and no lookup.
+			frag = l.to
+		} else {
+			f, rebuilt, err := rt.lookup(pc)
+			if err != nil {
+				return err
+			}
+			// Transition cost: linked direct exits are free; indirect
+			// exits pay the hash lookup; everything else pays a full
+			// dispatch.
+			l = nil
+			if prev != nil && !prevIndirect {
+				l = prev.linkTo(pc)
+			}
+			switch {
+			case prev == nil || rebuilt:
+				rt.Overhead += rt.Cost.Dispatch
+				rt.Dispatches++
+			case prevIndirect:
+				rt.Overhead += rt.Cost.IndirectLook
+				rt.IndirectLks++
+			case l != nil:
+				// free
+			default:
+				rt.Overhead += rt.Cost.Dispatch
+				rt.Dispatches++
+				l = prev.link(pc)
+			}
+			if l != nil {
+				l.to, l.gen = f, rt.gen
+			}
+			frag = f
 		}
-		// Transition cost: linked direct exits are free; indirect exits
-		// pay the hash lookup; everything else pays a full dispatch.
-		switch {
-		case prev == nil || rebuilt:
-			rt.Overhead += rt.Cost.Dispatch
-			rt.Dispatches++
-		case prevIndirect:
-			rt.Overhead += rt.Cost.IndirectLook
-			rt.IndirectLks++
-		case prev.Linked(pc):
-			// free
-		default:
-			rt.Overhead += rt.Cost.Dispatch
-			rt.Dispatches++
-			prev.link(pc)
-		}
-		next, indirect, err := rt.execFragment(frag)
+		ran, exit, next, err := rt.execFragment(frag)
 		pc = next
-		if err != nil {
+		if err != nil || rt.M.Halted {
 			return err
 		}
-		prev, prevIndirect = frag, indirect
+		prev, prevIndirect, l = frag, ran.Instrs[exit].Op.IsIndirect(), nil
+		if !prevIndirect {
+			l = frag.linkTo(pc)
+		}
+		// Exit bookkeeping counts trace heads and feeds a recording. A
+		// head count is read only while its PC holds no trace, so a
+		// linked exit into a trace skips it unless a recording is open.
+		if rt.recording || l == nil || l.gen != rt.gen || !l.to.IsTrace {
+			rt.observeExit(ran, ran.PCs[exit], pc)
+		}
 	}
 	return nil
 }
@@ -273,10 +309,12 @@ func (rt *Runtime) buildBlock(i int) *Fragment {
 	rt.nextFragID++
 	if rt.BlockCacheCap > 0 && rt.blockInstrs+len(f.Instrs) > rt.BlockCacheCap {
 		// Cache full: flush everything and start over (DynamoRIO's
-		// all-at-once eviction). Links into flushed blocks resolve by
-		// target PC, so traces are unaffected.
+		// all-at-once eviction). Links into flushed blocks stay
+		// established (linking is by target PC); the new generation makes
+		// each resolve its target again.
 		rt.emit(tracelog.Event{Type: tracelog.EvBlockCacheFlush, Arg1: uint64(rt.blockInstrs)})
 		clear(rt.blocks)
+		rt.gen++
 		rt.blockInstrs = 0
 		rt.BlockFlushes++
 		rt.Overhead += rt.Cost.BlockFlush
@@ -288,10 +326,12 @@ func (rt *Runtime) buildBlock(i int) *Fragment {
 	return f
 }
 
-// execFragment runs the fragment to one of its exits. It returns the next
-// application PC (the faulting PC on error) and whether the exit was
-// through an indirect branch.
-func (rt *Runtime) execFragment(f *Fragment) (uint64, bool, error) {
+// execFragment runs the fragment to one of its exits, or, when its prolog
+// declines the entry and f no longer owns its PC, the fragment that does.
+// It returns the fragment that ran, the index of the last instruction that
+// retired in it (the exit, when the run neither halted nor faulted), and
+// the next application PC (the faulting PC on error).
+func (rt *Runtime) execFragment(f *Fragment) (*Fragment, int, uint64, error) {
 	f.ExecCount++
 	m := rt.M
 	var hooks []MemHook
@@ -356,13 +396,7 @@ func (rt *Runtime) execFragment(f *Fragment) (uint64, bool, error) {
 		shift := rt.Cost.TraceCreditShift
 		rt.Credit += rt.traceInstrs>>shift - t>>shift
 	}
-	if err != nil || m.Halted {
-		return next, false, err
-	}
-	// Fragment exit (or, for a block that runs off the end of the image,
-	// a fall-through the next lookup faults on).
-	rt.observeExit(f, f.PCs[i-1], next)
-	return next, f.Instrs[i-1].Op.IsIndirect(), nil
+	return f, i - 1, next, err
 }
 
 // sample takes one PC sample inside f.
@@ -382,9 +416,11 @@ func (rt *Runtime) sample(f *Fragment) {
 	}
 }
 
-// observeExit feeds the trace builder: backward branches identify trace
-// heads; hot heads trigger trace recording; recording appends the blocks
-// executed next until a stop condition.
+// observeExit feeds the trace builder at a fragment exit (or, for a block
+// that runs off the end of the image, a fall-through the next lookup
+// faults on): backward branches identify trace heads; hot heads trigger
+// trace recording; recording appends the blocks executed next until a
+// stop condition.
 func (rt *Runtime) observeExit(f *Fragment, branchPC, target uint64) {
 	if rt.recording {
 		rt.appendToRecording(f)
@@ -450,6 +486,7 @@ func (rt *Runtime) finishRecording() {
 	rt.recordInstrs, rt.recordPCs, rt.recordBlocks = nil, nil, nil
 	i, _ := rt.Prog.IndexOf(f.Start)
 	rt.traces[i] = f
+	rt.gen++
 	rt.TracesBuilt++
 	rt.Overhead += rt.Cost.TraceBuild + rt.Cost.TracePerInstr*uint64(len(f.Instrs))
 	rt.emit(tracelog.Event{Type: tracelog.EvTracePromoted, TracePC: f.Start, Arg1: uint64(len(f.Instrs))})

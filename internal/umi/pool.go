@@ -14,29 +14,51 @@ package umi
 // The bounded queue gives backpressure: a decoder far ahead of the
 // sequencer blocks on submit rather than queueing unbounded work.
 //
+// Once an invocation is analyzed, the sequencer hands each profile's cells
+// back over a channel that, like the sequencer, lives for one Consume; the
+// decoder fills them again for a later profile record, so a replay's
+// steady state decodes without allocating cells.
+//
 // Memory visibility follows the hand-offs: the decoder's writes to a
 // profile happen before its invocation's channel send; the sequencer's
-// writes to analyzer state happen before stop returns.
+// last read of a profile's cells happens before their send back; the
+// sequencer's writes to analyzer state happen before stop returns.
 
 // seqDepth bounds how many whole invocations the decoder may run ahead of
 // the sequencer.
 const seqDepth = 4
 
+// freeDepth bounds the cells waiting for the decoder, which takes them
+// before every record it decodes: one slot per queued invocation covers
+// what the sequencer frees meanwhile, and a fuller channel lets the rest
+// go to the collector (2 to 64 slots read the same B/op in
+// BenchmarkReplayStream).
+const freeDepth = seqDepth
+
 // sequencer is one Consume's analysis goroutine. It owns the analyzer
 // from start to stop: nothing else may touch analyzer state in between.
 type sequencer struct {
-	an   *Analyzer
-	q    chan invocation
+	an *Analyzer
+	q  chan invocation
+	// free carries analyzed profiles' cells back to the decoder.
+	free chan []uint64
 	done chan struct{}
 }
 
 // startSequencer starts the goroutine. The analyzer must be metered.
 func startSequencer(an *Analyzer) *sequencer {
-	s := &sequencer{an: an, q: make(chan invocation, seqDepth), done: make(chan struct{})}
+	s := &sequencer{an: an, q: make(chan invocation, seqDepth),
+		free: make(chan []uint64, freeDepth), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		for inv := range s.q {
 			s.an.met.SeqBusyNs.Add(s.an.invoke(inv, nil))
+			for _, p := range inv.profs {
+				select {
+				case s.free <- p.cells:
+				default: // the decoder has plenty: let these go
+				}
+			}
 		}
 	}()
 	return s

@@ -164,6 +164,10 @@ func (r *Replay) consume(dec *wire.Decoder, skip, skipSum uint64) (wire.Manifest
 	}
 	for {
 		start := time.Now()
+		// Only this goroutine receives, so a buffered hand-back never blocks.
+		for len(seq.free) > 0 {
+			dec.Recycle(<-seq.free)
+		}
 		rec, err := dec.Next()
 		if err == io.EOF {
 			if skipping {

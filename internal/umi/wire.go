@@ -108,8 +108,8 @@ func wireProfile(p *AddressProfile, alpha float64) wire.Profile {
 }
 
 // profileFromWire adopts a decoded profile record, taking ownership of
-// its slices (the decoder allocates fresh ones per record): zero-copy
-// from frame to analyzer input.
+// its slices: zero-copy from frame to analyzer input. A replay's
+// sequencer hands the cells back to the decoder once they are analyzed.
 func profileFromWire(wp *wire.Profile) *AddressProfile {
 	return &AddressProfile{
 		Ops:      wp.PCs,

@@ -146,15 +146,17 @@ func (m *Machine) EA(ref isa.MemRef) uint64 {
 }
 
 // Exec is the interpreter: it executes code in order, updating
-// registers, memory and the cycle and instruction counters, until an
-// instruction that may change control flow (a branch or halt) retires, an
-// instruction faults, m.Instrs reaches stop, or code runs out. Instruction
-// i stands at application PC pcs[i] or, when pcs is nil, at
-// pc + i*isa.InstrBytes. Exec returns how many instructions retired and
-// the PC execution continues at — the faulting instruction's own PC on
-// error. It does not touch m.PC: callers (Step, Run, and the rio
-// dispatcher, which executes instructions out of code-cache fragments)
-// manage control flow themselves.
+// registers, memory and the cycle and instruction counters, until control
+// leaves the straight line, an instruction faults, m.Instrs reaches stop,
+// or code runs out. Instruction i stands at application PC pcs[i] or,
+// when pcs is nil, at pc + i*isa.InstrBytes. Control leaves the straight
+// line at a halt and at a branch whose next PC is not the next slot's PC;
+// a fall-through, or a taken branch whose target a trace inlined next,
+// runs on. Exec returns how many instructions retired and the PC
+// execution continues at — the faulting instruction's own PC on error. It
+// does not touch m.PC: callers (Step, Run, and the rio dispatcher, which
+// executes instructions out of code-cache fragments) manage control flow
+// themselves.
 //
 // Exec charges base costs to m.Cycles and queues the model's work (see
 // Sync); outside a run it applies the queue before returning, so Cycles
@@ -188,7 +190,8 @@ func (m *Machine) Exec(code []isa.Instr, pcs []uint64, pc uint64, hooks []RefHoo
 		case isa.OpNop:
 		case isa.OpHalt:
 			m.Halted = true
-			branch = true
+			m.retire(cycles+in.BaseCost(), instrs+1)
+			return i + 1, next, nil
 		case isa.OpAdd:
 			m.Regs[in.Rd] = m.Regs[in.Rs1] + m.Regs[in.Rs2]
 		case isa.OpSub:
@@ -296,6 +299,16 @@ func (m *Machine) Exec(code []isa.Instr, pcs []uint64, pc uint64, hooks []RefHoo
 		}
 		cycles += in.BaseCost()
 		instrs++
+		if branch && i+1 < len(code) {
+			// A branch that continues at the next slot stays on the
+			// straight line (runtime-injected instructions may share their
+			// neighbour's application PC, so only branches compare PCs).
+			follow := pc + isa.InstrBytes
+			if pcs != nil {
+				follow = pcs[i+1]
+			}
+			branch = next != follow
+		}
 		if branch || instrs >= stop {
 			m.retire(cycles, instrs)
 			return i + 1, next, nil

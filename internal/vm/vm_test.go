@@ -224,6 +224,46 @@ func TestBadPC(t *testing.T) {
 	}
 }
 
+// TestExecStopsWhereControlLeaves: Exec runs on through a branch that
+// continues at the next slot — an untaken branch, or a taken one whose
+// target comes next — and returns at a branch leaving the straight line,
+// at a halt, and at stop.
+func TestExecStopsWhereControlLeaves(t *testing.T) {
+	b := program.NewBuilder("straight")
+	e := b.Block("entry")
+	e.MovI(isa.R1, 5)
+	e.BrI(isa.CondEQ, isa.R1, 0, "far") // untaken
+	e.Jmp("next")                       // taken, to the next slot
+	n := b.Block("next")
+	n.AddI(isa.R1, isa.R1, 1)
+	n.BrI(isa.CondEQ, isa.R1, 6, "far") // taken elsewhere
+	n.Halt()
+	b.Block("far").Halt()
+	p, err := b.Assemble()
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	far := p.Symbols["far"]
+	m := New(p, nil)
+	if got, next, err := m.Exec(p.Instrs, nil, p.Entry, nil, NoStop); got != 5 || next != far || err != nil || m.Halted {
+		t.Errorf("image: Exec = %d, %#x, %v (halted %v); want 5, %#x, nil at the taken branch", got, next, err, m.Halted, far)
+	}
+	// A trace that inlined the taken branch runs on through it to the halt.
+	i, _ := p.IndexOf(p.Symbols["next"])
+	code := []isa.Instr{p.Instrs[i], p.Instrs[i+1], p.Instrs[len(p.Instrs)-1]}
+	pcs := []uint64{p.PCOf(i), p.PCOf(i + 1), far}
+	m = New(p, nil)
+	m.Regs[isa.R1] = 5
+	if got, next, err := m.Exec(code, pcs, 0, nil, NoStop); got != 3 || next != far+isa.InstrBytes || err != nil || !m.Halted {
+		t.Errorf("trace: Exec = %d, %#x, %v (halted %v); want 3, %#x, nil, halted", got, next, err, m.Halted, far+isa.InstrBytes)
+	}
+	// stop cuts the straight line after the untaken branch.
+	m = New(p, nil)
+	if got, next, err := m.Exec(p.Instrs, nil, p.Entry, nil, 2); got != 2 || next != p.Symbols["entry"]+2*isa.InstrBytes || err != nil {
+		t.Errorf("stop: Exec = %d, %#x, %v; want 2, %#x, nil", got, next, err, p.Symbols["entry"]+2*isa.InstrBytes)
+	}
+}
+
 func TestBudgetExhausted(t *testing.T) {
 	b := program.NewBuilder("spin")
 	b.Block("entry").Jmp("entry")

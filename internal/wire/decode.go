@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrTruncated marks decode errors caused by the stream ending (or the
@@ -41,6 +42,9 @@ type Decoder struct {
 	br *bytes.Reader
 
 	cellPrev map[uint64]uint64 // v2 per-PC cell predecessors, stream-persistent
+	pred     []int             // v2 per-column predictor list, per-profile scratch
+	colPrev  []uint64          // v2 per-column cell predecessors, per-profile scratch
+	free     [][]uint64        // cell buffers handed back through Recycle
 
 	gotHeader       bool
 	pendingProfiles int
@@ -158,8 +162,9 @@ func (d *Decoder) Header() (Header, error) {
 
 // Next returns the next record: one of *Invocation, *Profile,
 // *HistoryMeta, *Window, *Trailer. After the trailer it verifies the
-// stream ends and returns io.EOF. Slices in returned records are freshly
-// allocated and owned by the caller.
+// stream ends and returns io.EOF. Slices in returned records are owned by
+// the caller; a profile's Cells may reuse a buffer handed back through
+// Recycle, and every other slice is freshly allocated.
 func (d *Decoder) Next() (Record, error) {
 	if d.err != nil {
 		return nil, d.err
@@ -284,6 +289,34 @@ func (d *Decoder) Next() (Record, error) {
 	default:
 		return nil, d.fail("unknown frame type 0x%02x", typ)
 	}
+}
+
+// maxFreeCells bounds how many handed-back cell buffers the decoder
+// keeps, so a caller handing back more than it decodes cannot grow the
+// list: a replay decodes into one or two at a time.
+const maxFreeCells = 8
+
+// Recycle hands a decoded profile's Cells back once the caller is done
+// with them: a later profile record may decode into the buffer. The
+// caller must not touch it afterwards.
+func (d *Decoder) Recycle(cells []uint64) {
+	if len(d.free) < maxFreeCells {
+		d.free = append(d.free, cells)
+	}
+}
+
+// cells returns a buffer of n cells: a handed-back one with room for n
+// when there is one, else a fresh one. The caller writes every cell.
+func (d *Decoder) cells(n int) []uint64 {
+	for i := len(d.free) - 1; i >= 0; i-- {
+		if b := d.free[i]; cap(b) >= n {
+			last := len(d.free) - 1
+			d.free[i], d.free[last] = d.free[last], nil
+			d.free = d.free[:last]
+			return b[:n]
+		}
+	}
+	return make([]uint64, n)
 }
 
 // readFrame reads one frame header and its payload into the reusable
@@ -448,14 +481,16 @@ func (d *Decoder) decodeProfile(c *cursor) (*Profile, error) {
 		if d.cellPrev == nil {
 			d.cellPrev = make(map[uint64]uint64)
 		}
-		pred = make([]int, nops)
+		d.pred = slices.Grow(d.pred[:0], nops)[:nops]
+		pred = d.pred
 		for j := range pred {
 			pred[j] = c.count("profile cell predictor", j)
 		}
 		if d.err != nil {
 			return nil, d.err
 		}
-		colPrev = make([]uint64, nops)
+		d.colPrev = slices.Grow(d.colPrev[:0], nops)[:nops]
+		colPrev = d.colPrev
 		for j := range colPrev {
 			colPrev[j] = d.cellPrev[p.PCs[j]]
 		}
@@ -479,7 +514,7 @@ func (d *Decoder) decodeProfile(c *cursor) (*Profile, error) {
 		if c.remaining() < ncells {
 			return nil, d.fail("profile payload too short for %d dense cells", ncells)
 		}
-		p.Cells = make([]uint64, ncells)
+		p.Cells = d.cells(ncells)
 		for i := range p.Cells {
 			v := cell(i)
 			if v == NoCell {
@@ -502,7 +537,7 @@ func (d *Decoder) decodeProfile(c *cursor) (*Profile, error) {
 		if trailingBitsSet(bitmap, ncells) {
 			return nil, d.fail("profile presence bitmap has bits set past cell %d", ncells)
 		}
-		p.Cells = make([]uint64, ncells)
+		p.Cells = d.cells(ncells)
 		for i := range p.Cells {
 			if bitmap[i/8]&(1<<(i%8)) != 0 {
 				v := cell(i)

@@ -96,6 +96,63 @@ func TestRoundTripV2(t *testing.T) {
 	}
 }
 
+// TestDecoderRecycle: cells handed back through Recycle are decoded into
+// again, and a profile decoded into a used (here poisoned) buffer equals
+// the one decoded fresh, in both stream versions.
+func TestDecoderRecycle(t *testing.T) {
+	for version, newEncoder := range map[int]func(io.Writer) *Encoder{1: NewEncoder, 2: NewEncoderV2} {
+		var buf bytes.Buffer
+		e := newEncoder(&buf)
+		e.Header(testHeader())
+		for inv := 0; inv < 3; inv++ {
+			e.Invocation(uint64(100*inv), 2)
+			e.Profile(denseProfile())
+			e.Profile(sparseProfile())
+		}
+		e.Trailer(testTrailer())
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_, want, err := decodeAll(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDecoder(bytes.NewReader(buf.Bytes()))
+		if _, err := d.Header(); err != nil {
+			t.Fatal(err)
+		}
+		var handedBack *uint64
+		reused := 0
+		for i := 0; ; i++ {
+			rec, err := d.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, ok := rec.(*Profile)
+			if !ok {
+				continue
+			}
+			if &p.Cells[0] == handedBack {
+				reused++
+			}
+			if !reflect.DeepEqual(p, want[i]) {
+				t.Fatalf("v%d record %d decoded into a handed-back buffer: %+v, want %+v", version, i, p, want[i])
+			}
+			for j := range p.Cells {
+				p.Cells[j] = ^uint64(j)
+			}
+			handedBack = &p.Cells[0]
+			d.Recycle(p.Cells)
+		}
+		if reused != 5 {
+			t.Errorf("v%d: %d of 5 later profiles decoded into the handed-back buffer", version, reused)
+		}
+	}
+}
+
 func TestV2Truncation(t *testing.T) {
 	stream := testStreamV2()
 	for n := 0; n < len(stream); n++ {
