@@ -2,9 +2,14 @@ GO ?= go
 FUZZTIME ?= 5s
 
 # The perf-trajectory micro-benchmarks: the hot paths every simulated
-# reference crosses. bench-json pins -benchtime/-count so BENCH_umi.json
-# baselines are comparable run to run on one machine.
-BENCH_HOT = ^Benchmark(CacheAccess|AnalyzeProfile|PipelineEndToEnd|RIODispatch|WireEncode|WireEncodeV2|WireDecode|WireDecodeV2|ReplayStream|SampledAccess|OverheadAttribution)$$
+# reference crosses, each timed for BENCH_TIME. bench-json pins
+# -benchtime/-count so BENCH_umi.json baselines are comparable run to run
+# on one machine.
+BENCH_HOT = ^Benchmark(CacheAccess|AnalyzeProfile|WireEncode|WireEncodeV2|WireDecode|WireDecodeV2|ReplayStream|OverheadAttribution)$$
+# The whole-run gauges: one UMI run (70-120 ms) per iteration. They run a
+# fixed 20 iterations per count whatever BENCH_TIME says: at 300ms they got
+# about three, and one regeneration moved them by ±15%.
+BENCH_WHOLE = ^Benchmark(PipelineEndToEnd|RIODispatch|SampledAccess)$$
 BENCH_TIME ?= 300ms
 BENCH_COUNT ?= 3
 
@@ -35,10 +40,13 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-hot runs the hot-path micro-benchmarks and prints go test's
-# output; bench-json, bench-compare and CI's bench job all read this run.
-BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem \
-	-benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
+# bench-hot runs the micro-benchmarks and the whole-run gauges and prints
+# go test's output; bench-json, bench-compare and CI's bench job all read
+# this run.
+BENCH_RUN = { $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem \
+	-benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . && \
+	$(GO) test -run '^$$' -bench '$(BENCH_WHOLE)' -benchmem \
+	-benchtime 20x -count $(BENCH_COUNT) . ; }
 
 bench-hot:
 	$(BENCH_RUN)

@@ -429,7 +429,7 @@ func BenchmarkSampledAccess(b *testing.B) {
 			b.Fatal(err)
 		}
 		refs += run.Report.SimulatedRefs
-		overheadPct = 100 * run.Overhead.OverheadRatio
+		overheadPct = 100 * run.Sys.Overhead().OverheadRatio
 	}
 	if refs > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refs), "ns/ref")
@@ -438,22 +438,19 @@ func BenchmarkSampledAccess(b *testing.B) {
 }
 
 // BenchmarkOverheadAttribution measures assembling the per-stage
-// attribution report from the live registry — the cost the introspection
+// attribution report from the registry — the cost the introspection
 // endpoint pays per /overhead scrape while the guest runs.
 func BenchmarkOverheadAttribution(b *testing.B) {
 	w, _ := workloads.ByName("181.mcf")
-	h := harness.P4.Hierarchy(false)
-	m := vm.New(w.Program(), h)
-	rt := rio.NewRuntime(m)
-	s := iumi.Attach(rt, harness.UMIParams(harness.P4))
-	if err := rt.Run(harness.MaxInstrs); err != nil {
+	run, err := harness.RunProgram(w.Program(), harness.P4, false, harness.UMIParams(harness.P4), harness.MaxInstrs, nil)
+	if err != nil {
 		b.Fatal(err)
 	}
-	s.Finish()
+	s := run.Sys
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := s.LiveOverhead()
+		r := s.Overhead()
 		if r.GuestCycles == 0 {
 			b.Fatal("live report empty")
 		}

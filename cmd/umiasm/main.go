@@ -18,8 +18,6 @@ import (
 	"umi/internal/harness"
 	"umi/internal/isa"
 	"umi/internal/program"
-	"umi/internal/rio"
-	"umi/internal/umi"
 	"umi/internal/vm"
 	"umi/internal/workloads"
 )
@@ -88,18 +86,14 @@ func runNative(p *program.Program) error {
 }
 
 func runUMI(p *program.Program) error {
-	h := harness.P4.Hierarchy(false)
-	m := vm.New(p, h)
-	rt := rio.NewRuntime(m)
-	sys := umi.Attach(rt, harness.UMIParams(harness.P4))
-	if err := rt.Run(harness.MaxInstrs); err != nil {
+	run, err := harness.RunProgram(p, harness.P4, false, harness.UMIParams(harness.P4), harness.MaxInstrs, nil)
+	if err != nil {
 		return err
 	}
-	sys.Finish()
-	rep := sys.Report()
+	rep := run.Report
 	fmt.Printf("%v\n", rep)
 	fmt.Printf("hardware L2 miss ratio %.4f; UMI simulated %.4f\n",
-		h.L2Stats.MissRatio(), rep.SimMissRatio)
+		run.H.L2Stats.MissRatio(), rep.SimMissRatio)
 	var pcs []uint64
 	for pc := range rep.Delinquent {
 		pcs = append(pcs, pc)

@@ -8,8 +8,7 @@
 //	umiprof [-machine p4|k7] [-hwpf] [-swpf] [-no-sampling] [-top n]
 //	        [-metrics] [-metrics-json file] [-overhead] [-trace-out file]
 //	        [-history] [-history-out file] [-emit file] [-emit-format 1|2]
-//	        [-emit-live host:port] [-live-window n]
-//	        [-http addr] [-http-linger d] <workload>
+//	        [-emit-live host:port] [-http addr] [-http-linger d] <workload>
 //	umiprof -ingest file                          replay a recorded stream locally
 //	umiprof -ingest file -ingest-addr host:port   ship it to a umid daemon
 //	umiprof -transcode file -o file [-emit-format 1|2]   re-encode a recording
@@ -31,10 +30,8 @@ import (
 	"umi/internal/harness"
 	"umi/internal/introspect"
 	"umi/internal/prefetch"
-	"umi/internal/rio"
 	"umi/internal/tracelog"
 	"umi/internal/umi"
-	"umi/internal/vm"
 	"umi/internal/wire"
 	"umi/internal/workloads"
 )
@@ -76,8 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"wire format version written by -emit, -emit-live, and -transcode: 1 or 2 (compressed)")
 	emitLive := fs.String("emit-live", "",
 		"stream telemetry live to a umid daemon at this address while the guest runs; appends the daemon's RunResult JSON")
-	liveWindow := fs.Int("live-window", 64,
-		"with -emit-live: flow-control window (in-flight frames before the producer backs off)")
 	ingestIn := fs.String("ingest", "",
 		"replay a recorded umi-profile stream instead of running a workload; prints the RunResult JSON")
 	ingestAddr := fs.String("ingest-addr", "",
@@ -138,10 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := harness.UMIParams(plat)
 	cfg.UseSampling = !*noSampling
 
-	h := plat.Hierarchy(*hwpf)
-	m := vm.New(w.Program(), h)
-	rt := rio.NewRuntime(m)
-	sys := umi.Attach(rt, cfg)
 	// Stream emission is observational (it records analyzer inputs on the
 	// guest thread before analysis), so stdout stays byte-identical with
 	// or without -emit. -emit-live ships the same frames to a daemon as
@@ -162,11 +153,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		emitFile = f
 		emitEnc = newEncoder(f)
-		emitEnc.Header(umi.WireHeader(&cfg, w.Name, *machine))
-		sys.EnableWireEmit(emitEnc)
 	}
 	if *emitLive != "" {
-		sh, err := introspect.NewLiveShipper(*emitLive, introspect.LiveConfig{Window: *liveWindow})
+		sh, err := introspect.NewLiveShipper(*emitLive, introspect.LiveConfig{})
 		if err != nil {
 			fmt.Fprintf(stderr, "umiprof: emit-live: %v\n", err)
 			return 1
@@ -174,104 +163,103 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shipper = sh
 		emitEnc = newEncoder(sh)
 		emitEnc.SetFrameHook(sh.FrameEnd)
-		emitEnc.Header(umi.WireHeader(&cfg, w.Name, *machine))
-		sys.EnableWireEmit(emitEnc)
 		fmt.Fprintf(stderr, "umiprof: live-tailing telemetry into session %s at %s\n", sh.SessionID(), *emitLive)
-	}
-	// The event timeline and the HTTP server are purely observational:
-	// neither touches modelled state, so everything printed to stdout is
-	// byte-identical with or without them (stderr carries their notes).
-	var elog *tracelog.Log
-	if *traceOut != "" || *httpAddr != "" {
-		elog = sys.EnableEventTrace(0)
 	}
 	// -http serves the run as the one session of an in-process daemon, so
 	// it answers the same views as any umid session; its report appears
 	// once the run is done.
-	var finish func(*introspect.RunResult)
+	var d *introspect.Daemon
+	var httpBound string
 	if *httpAddr != "" {
-		d := introspect.NewDaemon(introspect.DaemonConfig{MaxSessions: 1})
+		d = introspect.NewDaemon(introspect.DaemonConfig{MaxSessions: 1})
 		defer d.Shutdown()
-		// A fresh daemon always admits its first session.
-		id, fin, _ := d.Adopt(w.Name, sys)
-		finish = fin
 		addr, stop, err := d.Serve(*httpAddr)
 		if err != nil {
 			fmt.Fprintf(stderr, "umiprof: http: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "umiprof: introspection server at http://%s/sessions/%s/\n", addr, id)
+		httpBound = addr
 		defer stop()
 	}
+	var finish func(*introspect.RunResult)
 	var opt *prefetch.Optimizer
-	if *swpf {
-		opt = prefetch.NewOptimizer(prefetch.DefaultConfig)
-		sys.OnAnalyzed = opt.Hook()
-	}
 	var wset *umi.WorkingSet
-	if *ws {
-		wset = umi.NewWorkingSet(plat.L2.LineSize)
-		sys.AddConsumer(wset)
-	}
 	var census *umi.PatternCensus
-	if *patterns {
-		census = umi.NewPatternCensus()
-		sys.AddConsumer(census)
-	}
 	var explorer *umi.WhatIf
-	if *whatIf {
-		quarter, half, double := plat.L2, plat.L2, plat.L2
-		quarter.Size /= 4
-		quarter.Name = "L2/4"
-		half.Size /= 2
-		half.Name = "L2/2"
-		double.Size *= 2
-		double.Name = "L2x2"
-		explorer = umi.NewWhatIf(cfg.WarmupRows, quarter, half, plat.L2, double)
-		sys.AddConsumer(explorer)
+	run, err := harness.RunProgram(w.Program(), plat, *hwpf, cfg, harness.MaxInstrs, func(r *harness.UMIRun) {
+		sys := r.Sys
+		if emitEnc != nil {
+			r.Emit(emitEnc, w.Name, *machine)
+		}
+		// The event timeline and the HTTP server are purely observational:
+		// neither touches modelled state, so everything printed to stdout
+		// is byte-identical with or without them (stderr carries their
+		// notes).
+		if *traceOut != "" || d != nil {
+			sys.EnableEventTrace(0)
+		}
+		if d != nil {
+			// A fresh daemon always admits its first session.
+			id, fin, _ := d.Adopt(w.Name, sys)
+			finish = fin
+			fmt.Fprintf(stderr, "umiprof: introspection server at http://%s/sessions/%s/\n", httpBound, id)
+		}
+		if *swpf {
+			opt = prefetch.NewOptimizer(prefetch.DefaultConfig)
+			sys.OnAnalyzed = opt.Hook()
+		}
+		if *ws {
+			wset = umi.NewWorkingSet(plat.L2.LineSize)
+			sys.AddConsumer(wset)
+		}
+		if *patterns {
+			census = umi.NewPatternCensus()
+			sys.AddConsumer(census)
+		}
+		if *whatIf {
+			quarter, half, double := plat.L2, plat.L2, plat.L2
+			quarter.Size /= 4
+			quarter.Name = "L2/4"
+			half.Size /= 2
+			half.Name = "L2/2"
+			double.Size *= 2
+			double.Name = "L2x2"
+			explorer = umi.NewWhatIf(cfg.WarmupRows, quarter, half, plat.L2, double)
+			sys.AddConsumer(explorer)
+		}
+	})
+	if emitFile != nil {
+		if cerr := emitFile.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("emit: %w", cerr)
+		}
 	}
-	if err := rt.Run(harness.MaxInstrs); err != nil {
+	if err != nil {
 		fmt.Fprintf(stderr, "umiprof: %v\n", err)
 		return 1
 	}
-	sys.Finish()
+	if emitFile != nil {
+		fmt.Fprintf(stderr, "umiprof: wrote telemetry stream to %s\n", *emitOut)
+	}
 	var liveRes *introspect.RunResult
-	if emitEnc != nil {
-		sys.EmitWireTail(emitEnc, h)
-		err := emitEnc.Flush()
-		if emitFile != nil {
-			if cerr := emitFile.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "umiprof: emit: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "umiprof: wrote telemetry stream to %s\n", *emitOut)
+	if shipper != nil {
+		res, err := shipper.Close()
+		if err != nil {
+			fmt.Fprintf(stderr, "umiprof: emit-live: %v\n", err)
+			return 1
 		}
-		if shipper != nil {
-			res, cerr := shipper.Close()
-			if err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "umiprof: emit-live: %v\n", err)
-				return 1
-			}
-			liveRes = res
-			fmt.Fprintf(stderr, "umiprof: daemon acknowledged live session %s\n", shipper.SessionID())
-		}
+		liveRes = res
+		fmt.Fprintf(stderr, "umiprof: daemon acknowledged live session %s\n", shipper.SessionID())
 	}
-	rep := sys.Report()
+	rep := run.Report
 	if finish != nil {
-		finish(&introspect.RunResult{Report: rep, History: sys.History(),
-			HWMissRatio: h.L2Stats.MissRatio(), Cycles: rt.TotalCycles(), Instrs: m.Instrs})
+		finish(introspect.ResultOf(run))
 	}
+	rt, h := run.RT, run.H
 
 	fmt.Fprintf(stdout, "workload:   %s (%s; %s)\n", w.Name, w.Suite, w.Class)
 	fmt.Fprintf(stdout, "platform:   %s (hw prefetch %v)\n", plat.Name, *hwpf && plat.HasHWPrefetch)
 	fmt.Fprintf(stdout, "instrs:     %d guest, %d cycles (total %d with runtime overhead)\n",
-		m.Instrs, m.Cycles, rt.TotalCycles())
+		rt.M.Instrs, rt.M.Cycles, rt.TotalCycles())
 	fmt.Fprintf(stdout, "hardware:   L2 %s\n", &h.L2Stats)
 	fmt.Fprintf(stdout, "umi:        %s\n", rep)
 	fmt.Fprintf(stdout, "traces:     %d seen, %d instrument events, %d blocks / %d traces built\n",
@@ -281,7 +269,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "sim ratio:  %.4f (hardware %.4f)\n", rep.SimMissRatio, h.L2Stats.MissRatio())
 
 	fmt.Fprintf(stdout, "\ndelinquent loads (|P| = %d):\n", len(rep.Delinquent))
-	an := sys.Analyzer()
+	an := run.Sys.Analyzer()
 	for _, st := range an.TopMissers(*top) {
 		if !rep.Delinquent[st.PC] {
 			continue
@@ -328,7 +316,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// prefix of a metrics-less run: collection is always on, these flags
 	// only choose whether anyone looks.
 	if *showMetrics || *metricsJSON != "" {
-		snap := sys.MetricsSnapshot()
+		snap := run.Sys.MetricsSnapshot()
 		if *showMetrics {
 			fmt.Fprintf(stdout, "\nself-overhead metrics:\n%s", umi.FormatMetrics(snap))
 		}
@@ -345,15 +333,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *showOverhead {
-		rep := sys.Overhead()
-		fmt.Fprintf(stdout, "\n%s%s", rep, rep.LiveString())
+		ovh := run.Sys.Overhead()
+		fmt.Fprintf(stdout, "\n%s%s", ovh, ovh.LiveString())
 	}
 	if *showHistory {
-		hv := sys.History()
-		fmt.Fprintf(stdout, "\n%s", umi.FormatHistory(hv.Windows))
+		fmt.Fprintf(stdout, "\n%s", umi.FormatHistory(run.History.Windows))
 	}
 	if *historyOut != "" {
-		hv := sys.History()
+		hv := run.History
 		data, err := json.MarshalIndent(hv, "", "  ")
 		if err != nil {
 			fmt.Fprintf(stderr, "umiprof: history: %v\n", err)
@@ -372,6 +359,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "umiprof: trace: %v\n", err)
 			return 1
 		}
+		elog := run.Sys.EventLog()
 		werr := tracelog.WriteChromeTrace(f, elog.Events())
 		if cerr := f.Close(); werr == nil {
 			werr = cerr

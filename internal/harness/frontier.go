@@ -132,12 +132,12 @@ func OverheadFrontier(names []string) (*FrontierResult, error) {
 		if err != nil {
 			return err
 		}
-		pred := run.Report.Delinquent
+		pred, ovh := run.Report.Delinquent, run.Sys.Overhead()
 		preds[ci][wi] = pred
 		res.Points[ci].Rows[wi] = FrontierRow{
 			Benchmark:    w.Name,
-			FillCycles:   run.Overhead.Stage("fill").ModelledCycles,
-			OverheadPct:  100 * run.Overhead.OverheadRatio,
+			FillCycles:   ovh.Stage("fill").ModelledCycles,
+			OverheadPct:  100 * ovh.OverheadRatio,
 			SetSize:      len(pred),
 			SimMissRatio: run.Report.SimMissRatio,
 		}

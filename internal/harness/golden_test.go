@@ -266,7 +266,7 @@ func TestGoldenOverheadReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden(t, "overhead_report", run.Overhead.String())
+	golden(t, "overhead_report", run.Sys.Overhead().String())
 }
 
 // TestGoldenOverheadFrontier pins the overhead/accuracy frontier figure on

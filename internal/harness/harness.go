@@ -6,17 +6,18 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"umi/internal/cache"
 	"umi/internal/cachegrind"
-	"umi/internal/metrics"
 	"umi/internal/prefetch"
+	"umi/internal/program"
 	"umi/internal/rio"
-	"umi/internal/tracelog"
 	"umi/internal/umi"
 	"umi/internal/vm"
+	"umi/internal/wire"
 	"umi/internal/workloads"
 )
 
@@ -89,63 +90,102 @@ func RunRIO(w *workloads.Workload, p *Platform, hwPrefetch bool) (*rio.Runtime, 
 
 // UMIRun is one full UMI execution.
 type UMIRun struct {
+	// Sys, RT and H are the run's UMI system, code-cache runtime and
+	// hardware model. The setup step of RunProgram configures Sys. Once
+	// the run is finished, Sys holds its final state: the analysis
+	// (Sys.Analyzer), the self-observability snapshot
+	// (Sys.MetricsSnapshot), the per-stage attribution (Sys.Overhead,
+	// whose modelled half is deterministic and golden-safe) and the
+	// event log (Sys.EventLog), nil unless setup enabled one. RunUMI
+	// always enables it; recording is observational, so every
+	// experiment's modelled numbers are byte-identical with or without
+	// it.
+	Sys    *umi.System
 	Report *umi.Report
 	RT     *rio.Runtime
 	H      *cache.Hierarchy
 	Opt    *prefetch.Optimizer // nil unless prefetching was enabled
-	// Metrics is the run's final self-observability snapshot (filter
-	// counts, analysis latency).
-	Metrics metrics.Snapshot
-	// Events is the run's structured event timeline. The harness always
-	// records it: recording is observational (every experiment's modelled
-	// numbers are byte-identical with or without it), and the timeline
-	// experiments read it back.
-	Events *tracelog.Log
 	// History is the run's profile-history snapshot: one WindowSummary per
-	// analyzer invocation, with churn and phase-change accounting. Like
-	// Events it is always recorded (capture is observational) and fully
+	// analyzer invocation, with churn and phase-change accounting. It is
+	// always recorded (capture is observational) and fully
 	// deterministic, so the phases experiment can render it golden-tested.
 	History umi.HistoryView
 	// Wall is the measured wall-clock duration of the guest run — the
 	// denominator for events/sec and other live rates. Nondeterministic;
 	// never renders into a golden surface.
 	Wall time.Duration
-	// Overhead is the per-stage self-overhead attribution report. The
-	// modelled-cycles half is deterministic (golden-safe); the wall half is
-	// measured and belongs to live renders only.
-	Overhead *umi.OverheadReport
+
+	enc *wire.Encoder // the run's umi-profile stream, nil unless Emit
 }
 
 // TotalCycles is the modelled running time under UMI.
 func (r *UMIRun) TotalCycles() uint64 { return r.RT.TotalCycles() }
 
-// RunUMI executes the workload under the full UMI stack. withPrefetch
-// attaches the software stride prefetcher at the analysis boundary;
-// consumers are extra profile analyses attached to the system.
-func RunUMI(w *workloads.Workload, p *Platform, cfg umi.Config, hwPrefetch, withPrefetch bool,
-	consumers ...umi.ProfileConsumer) (*UMIRun, error) {
+// Emit records the run's umi-profile stream into enc, with a header that
+// names the guest and the machine. Call it from RunProgram's setup step;
+// RunProgram writes the stream's tail and flushes enc once the run is
+// finished. Emission is observational: the run reports exactly what it
+// would without it.
+func (r *UMIRun) Emit(enc *wire.Encoder, guest, machine string) {
+	r.Sys.EnableWireEmit(enc, guest, machine)
+	r.enc = enc
+}
+
+// RunProgram is the one body that turns a program into a finished UMI
+// run: the platform's hierarchy, the machine, the rio runtime, UMI
+// attached with cfg, then setup (consumers, OnAnalyzed, the event log,
+// Emit, a daemon's adoption of Sys; nil for none), the run to maxInstrs
+// retired instructions, Finish, and the stream tail and flush. A run that
+// exhausts maxInstrs is still finished and returned, with an error
+// wrapping rio.ErrNotHalted: a session run (umid, introspect's standalone
+// runs) treats the bound as a truncation, and every other caller as a
+// failure. Any other error returns no run.
+func RunProgram(prog *program.Program, p *Platform, hwPrefetch bool, cfg umi.Config,
+	maxInstrs uint64, setup func(*UMIRun)) (*UMIRun, error) {
 	h := p.Hierarchy(hwPrefetch)
-	m := vm.New(w.Program(), h)
-	rt := rio.NewRuntime(m)
-	s := umi.Attach(rt, cfg)
-	for _, c := range consumers {
-		s.AddConsumer(c)
-	}
-	elog := s.EnableEventTrace(0)
-	var opt *prefetch.Optimizer
-	if withPrefetch {
-		opt = prefetch.NewOptimizer(prefetch.DefaultConfig)
-		s.OnAnalyzed = opt.Hook()
+	rt := rio.NewRuntime(vm.New(prog, h))
+	r := &UMIRun{Sys: umi.Attach(rt, cfg), RT: rt, H: h}
+	if setup != nil {
+		setup(r)
 	}
 	start := time.Now()
-	if err := rt.Run(MaxInstrs); err != nil {
+	err := rt.Run(maxInstrs)
+	if err != nil && !errors.Is(err, rio.ErrNotHalted) {
+		return nil, err
+	}
+	r.Sys.Finish()
+	r.Wall = time.Since(start)
+	if r.enc != nil {
+		r.Sys.EmitWireTail(r.enc, h)
+		if ferr := r.enc.Flush(); ferr != nil {
+			return nil, fmt.Errorf("emit: %w", ferr)
+		}
+	}
+	r.Report = r.Sys.Report()
+	r.History = r.Sys.History()
+	return r, err
+}
+
+// RunUMI executes the workload under the full UMI stack, with the
+// default event log. withPrefetch attaches the software stride
+// prefetcher at the analysis boundary; consumers are extra profile
+// analyses attached to the system.
+func RunUMI(w *workloads.Workload, p *Platform, cfg umi.Config, hwPrefetch, withPrefetch bool,
+	consumers ...umi.ProfileConsumer) (*UMIRun, error) {
+	r, err := RunProgram(w.Program(), p, hwPrefetch, cfg, MaxInstrs, func(r *UMIRun) {
+		for _, c := range consumers {
+			r.Sys.AddConsumer(c)
+		}
+		r.Sys.EnableEventTrace(0)
+		if withPrefetch {
+			r.Opt = prefetch.NewOptimizer(prefetch.DefaultConfig)
+			r.Sys.OnAnalyzed = r.Opt.Hook()
+		}
+	})
+	if err != nil {
 		return nil, fmt.Errorf("%s umi: %w", w.Name, err)
 	}
-	s.Finish()
-	wall := time.Since(start)
-	return &UMIRun{Report: s.Report(), RT: rt, H: h, Opt: opt,
-		Metrics: s.MetricsSnapshot(), Events: elog,
-		History: s.History(), Wall: wall, Overhead: s.Overhead()}, nil
+	return r, nil
 }
 
 // RunCachegrind executes the workload natively while feeding every memory

@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"umi/internal/cache"
-	"umi/internal/rio"
 	"umi/internal/stats"
 	"umi/internal/umi"
-	"umi/internal/vm"
 	"umi/internal/wire"
 	"umi/internal/workloads"
 )
@@ -45,22 +43,12 @@ func EmitWorkloadStream(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown workload %q", name)
 	}
-	cfg := UMIParams(P4)
-	h := P4.Hierarchy(false)
-	m := vm.New(w.Program(), h)
-	rt := rio.NewRuntime(m)
-	s := umi.Attach(rt, cfg)
 	var buf bytes.Buffer
-	enc := wire.NewEncoder(&buf)
-	enc.Header(umi.WireHeader(&cfg, w.Name, P4.Name))
-	s.EnableWireEmit(enc)
-	if err := rt.Run(MaxInstrs); err != nil {
+	_, err := RunProgram(w.Program(), P4, false, UMIParams(P4), MaxInstrs, func(r *UMIRun) {
+		r.Emit(wire.NewEncoder(&buf), w.Name, P4.Name)
+	})
+	if err != nil {
 		return nil, fmt.Errorf("%s umi: %w", w.Name, err)
-	}
-	s.Finish()
-	s.EmitWireTail(enc, h)
-	if err := enc.Flush(); err != nil {
-		return nil, fmt.Errorf("%s emit: %w", w.Name, err)
 	}
 	return buf.Bytes(), nil
 }

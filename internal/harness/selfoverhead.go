@@ -71,7 +71,7 @@ func SelfOverhead(names []string) (*SelfOverheadResult, error) {
 		if err != nil {
 			return err
 		}
-		snap := run.Metrics
+		snap, elog := run.Sys.MetricsSnapshot(), run.Sys.EventLog()
 		row := SelfOverheadRow{
 			Name:          w.Name,
 			NativeCycles:  native.Cycles,
@@ -82,8 +82,8 @@ func SelfOverhead(names []string) (*SelfOverheadResult, error) {
 			GlobalFills:   snap.Counter("umi.profiles.global_fills"),
 			Invocations:   snap.Counter("umi.analyzer.invocations"),
 			SimulatedRefs: snap.Counter("umi.analyzer.refs"),
-			Events:        run.Events.Total(),
-			Drops:         run.Events.Drops(),
+			Events:        elog.Total(),
+			Drops:         elog.Drops(),
 			Latency:       snap.Histogram("umi.analyzer.latency_ns"),
 			Wall:          run.Wall,
 		}

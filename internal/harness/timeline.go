@@ -53,12 +53,13 @@ func Timeline(names []string) (*TimelineResult, error) {
 		if err != nil {
 			return err
 		}
+		elog := run.Sys.EventLog()
 		bt := BenchmarkTimeline{
 			Name:   ws[i].Name,
-			Events: run.Events.Total(),
-			Drops:  run.Events.Drops(),
+			Events: elog.Total(),
+			Drops:  elog.Drops(),
 		}
-		for _, e := range tracelog.Sorted(run.Events.Events()) {
+		for _, e := range tracelog.Sorted(elog.Events()) {
 			if e.Type != tracelog.EvAnalyzerEnd {
 				continue
 			}

@@ -36,6 +36,7 @@ import (
 	"strconv"
 	"sync"
 
+	"umi/internal/harness"
 	"umi/internal/metrics"
 	"umi/internal/tracelog"
 	"umi/internal/umi"
@@ -119,7 +120,7 @@ func (s *session) snapshot() metrics.Snapshot {
 	sys, rp, _ := s.sources()
 	switch {
 	case sys != nil:
-		return sys.LiveMetricsSnapshot()
+		return sys.MetricsSnapshot()
 	case rp != nil:
 		return rp.Metrics().Snapshot()
 	}
@@ -146,7 +147,7 @@ func (s *session) history() umi.HistoryView {
 // time), so they report nil.
 func (s *session) overhead() *umi.OverheadReport {
 	if sys, _, _ := s.sources(); sys != nil {
-		return sys.LiveOverhead()
+		return sys.Overhead()
 	}
 	return nil
 }
@@ -379,8 +380,9 @@ func (d *Daemon) admit(cfg SessionConfig, sys *umi.System) (*session, int, error
 // Adopt registers a System the caller runs itself as a session of the
 // named guest, so its views are served like any daemon session's (this is
 // how `umiprof -http` serves its own run). The session is running until
-// the caller passes the run's result to finish, which makes it done with
-// that report. Adopt fails where POST /sessions would answer 429 or 503.
+// the caller hands finish the finished run's RunResult (ResultOf), which
+// makes it done with that report. Adopt fails where POST /sessions would
+// answer 429 or 503.
 func (d *Daemon) Adopt(guest string, sys *umi.System) (id string, finish func(*RunResult), err error) {
 	s, _, err := d.admit(SessionConfig{Workload: guest}, sys)
 	if err != nil {
@@ -439,12 +441,12 @@ func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request) {
 	// Runs execute synchronously on the request goroutine: the HTTP server
 	// already gives each session its own goroutine, and the client gets
 	// the result as the response body.
-	res, err := runSession(&s.cfg, func(sys *umi.System) {
-		sys.EnableEventTrace(sessionEvents)
+	res, err := runSession(&s.cfg, func(r *harness.UMIRun) {
+		r.Sys.EnableEventTrace(sessionEvents)
 		s.mu.Lock()
-		s.sys = sys
+		s.sys = r.Sys
 		s.mu.Unlock()
-	}, nil)
+	})
 
 	s.mu.Lock()
 	if err != nil {

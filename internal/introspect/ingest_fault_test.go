@@ -327,7 +327,6 @@ func TestLiveShipperKillReconnect(t *testing.T) {
 			proxy := startFlakyProxy(t, strings.TrimPrefix(base, "http://"), 2000)
 
 			sh, err := NewLiveShipper(proxy, LiveConfig{
-				Window:      8,
 				MaxAttempts: 6,
 				RetryDelay:  20 * time.Millisecond,
 			})
@@ -351,6 +350,11 @@ func TestLiveShipperKillReconnect(t *testing.T) {
 			}
 			if got := d.ingest.Streams.Load(); got != 1 {
 				t.Errorf("streams = %d, want 1", got)
+			}
+			// The proxy cut the first upload mid-stream, after at least
+			// one applied invocation, and the re-send resumed it.
+			if got := d.ingest.Resumed.Load(); got != 1 {
+				t.Errorf("resumed streams = %d, want 1", got)
 			}
 		})
 	}

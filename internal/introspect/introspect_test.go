@@ -1,6 +1,7 @@
 package introspect
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,6 +21,8 @@ import (
 	"umi/internal/tracelog"
 	"umi/internal/umi"
 	"umi/internal/vm"
+	"umi/internal/wire"
+	"umi/internal/workloads"
 )
 
 // unrunSystem attaches UMI to a small guest without running it: its
@@ -551,4 +554,90 @@ func TestStalledHeaderIsClosed(t *testing.T) {
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("connection still open 5s into a stalled header (read %d bytes)", n)
 	}
+}
+
+// TestRunSessionRIOMetrics pins that a umid run reports the substrate's
+// counters: after POST /sessions/{id}/run on 181.mcf, the session's
+// metrics view and its rio_* samples on /metrics/prom equal what
+// harness.RunUMI reports for the same guest and config.
+func TestRunSessionRIOMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 181.mcf twice")
+	}
+	w, _ := workloads.ByName("181.mcf")
+	ref, err := harness.RunUMI(w, harness.P4, harness.UMIParams(harness.P4), false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, base := startDaemon(t, DaemonConfig{})
+	id := createSession(t, base, SessionConfig{Workload: w.Name})
+	if code, body := doReq(t, http.MethodPost, base+"/sessions/"+id+"/run", nil); code != http.StatusOK {
+		t.Fatalf("run: status %d, body %.200s", code, body)
+	}
+	var snap metrics.Snapshot
+	decodeView(t, base, id, "metrics", &snap)
+	_, prom := doReq(t, http.MethodGet, base+"/metrics/prom", nil)
+	_, samples := parseProm(t, string(prom))
+	for _, name := range []string{"rio.blocks_built", "rio.traces_built", "rio.dispatches"} {
+		want := ref.Sys.MetricsSnapshot().Counter(name)
+		if want == 0 {
+			t.Fatalf("harness.RunUMI reports %s = 0", name)
+		}
+		if got := snap.Counter(name); got != want {
+			t.Errorf("metrics view %s = %d, harness.RunUMI %d", name, got, want)
+		}
+		sample := strings.ReplaceAll(name, ".", "_") + `{session="` + id + `"}`
+		if got, ok := samples[sample]; !ok || got != float64(want) {
+			t.Errorf("/metrics/prom %s = %v (present %v), harness.RunUMI %d", sample, got, ok, want)
+		}
+	}
+}
+
+// TestProfilesCollectedCountedOnce pins that umi.profiles.collected and
+// the report's ProfilesCollected are one count, kept by the invocation
+// body: they agree for a guest run (a System), a Replay of its stream,
+// and an ingest session fed that stream.
+func TestProfilesCollectedCountedOnce(t *testing.T) {
+	cfg := traceSessionConfig(0, 0)
+	_, stream := emitStream(t, cfg)
+	_, base := startDaemon(t, DaemonConfig{})
+	check := func(what string, snap metrics.Snapshot, rep *umi.Report) {
+		t.Helper()
+		got := snap.Counter("umi.profiles.collected")
+		if rep.ProfilesCollected == 0 || got != uint64(rep.ProfilesCollected) {
+			t.Errorf("%s: umi.profiles.collected = %d, report ProfilesCollected = %d",
+				what, got, rep.ProfilesCollected)
+		}
+	}
+	served := func(what, id, action string, body []byte) {
+		t.Helper()
+		code, data := doReq(t, http.MethodPost, base+"/sessions/"+id+"/"+action, body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %.200s", what, code, data)
+		}
+		var res RunResult
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var snap metrics.Snapshot
+		decodeView(t, base, id, "metrics", &snap)
+		check(what, snap, res.Report)
+	}
+	served("run session", createSession(t, base, cfg), "run", nil)
+	served("ingest session", createIngestSession(t, base, 0), "ingest", stream)
+
+	dec := wire.NewDecoder(bytes.NewReader(stream))
+	h, err := dec.Header()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg, err := umi.ConfigFromWireHeader(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := umi.NewReplay(rcfg)
+	if _, err := rp.Consume(dec); err != nil {
+		t.Fatal(err)
+	}
+	check("replay", rp.Metrics().Snapshot(), rp.Report())
 }

@@ -24,11 +24,12 @@ import (
 	"time"
 )
 
-// LiveConfig sizes a LiveShipper.
+// liveWindow bounds the completed frames a LiveShipper holds for its
+// sender, not yet on the wire; the producer blocks past it.
+const liveWindow = 64
+
+// LiveConfig sizes a LiveShipper's retries.
 type LiveConfig struct {
-	// Window bounds in-flight (sent-but-unacknowledged-by-TCP) frames;
-	// the producer blocks past it. Default 64.
-	Window int
 	// MaxAttempts bounds connection attempts (first try included).
 	// Default 5.
 	MaxAttempts int
@@ -38,9 +39,6 @@ type LiveConfig struct {
 }
 
 func (c LiveConfig) withDefaults() LiveConfig {
-	if c.Window <= 0 {
-		c.Window = 64
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 5
 	}
@@ -85,7 +83,7 @@ func NewLiveShipper(base string, cfg LiveConfig) (*LiveShipper, error) {
 		client: &http.Client{},
 		done:   make(chan struct{}),
 	}
-	s.window = make(chan []byte, s.cfg.Window)
+	s.window = make(chan []byte, liveWindow)
 	resp, err := s.client.Post(s.base+"/sessions", "application/json", strings.NewReader(`{"ingest": true}`))
 	if err != nil {
 		return nil, fmt.Errorf("create session: %w", err)

@@ -16,7 +16,6 @@ import (
 	"umi/internal/program"
 	"umi/internal/rio"
 	"umi/internal/umi"
-	"umi/internal/vm"
 	"umi/internal/wire"
 	"umi/internal/workloads"
 )
@@ -259,49 +258,37 @@ func (c *SessionConfig) machineName() string {
 	return c.Machine
 }
 
-// runSession executes one session's guest to completion. publish, when
-// non-nil, receives the attached System before the guest starts so live
-// scrapes can observe the run in flight. enc, when non-nil, records the
-// run's umi-profile/v1 stream; emission is observational, so the result
-// is byte-identical with or without it.
-func runSession(cfg *SessionConfig, publish func(*umi.System), enc *wire.Encoder) (*RunResult, error) {
+// runSession executes one session's guest to completion through the
+// harness's run body. setup, when non-nil, receives the run before the
+// guest starts: a umid run enables its event ring and publishes the
+// System there, so live scrapes observe the run in flight, and
+// EmitStandalone starts the run's stream.
+func runSession(cfg *SessionConfig, setup func(*harness.UMIRun)) (*RunResult, error) {
 	prog, err := cfg.guestProgram()
 	if err != nil {
 		return nil, err
 	}
-	plat := cfg.platform()
-	h := plat.Hierarchy(cfg.HWPrefetch)
-	m := vm.New(prog, h)
-	rt := rio.NewRuntime(m)
-	ucfg := cfg.umiConfig()
-	sys := umi.Attach(rt, ucfg)
-	if enc != nil {
-		enc.Header(umi.WireHeader(&ucfg, cfg.guestName(), cfg.machineName()))
-		sys.EnableWireEmit(enc)
-	}
-	if publish != nil {
-		publish(sys)
-	}
+	run, err := harness.RunProgram(prog, cfg.platform(), cfg.HWPrefetch, cfg.umiConfig(), cfg.maxInstrs(), setup)
 	// An exhausted instruction budget is a bounded run, not a failure:
 	// max_instrs is exactly the knob clients use to truncate long guests,
 	// and the profile over what did run is the deliverable.
-	if err := rt.Run(cfg.maxInstrs()); err != nil && !errors.Is(err, rio.ErrNotHalted) {
+	if err != nil && !errors.Is(err, rio.ErrNotHalted) {
 		return nil, fmt.Errorf("run: %w", err)
 	}
-	sys.Finish()
-	if enc != nil {
-		sys.EmitWireTail(enc, h)
-		if err := enc.Flush(); err != nil {
-			return nil, fmt.Errorf("emit: %w", err)
-		}
-	}
+	return ResultOf(run), nil
+}
+
+// ResultOf is a finished run's RunResult: its report and history and the
+// hardware model's ground truth. Every run session builds its result
+// here, and so does `umiprof -http` for the session it serves.
+func ResultOf(run *harness.UMIRun) *RunResult {
 	return &RunResult{
-		Report:      sys.Report(),
-		History:     sys.History(),
-		HWMissRatio: h.L2Stats.MissRatio(),
-		Cycles:      rt.TotalCycles(),
-		Instrs:      m.Instrs,
-	}, nil
+		Report:      run.Report,
+		History:     run.History,
+		HWMissRatio: run.H.L2Stats.MissRatio(),
+		Cycles:      run.TotalCycles(),
+		Instrs:      run.RT.M.Instrs,
+	}
 }
 
 // RunStandalone executes a session config outside any daemon, with no
@@ -314,7 +301,7 @@ func RunStandalone(cfg SessionConfig) (*RunResult, error) {
 	if cfg.Ingest {
 		return nil, errors.New("config: ingest sessions replay streams; nothing to run")
 	}
-	return runSession(&cfg, nil, nil)
+	return runSession(&cfg, nil)
 }
 
 // EmitStandalone is RunStandalone with stream capture: the run's
@@ -328,5 +315,7 @@ func EmitStandalone(cfg SessionConfig, out io.Writer) (*RunResult, error) {
 	if cfg.Ingest {
 		return nil, errors.New("config: ingest sessions replay streams; nothing to emit")
 	}
-	return runSession(&cfg, nil, wire.NewEncoder(out))
+	return runSession(&cfg, func(r *harness.UMIRun) {
+		r.Emit(wire.NewEncoder(out), cfg.guestName(), cfg.machineName())
+	})
 }

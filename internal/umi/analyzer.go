@@ -69,6 +69,7 @@ type Analyzer struct {
 	columns       map[uint64][]uint64 // last recorded column per delinquent load
 	totalAcc      uint64
 	totalMiss     uint64
+	profiles      int // profiles analyzed; a System's and a Replay's Report read it
 
 	// Per-invocation scratch, keyed by column, reused across profiles.
 	invAcc  []uint64
@@ -141,7 +142,8 @@ func newInvocation(cfg *Config, cycles uint64, profs []*AddressProfile, alphas [
 
 // invoke is the one invocation body. The System runs it on the guest
 // goroutine and a Replay on its sequencer: BeginInvocation at the
-// hand-off stamp; per profile AnalyzeProfile, the consumers and
+// hand-off stamp and the profile count (profiles and
+// umi.profiles.collected); per profile AnalyzeProfile, the consumers and
 // inv.settle; then the window capture, the latency and wall
 // observations, the minisim.* mirrors and the analyzer.end span. The
 // span carries the hand-off cycles and the modelled cost, a
@@ -151,6 +153,8 @@ func (a *Analyzer) invoke(inv invocation, consumers []ProfileConsumer) uint64 {
 	start := time.Now()
 	refs0, miss0 := a.SimulatedRefs, a.totalMiss
 	a.BeginInvocation(inv.cycles)
+	a.profiles += len(inv.profs)
+	a.met.ProfilesCollected.Add(uint64(len(inv.profs)))
 	for i, p := range inv.profs {
 		a.AnalyzeProfile(p, inv.alphas[i])
 		for _, c := range consumers {

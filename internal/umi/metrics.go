@@ -25,7 +25,7 @@ import (
 //	umi.analyzer.*      profile-analyzer invocations and latency
 //	umi.pool.*          a Replay's sequencer (submits, backlog, busy time)
 //	minisim.*           the analyzer's logical cache (accesses, misses, evictions)
-//	rio.*               substrate counters mirrored at snapshot points
+//	rio.*               substrate counters, mirrored with the guest clocks
 type Metrics struct {
 	reg *metrics.Registry
 
@@ -38,18 +38,18 @@ type Metrics struct {
 	CandidatesFiltered   *metrics.Counter
 	ProfileFills         *metrics.Counter // per-trace profile reached capacity
 	GlobalFills          *metrics.Counter // global trace-profile trigger (§4.2)
-	ProfilesCollected    *metrics.Counter
 	AdaptiveAlphaSteps   *metrics.Counter
 	AdaptiveFreqSteps    *metrics.Counter
 
 	// Analyzer (a System's guest thread, a Replay's sequencer).
-	Invocations      *metrics.Counter
-	Flushes          *metrics.Counter
-	SimulatedRefs    *metrics.Counter
-	MiniSimAccesses  *metrics.Counter
-	MiniSimMisses    *metrics.Counter
-	MiniSimEvictions *metrics.Counter
-	AnalysisLatency  *metrics.Histogram // wall ns per analyzer invocation
+	Invocations       *metrics.Counter
+	ProfilesCollected *metrics.Counter
+	Flushes           *metrics.Counter
+	SimulatedRefs     *metrics.Counter
+	MiniSimAccesses   *metrics.Counter
+	MiniSimMisses     *metrics.Counter
+	MiniSimEvictions  *metrics.Counter
+	AnalysisLatency   *metrics.Histogram // wall ns per analyzer invocation
 
 	// A Replay's sequencer (pool.go), and stride discovery on either.
 	Submits    *metrics.Counter
@@ -153,7 +153,7 @@ func newMetrics() *Metrics {
 }
 
 // syncRIO mirrors the substrate's counters into the registry. Called on
-// the guest thread (which owns the runtime) at snapshot points.
+// the guest thread (which owns the runtime) with the guest-clock mirrors.
 func (m *Metrics) syncRIO(rt *rio.Runtime) {
 	c := rt.Counters()
 	m.reg.Counter("rio.blocks_built").Store(uint64(c.BlocksBuilt))
@@ -187,30 +187,19 @@ func FilterRate(s metrics.Snapshot) (float64, bool) {
 	return float64(filtered) / float64(kept+filtered), true
 }
 
-// MetricsSnapshot returns a point-in-time copy of every runtime metric,
-// with the substrate and guest-clock mirrors synced first. Guest thread
-// only.
-func (s *System) MetricsSnapshot() metrics.Snapshot {
-	s.met.syncRIO(s.rt)
-	s.syncGuestMirrors()
-	return s.met.reg.Snapshot()
-}
-
-// LiveMetricsSnapshot copies the registry as-is, without mirroring
-// substrate counters. Unlike MetricsSnapshot it is safe to call from any
-// goroutine while the guest is mid-run — the registry is all atomics —
-// which is what the HTTP introspection endpoint needs. The rio.* and
-// guest-clock mirrors hold their last synced values.
-func (s *System) LiveMetricsSnapshot() metrics.Snapshot {
-	return s.met.reg.Snapshot()
-}
+// MetricsSnapshot returns a point-in-time copy of every runtime metric.
+// The registry is all atomics, so it is safe from any goroutine, during a
+// run or after it. The rio.* and guest-clock mirrors are synced at every
+// analyzer invocation and by Finish: mid-run they lag by at most one
+// invocation, and after Finish they are final.
+func (s *System) MetricsSnapshot() metrics.Snapshot { return s.met.reg.Snapshot() }
 
 // Metrics exposes the live metric set (for tests and in-process sinks).
 func (s *System) Metrics() *Metrics { return s.met }
 
 // Snapshot copies the registry as-is. All registry cells are atomics, so
-// it is safe from any goroutine while analysis runs — the replay/ingest
-// analogue of LiveMetricsSnapshot.
+// it is safe from any goroutine while analysis runs — what a Replay's
+// session view reads.
 func (m *Metrics) Snapshot() metrics.Snapshot { return m.reg.Snapshot() }
 
 // FormatMetrics renders a snapshot as the CLI's self-overhead section:

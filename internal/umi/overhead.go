@@ -32,7 +32,8 @@ import (
 // All cells live in the metrics registry (single-writer atomics), so the
 // live introspection endpoint can assemble a report mid-run without
 // touching guest-owned state; the guest mirrors its cycle clock and
-// cumulative overhead into gauges at analyzer-invocation boundaries.
+// cumulative overhead into gauges at analyzer-invocation boundaries and at
+// Finish.
 
 // OverheadSchema identifies the OverheadReport JSON shape.
 const OverheadSchema = "umi-overhead/v1"
@@ -80,41 +81,34 @@ func (r *OverheadReport) Stage(name string) StageCost {
 	return StageCost{}
 }
 
-// syncGuestMirrors publishes the guest-owned clocks into registry gauges
-// so report assembly (including the live HTTP path) never reads
-// guest-owned state. Guest thread only; called at analyzer-invocation
-// boundaries, at Finish, and at snapshot points.
-func (s *System) syncGuestMirrors() {
+// syncMirrors publishes the guest-owned state the registry mirrors: the
+// substrate's counters and the guest clocks, so every snapshot surface
+// (the live HTTP path included) reads the registry and never guest-owned
+// state. Guest thread only; called at analyzer-invocation boundaries and
+// by Finish.
+func (s *System) syncMirrors() {
+	s.met.syncRIO(s.rt)
 	s.met.GuestCycles.Set(int64(s.now()))
 	s.met.GuestOverheadCyc.Set(int64(s.rt.Overhead))
 	s.met.GuestWallNs.Set(int64(time.Since(s.wallStart)))
 }
 
-// Overhead assembles the end-of-run (or checkpoint) attribution report,
-// with the guest-clock mirrors synced first. The modelled fields are
-// deterministic: same program, same config, same seed ⇒ identical values.
+// Overhead assembles the attribution report from the registry, so it is
+// safe from any goroutine. Mid-run the guest-clock mirrors lag by at most
+// one analyzer invocation; after Finish the report is final, and its
+// modelled fields are deterministic: same program, same config, same seed
+// ⇒ identical values.
 func (s *System) Overhead() *OverheadReport {
-	s.syncGuestMirrors()
-	return buildOverhead(s.met.reg.Snapshot(), &s.cfg)
-}
-
-// LiveOverhead assembles a report from the registry as-is — safe from any
-// goroutine mid-run (the HTTP introspection path). Guest-clock mirrors
-// lag by up to one analyzer invocation.
-func (s *System) LiveOverhead() *OverheadReport {
-	return buildOverhead(s.met.reg.Snapshot(), &s.cfg)
-}
-
-func buildOverhead(snap metrics.Snapshot, cfg *Config) *OverheadReport {
+	snap := s.met.reg.Snapshot()
 	guest := uint64(snap.Gauge("umi.guest.cycles").Value)
 	ovhd := uint64(snap.Gauge("umi.guest.overhead_cycles").Value)
 	wall := uint64(snap.Gauge("umi.guest.wall_ns").Value)
 
 	instrEv := snap.Counter("umi.traces.instrumented") + snap.Counter("umi.traces.deinstrumented")
-	instrCyc := cfg.InstrumentCost * instrEv
+	instrCyc := s.cfg.InstrumentCost * instrEv
 	prologs := snap.Counter("umi.stage.fill.prologs")
 	refs := snap.Counter("umi.stage.fill.refs")
-	fillCyc := cfg.PrologCost*prologs + cfg.PerRefCost*refs
+	fillCyc := s.cfg.PrologCost*prologs + s.cfg.PerRefCost*refs
 	anCyc := snap.Counter("umi.stage.analyze.cycles")
 	var substrate uint64
 	if tracked := instrCyc + fillCyc + anCyc; ovhd > tracked {

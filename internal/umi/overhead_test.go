@@ -4,12 +4,17 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"umi/internal/cache"
+	"umi/internal/rio"
+	"umi/internal/vm"
 )
 
 // Attribution contract: the per-stage report must reconcile exactly with
 // the cost model and the runtime's overhead ledger, stay deterministic
-// across runs and worker counts, and be assemblable live from the
-// registry alone.
+// across runs, and be assemblable from the registry alone, live or after
+// Finish.
 
 func TestOverheadAttributionSums(t *testing.T) {
 	prog := strideWorkload(t, 400_000)
@@ -95,21 +100,52 @@ func TestOverheadDeterministic(t *testing.T) {
 	}
 }
 
-// TestLiveOverheadFromRegistry: the live report must be assemblable from
-// the registry alone and agree with the drained report at quiescence.
+// TestLiveOverheadFromRegistry: Overhead and MetricsSnapshot read only
+// the registry, so another goroutine may call them while the guest runs
+// (the race detector checks that), and once Finish has synced every
+// mirror they report the guest's final clocks and rio counters.
 func TestLiveOverheadFromRegistry(t *testing.T) {
 	prog := strideWorkload(t, 400_000)
-	s, _ := runUMI(t, prog, testConfig())
-	want := s.Overhead()
-	live := s.LiveOverhead()
-	if live.GuestCycles != want.GuestCycles || live.OverheadCycles != want.OverheadCycles {
-		t.Errorf("live report differs at quiescence: live %d/%d, drained %d/%d",
-			live.GuestCycles, live.OverheadCycles, want.GuestCycles, want.OverheadCycles)
+	rt := rio.NewRuntime(vm.New(prog, cache.NewP4(false)))
+	s := Attach(rt, testConfig())
+	started, stop, stopped := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for i := 0; ; i++ {
+			s.Overhead()
+			s.MetricsSnapshot()
+			if i == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+	<-started
+	if err := rt.Run(50_000_000); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	for _, st := range want.Stages {
-		if live.Stage(st.Stage).ModelledCycles != st.ModelledCycles {
-			t.Errorf("stage %s: live %d cycles, drained %d",
-				st.Stage, live.Stage(st.Stage).ModelledCycles, st.ModelledCycles)
+	s.Finish()
+	close(stop)
+	<-stopped
+
+	want := s.Overhead()
+	if want.GuestCycles != rt.M.Cycles || want.OverheadCycles != rt.Overhead {
+		t.Errorf("report after Finish: guest %d overhead %d cycles, runtime %d/%d",
+			want.GuestCycles, want.OverheadCycles, rt.M.Cycles, rt.Overhead)
+	}
+	snap, c := s.MetricsSnapshot(), rt.Counters()
+	for name, n := range map[string]uint64{
+		"rio.blocks_built": uint64(c.BlocksBuilt),
+		"rio.traces_built": uint64(c.TracesBuilt),
+		"rio.dispatches":   c.Dispatches,
+		"rio.samples":      c.Samples,
+	} {
+		if got := snap.Counter(name); got != n || n == 0 {
+			t.Errorf("snapshot after Finish: %s = %d, runtime %d", name, got, n)
 		}
 	}
 	// The wall view renders from the same report (never golden-compared:

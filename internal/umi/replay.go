@@ -45,7 +45,6 @@ type Replay struct {
 	OnFrame func(time.Duration)
 
 	profiledPCs map[uint64]bool
-	profiles    int
 
 	// Run accounting merged from the trailers of cleanly consumed shards:
 	// sum holds the summed counts (no PC sets, no manifest). A shard that
@@ -95,7 +94,6 @@ func (r *Replay) invocation(seq *sequencer, cycles uint64, profs []*AddressProfi
 			r.profiledPCs[pc] = true
 		}
 	}
-	r.profiles += len(profs)
 	seq.submit(newInvocation(&r.cfg, cycles, profs, alphas))
 }
 
@@ -306,7 +304,7 @@ func (r *Replay) Report() *Report {
 		SimMissRatio:        r.an.MissRatio(),
 		ProfiledOps:         len(r.profiledPCs),
 		CandidateOps:        len(r.candidatePCs),
-		ProfilesCollected:   r.profiles,
+		ProfilesCollected:   r.an.profiles,
 		AnalyzerInvocations: r.an.Invocations,
 		InstrumentEvents:    int(r.sum.InstrumentEvents),
 		TracesSeen:          len(r.tracePCs),

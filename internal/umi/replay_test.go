@@ -27,8 +27,7 @@ func emitUMI(t *testing.T, p *program.Program, cfg Config) (*System, *rio.Runtim
 	s := Attach(rt, cfg)
 	var buf bytes.Buffer
 	enc := wire.NewEncoder(&buf)
-	enc.Header(WireHeader(&cfg, p.Name, "p4"))
-	s.EnableWireEmit(enc)
+	s.EnableWireEmit(enc, p.Name, "p4")
 	if err := rt.Run(50_000_000); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -64,10 +64,9 @@ type System struct {
 	consumers  []ProfileConsumer
 
 	// statistics
-	profilesCollected int
-	profiledPCs       map[uint64]bool
-	candidatePCs      map[uint64]bool
-	instrumentEvents  int
+	profiledPCs      map[uint64]bool
+	candidatePCs     map[uint64]bool
+	instrumentEvents int
 
 	// Sampler adaptation state (sampler.go): the current shrink level and
 	// the consecutive phase-stable window count feeding it. Guest thread
@@ -364,8 +363,6 @@ func (s *System) runAnalyzer(trigger *traceState) {
 		profs[i], alphas[i] = ts.profile, ts.alpha
 	}
 	inv := newInvocation(&s.cfg, now, profs, alphas)
-	s.profilesCollected += len(live)
-	s.met.ProfilesCollected.Add(uint64(len(live)))
 	s.met.AnalyzeCycles.Add(inv.cost)
 	// Each trace settles right after its profile's analysis, because
 	// OnAnalyzed and AdaptiveFrequency read the analyzer then.
@@ -392,7 +389,7 @@ func (s *System) runAnalyzer(trigger *traceState) {
 			Arg1: math.Float64bits(trigger.alpha)})
 	}
 	s.globalRows = 0
-	s.syncGuestMirrors()
+	s.syncMirrors()
 }
 
 // tuneFrequency adapts a trace's sampling threshold to what its analysis
@@ -440,13 +437,15 @@ func (s *System) deinstrument(ts *traceState) {
 }
 
 // Finish analyzes any profiles still live when execution ends, so short
-// runs report complete results.
+// runs report complete results, and syncs every registry mirror (the rio
+// counters and the guest clocks), so every snapshot taken after it is
+// final.
 func (s *System) Finish() {
 	if live := s.liveTraces(); len(live) > 0 {
 		// The first live trace (fixed order) is the nominal trigger.
 		s.runAnalyzer(live[0])
 	}
-	s.syncGuestMirrors()
+	s.syncMirrors()
 }
 
 // now syncs the machine and reads the guest clock. Every read of the
@@ -498,7 +497,7 @@ func (s *System) Report() *Report {
 		SimMissRatio:        s.an.MissRatio(),
 		ProfiledOps:         len(s.profiledPCs),
 		CandidateOps:        len(s.candidatePCs),
-		ProfilesCollected:   s.profilesCollected,
+		ProfilesCollected:   s.an.profiles,
 		AnalyzerInvocations: s.an.Invocations,
 		InstrumentEvents:    s.instrumentEvents,
 		TracesSeen:          len(s.traces),

@@ -163,14 +163,18 @@ func windowFromWire(w *wire.Window) WindowSummary {
 	}
 }
 
-// EnableWireEmit attaches a stream encoder: from now on every analyzer
-// invocation is recorded (hand-off cycle stamp plus each live profile,
-// in the fixed merge order) before it is analyzed. Emission runs on the
-// guest thread with the invocation's own cycle stamp, and emit-on runs
-// report exactly what emit-off runs report. Call before
-// the runtime starts; pair with EmitWireTail after Finish. Encoder errors
-// are sticky and surface from the encoder's Flush.
-func (s *System) EnableWireEmit(enc *wire.Encoder) { s.wenc = enc }
+// EnableWireEmit starts the System's umi-profile stream on enc: it writes
+// the stream header (the System's config, naming the workload and the
+// machine) and from then on records every analyzer invocation (hand-off
+// cycle stamp plus each live profile, in the fixed merge order) before it
+// is analyzed. Emission runs on the guest thread with the invocation's
+// own cycle stamp, and emit-on runs report exactly what emit-off runs
+// report. Call before the runtime starts; pair with EmitWireTail after
+// Finish. Encoder errors are sticky and surface from the encoder's Flush.
+func (s *System) EnableWireEmit(enc *wire.Encoder, workload, machine string) {
+	enc.Header(WireHeader(&s.cfg, workload, machine))
+	s.wenc = enc
+}
 
 // emitInvocation records one invocation's inputs, if emit is enabled.
 // Emit-stage wall attribution covers the encoder and, through it, any

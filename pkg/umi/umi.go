@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 
-	"umi/internal/cache"
 	"umi/internal/harness"
 	"umi/internal/metrics"
 	"umi/internal/prefetch"
@@ -31,7 +30,6 @@ import (
 	"umi/internal/rio"
 	"umi/internal/tracelog"
 	iumi "umi/internal/umi"
-	"umi/internal/vm"
 )
 
 // Re-exported result types.
@@ -270,18 +268,12 @@ type Session struct {
 	whatIfConfigs  []CacheConfig
 
 	// populated by Run
-	report     *Report
-	metrics    MetricsSnapshot
-	hierarchy  *cache.Hierarchy
-	runtime    *rio.Runtime
+	run        *harness.UMIRun
 	optimizer  *prefetch.Optimizer
 	ntOpt      *prefetch.NTOptimizer
 	workingSet *WorkingSet
 	patterns   *PatternCensus
 	whatIf     *WhatIf
-	events     *tracelog.Log
-	history    HistoryView
-	overhead   *OverheadReport
 }
 
 // NewSession prepares a session for the program.
@@ -299,129 +291,142 @@ var ErrAlreadyRun = errors.New("umi: session already run")
 // Run executes the program to completion under UMI and returns the
 // profiling report.
 func (s *Session) Run() (*Report, error) {
-	if s.report != nil {
+	if s.run != nil {
 		return nil, ErrAlreadyRun
 	}
 	plat := harness.P4
 	if s.machine == AMDK7 {
 		plat = harness.K7
 	}
-	h := plat.Hierarchy(s.hwPrefetch)
-	m := vm.New(s.prog, h)
-	rt := rio.NewRuntime(m)
 	cfg := harness.UMIParams(plat)
 	for _, edit := range s.cfgEdit {
 		edit(&cfg)
 	}
-	sys := iumi.Attach(rt, cfg)
-	var hooks []func(*rio.Fragment, *iumi.Analyzer) *rio.Fragment
-	if s.swPrefetch {
-		s.optimizer = prefetch.NewOptimizer(prefetch.DefaultConfig)
-		hooks = append(hooks, s.optimizer.Hook())
-	}
-	if s.ntBypass {
-		s.ntOpt = prefetch.NewNTOptimizer()
-		hooks = append(hooks, s.ntOpt.Hook())
-	}
-	if len(hooks) > 0 {
-		sys.OnAnalyzed = prefetch.Chain(hooks...)
-	}
-	if s.traceEvents {
-		s.events = sys.EnableEventTrace(s.traceCapacity)
-	}
-	if s.wantWorkingSet {
-		s.workingSet = iumi.NewWorkingSet(plat.L2.LineSize)
-		sys.AddConsumer(s.workingSet)
-	}
-	if s.wantPatterns {
-		s.patterns = iumi.NewPatternCensus()
-		sys.AddConsumer(s.patterns)
-	}
-	if len(s.whatIfConfigs) > 0 {
-		s.whatIf = iumi.NewWhatIf(cfg.WarmupRows, s.whatIfConfigs...)
-		sys.AddConsumer(s.whatIf)
-	}
-	if err := rt.Run(s.maxInstrs); err != nil {
+	run, err := harness.RunProgram(s.prog, plat, s.hwPrefetch, cfg, s.maxInstrs, func(r *harness.UMIRun) {
+		sys := r.Sys
+		var hooks []func(*rio.Fragment, *iumi.Analyzer) *rio.Fragment
+		if s.swPrefetch {
+			s.optimizer = prefetch.NewOptimizer(prefetch.DefaultConfig)
+			hooks = append(hooks, s.optimizer.Hook())
+		}
+		if s.ntBypass {
+			s.ntOpt = prefetch.NewNTOptimizer()
+			hooks = append(hooks, s.ntOpt.Hook())
+		}
+		if len(hooks) > 0 {
+			sys.OnAnalyzed = prefetch.Chain(hooks...)
+		}
+		if s.traceEvents {
+			sys.EnableEventTrace(s.traceCapacity)
+		}
+		if s.wantWorkingSet {
+			s.workingSet = iumi.NewWorkingSet(plat.L2.LineSize)
+			sys.AddConsumer(s.workingSet)
+		}
+		if s.wantPatterns {
+			s.patterns = iumi.NewPatternCensus()
+			sys.AddConsumer(s.patterns)
+		}
+		if len(s.whatIfConfigs) > 0 {
+			s.whatIf = iumi.NewWhatIf(cfg.WarmupRows, s.whatIfConfigs...)
+			sys.AddConsumer(s.whatIf)
+		}
+	})
+	if err != nil {
 		return nil, fmt.Errorf("umi: %w", err)
 	}
-	sys.Finish()
-	s.report = sys.Report()
-	s.metrics = sys.MetricsSnapshot()
-	s.history = sys.History()
-	s.overhead = sys.Overhead()
-	s.hierarchy = h
-	s.runtime = rt
-	return s.report, nil
+	s.run = run
+	return run.Report, nil
 }
 
 // Report returns the profiling report (nil before Run).
-func (s *Session) Report() *Report { return s.report }
+func (s *Session) Report() *Report {
+	if s.run == nil {
+		return nil
+	}
+	return s.run.Report
+}
 
 // Metrics returns the final self-observability snapshot of the run: what
 // the runtime's introspection cost, from instrumentation and filter
 // counts through analysis latency. The zero
 // Snapshot before Run.
-func (s *Session) Metrics() MetricsSnapshot { return s.metrics }
+func (s *Session) Metrics() MetricsSnapshot {
+	if s.run == nil {
+		return MetricsSnapshot{}
+	}
+	return s.run.Sys.MetricsSnapshot()
+}
 
 // Overhead returns the run's per-stage self-overhead attribution: where
 // the introspection cost went, in modelled cycles (deterministic — the
 // basis of the overhead/accuracy frontier) and measured wall time. Nil
 // before Run.
-func (s *Session) Overhead() *OverheadReport { return s.overhead }
+func (s *Session) Overhead() *OverheadReport {
+	if s.run == nil {
+		return nil
+	}
+	return s.run.Sys.Overhead()
+}
 
 // History returns the profile-history snapshot of the run: one
 // WindowSummary per analyzer invocation (bounded by WithHistory), with
 // delinquent-set churn and phase-change flags. The empty (schema-stamped)
 // view before Run.
 func (s *Session) History() HistoryView {
-	if s.report == nil {
+	if s.run == nil {
 		return (*iumi.History)(nil).View()
 	}
-	return s.history
+	return s.run.History
 }
 
 // EventLog returns the structured event timeline (nil unless the session
-// was built WithEventTrace). Safe to snapshot from any goroutine, during
-// or after the run.
-func (s *Session) EventLog() *EventLog { return s.events }
+// was built WithEventTrace, and before Run). Safe to snapshot from any
+// goroutine once Run has returned.
+func (s *Session) EventLog() *EventLog {
+	if s.run == nil {
+		return nil
+	}
+	return s.run.Sys.EventLog()
+}
 
 // Events returns the retained lifecycle events in emission order, with
 // Drops() on the log reporting how many older events the ring discarded.
 // Nil unless the session was built WithEventTrace.
-func (s *Session) Events() []Event { return s.events.Events() }
+func (s *Session) Events() []Event { return s.EventLog().Events() }
 
 // HardwareMissRatio returns the ground-truth L2 miss ratio the modelled
 // hardware observed (what a performance counter would report).
 func (s *Session) HardwareMissRatio() float64 {
-	if s.hierarchy == nil {
+	if s.run == nil {
 		return 0
 	}
-	return s.hierarchy.L2Stats.MissRatio()
+	return s.run.H.L2Stats.MissRatio()
 }
 
 // HardwareL2Misses returns the ground-truth L2 miss count.
 func (s *Session) HardwareL2Misses() uint64 {
-	if s.hierarchy == nil {
+	if s.run == nil {
 		return 0
 	}
-	return s.hierarchy.L2Stats.Misses
+	return s.run.H.L2Stats.Misses
 }
 
 // TotalCycles returns the modelled running time including all runtime
 // overhead.
 func (s *Session) TotalCycles() uint64 {
-	if s.runtime == nil {
+	if s.run == nil {
 		return 0
 	}
-	return s.runtime.TotalCycles()
+	return s.run.TotalCycles()
 }
 
 // GuestInstructions returns retired guest instructions.
 func (s *Session) GuestInstructions() uint64 {
-	if s.runtime == nil {
+	if s.run == nil {
 		return 0
 	}
-	return s.runtime.M.Instrs
+	return s.run.RT.M.Instrs
 }
 
 // PrefetchesInserted reports how many software prefetches the optimizer
