@@ -24,9 +24,11 @@ test:
 # check is the pre-merge gate: static vetting, the zero-allocation tests in
 # a plain pass (they are !race — the detector's instrumentation skews
 # allocation counts; TestRunQueueZeroAllocs is the reference queue's), the
-# machine's hand-off to its model worker at one P and at more Ps than
-# cores (the transparency and run-lifecycle tests under -cpu 1,4), then
-# the full suite under the race detector (the reference queue, a replay's
+# one-execution pin in a plain pass (TestRunsShareOneExecution is !race:
+# nine runs of every workload, about half a minute plain), the machine's
+# hand-off to its model worker at one P and at more Ps than cores (the
+# transparency and run-lifecycle tests under -cpu 1,4), then the full
+# suite under the race detector (the reference queue, a replay's
 # sequencer and harness fan-out are concurrent; -race is what validates
 # their synchronization). The harness package runs every experiment
 # driver; under the race detector's ~10x slowdown that outgrows go test's
@@ -34,6 +36,7 @@ test:
 check:
 	$(GO) vet ./...
 	$(GO) test -run ZeroAllocs ./internal/cache ./internal/umi ./internal/vm ./internal/rio
+	$(GO) test -run TestRunsShareOneExecution ./internal/harness
 	$(GO) test -cpu 1,4 -run 'TestDifferentialRandomPrograms|TestRunLifecycle' ./internal/rio
 	$(GO) test -race -timeout 30m ./...
 

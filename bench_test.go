@@ -22,6 +22,7 @@ import (
 	"umi/internal/prefetch"
 	programpkg "umi/internal/program"
 	"umi/internal/rio"
+	"umi/internal/stats"
 	iumi "umi/internal/umi"
 	"umi/internal/vm"
 	"umi/internal/wire"
@@ -257,22 +258,9 @@ func BenchmarkAblationAdaptiveThreshold(b *testing.B) {
 			c.Adaptive = false
 			c.DelinquencyInit = 0.10 // the floor, applied globally
 		})
-		b.ReportMetric(fpRatio(adaptive.Report.Delinquent, truth), "fp_adaptive")
-		b.ReportMetric(fpRatio(global.Report.Delinquent, truth), "fp_global_low")
+		b.ReportMetric(stats.FalsePositiveRatio(adaptive.Report.Delinquent, truth), "fp_adaptive")
+		b.ReportMetric(stats.FalsePositiveRatio(global.Report.Delinquent, truth), "fp_global_low")
 	}
-}
-
-func fpRatio(pred, truth map[uint64]bool) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	wrong := 0
-	for pc := range pred {
-		if !truth[pc] {
-			wrong++
-		}
-	}
-	return float64(wrong) / float64(len(pred))
 }
 
 // BenchmarkAblationSampling compares sample-based region selection with

@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"umi/internal/harness"
@@ -464,30 +463,19 @@ func runIngestRemote(path, addr string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "umiprof: ingest: %v\n", err)
 		return 1
 	}
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	resp, err := http.Post(base+"/sessions", "application/json", strings.NewReader(`{"ingest": true}`))
+	base, id, err := introspect.CreateIngestSession(addr)
 	if err != nil {
-		fmt.Fprintf(stderr, "umiprof: ingest: create session: %v\n", err)
+		fmt.Fprintf(stderr, "umiprof: ingest: %v\n", err)
 		return 1
 	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil || resp.StatusCode != http.StatusCreated {
-		fmt.Fprintf(stderr, "umiprof: ingest: create session: status %d, body %s\n", resp.StatusCode, body)
-		return 1
-	}
-	var inf struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(body, &inf); err != nil || inf.ID == "" {
-		fmt.Fprintf(stderr, "umiprof: ingest: create session: bad response %s\n", body)
-		return 1
-	}
-	defer deleteSession(base, inf.ID, stderr)
-	req, err := http.NewRequest(http.MethodPost, base+"/sessions/"+inf.ID+"/ingest", bytes.NewReader(stream))
+	defer func() {
+		// A failed DELETE is a note: the ingest's own outcome, already
+		// printed, stands.
+		if err := introspect.DeleteSession(base, id); err != nil {
+			fmt.Fprintf(stderr, "umiprof: ingest: delete session %s: %v\n", id, err)
+		}
+	}()
+	req, err := http.NewRequest(http.MethodPost, base+"/sessions/"+id+"/ingest", bytes.NewReader(stream))
 	if err != nil {
 		fmt.Fprintf(stderr, "umiprof: ingest: %v\n", err)
 		return 1
@@ -500,36 +488,18 @@ func runIngestRemote(path, addr string, stdout, stderr io.Writer) int {
 		req.Header.Set("X-Umi-Shard-Frames", strconv.FormatUint(m.Frames, 10))
 		req.Header.Set("X-Umi-Shard-Checksum", strconv.FormatUint(m.Checksum, 10))
 	}
-	resp, err = http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		fmt.Fprintf(stderr, "umiprof: ingest: %v\n", err)
 		return 1
 	}
-	body, rerr = io.ReadAll(resp.Body)
+	body, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if rerr != nil || resp.StatusCode != http.StatusOK {
 		fmt.Fprintf(stderr, "umiprof: ingest: status %d, body %s\n", resp.StatusCode, body)
 		return 1
 	}
-	fmt.Fprintf(stderr, "umiprof: ingested %d bytes into session %s at %s\n", len(stream), inf.ID, base)
+	fmt.Fprintf(stderr, "umiprof: ingested %d bytes into session %s at %s\n", len(stream), id, base)
 	stdout.Write(body)
 	return 0
-}
-
-// deleteSession deletes a daemon session. A failed DELETE is a note on
-// stderr: the ingest's own outcome, already printed, stands.
-func deleteSession(base, id string, stderr io.Writer) {
-	req, err := http.NewRequest(http.MethodDelete, base+"/sessions/"+id, nil)
-	if err == nil {
-		var resp *http.Response
-		if resp, err = http.DefaultClient.Do(req); err == nil {
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusNoContent {
-				err = fmt.Errorf("status %d", resp.StatusCode)
-			}
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "umiprof: ingest: delete session %s: %v\n", id, err)
-	}
 }

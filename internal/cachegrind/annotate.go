@@ -29,17 +29,12 @@ func (s *Simulator) Annotate(p *program.Program, withCold bool) string {
 		pc := p.PCOf(i)
 		in := &p.Instrs[i]
 		st := s.perPC[pc]
-		executed := st != nil
-		cold := !executed && !in.Op.IsBranch() && !withCold
 
 		if syms := byAddr[pc]; len(syms) > 0 {
 			// A label boundary: decide whether the following block is
 			// cold by looking at this instruction.
 			if !withCold && st == nil && !blockExecuted(s, p, i) {
-				if !skipping {
-					skipping = true
-				}
-				sort.Strings(syms)
+				skipping = true
 				skipped++
 				continue
 			}
@@ -56,7 +51,6 @@ func (s *Simulator) Annotate(p *program.Program, withCold bool) string {
 		if skipping {
 			continue
 		}
-		_ = cold
 		switch {
 		case st != nil:
 			fmt.Fprintf(&sb, "  %-12d %-12d %-8.4f  %#08x  %v\n",

@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"umi/internal/cachegrind"
 	"umi/internal/counters"
 	"umi/internal/stats"
-	"umi/internal/vm"
 )
 
 // CountersVsUMI quantifies §1.2's tradeoff: what delinquent-load quality
@@ -32,7 +32,9 @@ type CvUResult struct {
 }
 
 // CountersVsUMIRun runs the comparison for the named benchmarks (default:
-// mcf, the paper's Table 1 subject, swim and wupwise).
+// mcf, the paper's Table 1 subject, swim and wupwise). Every PMU profiler
+// and the Cachegrind reference ride the one UMI run per benchmark, whose
+// guest side is also the native time.
 func CountersVsUMIRun(benchNames []string) ([]*CvUResult, error) {
 	// One heavy misser (PMU-friendly), one moderate, one light: the
 	// lighter the benchmark, the finer (and costlier) the sampling a PMU
@@ -42,51 +44,43 @@ func CountersVsUMIRun(benchNames []string) ([]*CvUResult, error) {
 		return nil, err
 	}
 	model := counters.DefaultSamplingModel
+	sizes := []uint64{10, 100, 1_000, 10_000, 100_000}
 	var out []*CvUResult
 	for _, w := range ws {
-		cg, err := RunCachegrind(w, P4)
-		if err != nil {
-			return nil, err
+		cg := cachegrind.NewP4()
+		profs := make([]*counters.SampledProfiler, len(sizes))
+		for i, size := range sizes {
+			profs[i] = counters.NewSampledProfiler(P4.L2, size)
 		}
-		truth := cg.DelinquentSet(0.90)
-		native, err := RunNative(w, P4, false)
-		if err != nil {
-			return nil, err
-		}
-
-		sizes := []uint64{10, 100, 1_000, 10_000, 100_000}
-		res := &CvUResult{Benchmark: w.Name, Rows: make([]CvURow, len(sizes), len(sizes)+1)}
-		err = forEachIndexed(len(sizes), func(i int) error {
-			size := sizes[i]
-			prof := counters.NewSampledProfiler(P4.L2, size)
-			m := vm.New(w.Program(), nil)
-			m.RefHook = prof.Ref
-			if err := m.Run(MaxInstrs); err != nil {
-				return err
+		umiRun, err := RunUMI(w, P4, UMIParams(P4), false, false, func(r *UMIRun) {
+			r.RT.M.RefHook = func(pc, addr uint64, size uint8, write bool) {
+				cg.Ref(pc, addr, size, write)
+				for _, p := range profs {
+					p.Ref(pc, addr, size, write)
+				}
 			}
-			pred := prof.DelinquentSet(0.90)
-			res.Rows[i] = CvURow{
-				Label:       fmt.Sprintf("PMU@%d", size),
-				SampleSize:  size,
-				OverheadPct: 100 * float64(prof.OverheadCycles(model)) / float64(native.Cycles),
-				Recall:      stats.Recall(pred, truth),
-				FalsePos:    stats.FalsePositiveRatio(pred, truth),
-				SetSize:     len(pred),
-			}
-			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		truth, native := cg.DelinquentSet(0.90), float64(umiRun.RT.M.Cycles)
 
-		umiRun, err := RunUMI(w, P4, UMIParams(P4), false, false)
-		if err != nil {
-			return nil, err
+		res := &CvUResult{Benchmark: w.Name, Rows: make([]CvURow, 0, len(sizes)+1)}
+		for i, prof := range profs {
+			pred := prof.DelinquentSet(0.90)
+			res.Rows = append(res.Rows, CvURow{
+				Label:       fmt.Sprintf("PMU@%d", sizes[i]),
+				SampleSize:  sizes[i],
+				OverheadPct: 100 * float64(prof.OverheadCycles(model)) / native,
+				Recall:      stats.Recall(pred, truth),
+				FalsePos:    stats.FalsePositiveRatio(pred, truth),
+				SetSize:     len(pred),
+			})
 		}
 		pred := umiRun.Report.Delinquent
 		res.Rows = append(res.Rows, CvURow{
 			Label:       "UMI",
-			OverheadPct: 100 * (float64(umiRun.TotalCycles())/float64(native.Cycles) - 1),
+			OverheadPct: 100 * (float64(umiRun.TotalCycles())/native - 1),
 			Recall:      stats.Recall(pred, truth),
 			FalsePos:    stats.FalsePositiveRatio(pred, truth),
 			SetSize:     len(pred),

@@ -29,7 +29,7 @@ type Fig2Result struct {
 
 // Fig2 measures runtime overhead on the Pentium 4 with hardware
 // prefetching enabled, as the paper's Figure 2 does (nil = the 32 core
-// benchmarks).
+// benchmarks). The native time is the rio run's guest side.
 func Fig2(names []string) (*Fig2Result, error) {
 	ws, err := selectWorkloads(names)
 	if err != nil {
@@ -38,10 +38,6 @@ func Fig2(names []string) (*Fig2Result, error) {
 	res := &Fig2Result{Rows: make([]Fig2Row, len(ws))}
 	err = forEachIndexed(len(ws), func(i int) error {
 		w := ws[i]
-		native, err := RunNative(w, P4, true)
-		if err != nil {
-			return err
-		}
 		rt, err := RunRIO(w, P4, true)
 		if err != nil {
 			return err
@@ -56,11 +52,12 @@ func Fig2(names []string) (*Fig2Result, error) {
 		if err != nil {
 			return err
 		}
+		native := float64(rt.M.Cycles)
 		res.Rows[i] = Fig2Row{
 			Name:        w.Name,
-			RIO:         float64(rt.TotalCycles()) / float64(native.Cycles),
-			UMINoSamp:   float64(noSamp.TotalCycles()) / float64(native.Cycles),
-			UMISampling: float64(samp.TotalCycles()) / float64(native.Cycles),
+			RIO:         float64(rt.TotalCycles()) / native,
+			UMINoSamp:   float64(noSamp.TotalCycles()) / native,
+			UMISampling: float64(samp.TotalCycles()) / native,
 		}
 		return nil
 	})
@@ -188,6 +185,8 @@ func Fig4(names []string) (*PrefetchResult, error) {
 	return prefetchFigure("Figure 4: running time on AMD K7 (normalized to native)", names, K7)
 }
 
+// prefetchFigure normalizes each candidate's runs to native time, which
+// its plain UMI run's guest side gives.
 func prefetchFigure(title string, names []string, p *Platform) (*PrefetchResult, error) {
 	cands, err := prefetchCandidates(names, p)
 	if err != nil {
@@ -196,19 +195,16 @@ func prefetchFigure(title string, names []string, p *Platform) (*PrefetchResult,
 	res := &PrefetchResult{Title: title, Rows: make([]PrefetchRow, len(cands))}
 	err = forEachIndexed(len(cands), func(i int) error {
 		c := cands[i]
-		native, err := RunNative(c.w, p, false)
-		if err != nil {
-			return err
-		}
 		plain, err := RunUMI(c.w, p, UMIParams(p), false, false)
 		if err != nil {
 			return err
 		}
+		native := float64(plain.RT.M.Cycles)
 		res.Rows[i] = PrefetchRow{
 			Name:     c.w.Name,
 			Inserted: c.inserted,
-			UMIOnly:  float64(plain.TotalCycles()) / float64(native.Cycles),
-			UMISW:    float64(c.sw.cycles) / float64(native.Cycles),
+			UMIOnly:  float64(plain.TotalCycles()) / native,
+			UMISW:    float64(c.sw.cycles) / native,
 		}
 		return nil
 	})
@@ -221,7 +217,8 @@ func prefetchFigure(title string, names []string, p *Platform) (*PrefetchResult,
 }
 
 // hwPrefetchCandidates finds the Pentium 4 candidates and measures
-// Figures 5 and 6's other three runs on each.
+// Figures 5 and 6's other three runs on each. Both baselines run natively:
+// every UMI run here rewrites the guest, so none can stand in for them.
 func hwPrefetchCandidates(names []string) ([]prefetchCandidate, error) {
 	cands, err := prefetchCandidates(names, P4)
 	if err != nil {

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"umi/internal/cachegrind"
 	"umi/internal/stats"
 	"umi/internal/umi"
 )
@@ -105,30 +106,25 @@ func OverheadFrontier(names []string) (*FrontierResult, error) {
 		res.Points[ci] = &FrontierPoint{Config: fc,
 			Rows: make([]FrontierRow, len(ws))}
 	}
-	// One cell = workload × configuration, plus a ground-truth run per
-	// workload. Cells share nothing, so fan the whole grid out; the
-	// baseline-relative reduction is filled in a second pass. Prediction
-	// sets stay out of the JSON artifact (maps of PCs), so they live in a
-	// side grid for the scoring pass.
-	truths := make([]map[uint64]bool, len(ws))
-	hwMiss := make([]float64, len(ws))
+	// One cell = workload × configuration; each workload's ground truth
+	// rides its baseline run. Cells share nothing else, so fan the whole
+	// grid out; scoring and the baseline-relative reduction are filled in
+	// a second pass. Prediction sets stay out of the JSON artifact (maps
+	// of PCs), so they live in a side grid for the scoring pass.
+	cgs := make([]*cachegrind.Simulator, len(ws))
 	preds := make([][]map[uint64]bool, len(configs))
 	for ci := range preds {
 		preds[ci] = make([]map[uint64]bool, len(ws))
 	}
-	err = forEachIndexed(len(ws)*(len(configs)+1), func(cell int) error {
-		wi, ci := cell/(len(configs)+1), cell%(len(configs)+1)
+	err = forEachIndexed(len(ws)*len(configs), func(cell int) error {
+		wi, ci := cell/len(configs), cell%len(configs)
 		w := ws[wi]
-		if ci == len(configs) {
-			cg, err := RunCachegrind(w, P4)
-			if err != nil {
-				return err
+		run, err := RunUMI(w, P4, frontierParams(configs[ci]), false, false, func(r *UMIRun) {
+			if ci == 0 {
+				cgs[wi] = cachegrind.NewP4()
+				r.RT.M.RefHook = cgs[wi].Ref
 			}
-			truths[wi] = cg.DelinquentSet(0.90)
-			hwMiss[wi] = cg.L2MissRatio()
-			return nil
-		}
-		run, err := RunUMI(w, P4, frontierParams(configs[ci]), false, false)
+		})
 		if err != nil {
 			return err
 		}
@@ -151,10 +147,10 @@ func OverheadFrontier(names []string) (*FrontierResult, error) {
 		var sim, hw []float64
 		for wi := range pt.Rows {
 			row := &pt.Rows[wi]
-			truth := truths[wi]
+			truth := cgs[wi].DelinquentSet(0.90)
 			row.Recall = stats.Recall(preds[ci][wi], truth)
 			row.FalsePos = stats.FalsePositiveRatio(preds[ci][wi], truth)
-			row.HWMissRatio = hwMiss[wi]
+			row.HWMissRatio = cgs[wi].L2MissRatio()
 			if full := base.Rows[wi].FillCycles; full > 0 {
 				row.FillReductionPct = 100 * (1 - float64(row.FillCycles)/float64(full))
 			}

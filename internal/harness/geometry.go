@@ -69,7 +69,7 @@ func SensitivityGeometry(benchNames []string) ([]*GeometryResult, error) {
 		// One run, many geometries over the identical profiles.
 		cfg := UMIParams(P4)
 		wi := umi.NewWhatIf(cfg.WarmupRows, geometrySweep(cache.P4L2)...)
-		whatIf, err := RunUMI(w, P4, cfg, false, false, wi)
+		whatIf, err := RunUMI(w, P4, cfg, false, false, func(r *UMIRun) { r.Sys.AddConsumer(wi) })
 		if err != nil {
 			return nil, err
 		}

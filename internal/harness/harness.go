@@ -91,15 +91,19 @@ func RunRIO(w *workloads.Workload, p *Platform, hwPrefetch bool) (*rio.Runtime, 
 // UMIRun is one full UMI execution.
 type UMIRun struct {
 	// Sys, RT and H are the run's UMI system, code-cache runtime and
-	// hardware model. The setup step of RunProgram configures Sys. Once
-	// the run is finished, Sys holds its final state: the analysis
-	// (Sys.Analyzer), the self-observability snapshot
-	// (Sys.MetricsSnapshot), the per-stage attribution (Sys.Overhead,
-	// whose modelled half is deterministic and golden-safe) and the
-	// event log (Sys.EventLog), nil unless setup enabled one. RunUMI
-	// always enables it; recording is observational, so every
-	// experiment's modelled numbers are byte-identical with or without
-	// it.
+	// hardware model. rio is transparent, so whenever no optimizer
+	// rewrote the guest, RT.M.Cycles, RT.M.Instrs and H's statistics are
+	// exactly what RunNative reports for the same platform and HW
+	// prefetch setting (TestRunsShareOneExecution): a driver reads its
+	// native numbers here rather than executing the guest again. The
+	// setup step of RunProgram configures Sys. Once the run is finished,
+	// Sys holds its final state: the analysis (Sys.Analyzer), the
+	// self-observability snapshot (Sys.MetricsSnapshot), the per-stage
+	// attribution (Sys.Overhead, whose modelled half is deterministic and
+	// golden-safe) and the event log (Sys.EventLog), nil unless setup
+	// enabled one. RunUMI always enables it; recording is observational,
+	// so every experiment's modelled numbers are byte-identical with or
+	// without it.
 	Sys    *umi.System
 	Report *umi.Report
 	RT     *rio.Runtime
@@ -168,18 +172,21 @@ func RunProgram(prog *program.Program, p *Platform, hwPrefetch bool, cfg umi.Con
 
 // RunUMI executes the workload under the full UMI stack, with the
 // default event log. withPrefetch attaches the software stride
-// prefetcher at the analysis boundary; consumers are extra profile
-// analyses attached to the system.
+// prefetcher at the analysis boundary. The setup steps then run in
+// order, as RunProgram's setup does: a step may add a profile consumer
+// to r.Sys, or set r.RT.M.RefHook so that a ground-truth observer
+// (Cachegrind, the PMU model) sees every reference a native run of the
+// guest would.
 func RunUMI(w *workloads.Workload, p *Platform, cfg umi.Config, hwPrefetch, withPrefetch bool,
-	consumers ...umi.ProfileConsumer) (*UMIRun, error) {
+	setup ...func(*UMIRun)) (*UMIRun, error) {
 	r, err := RunProgram(w.Program(), p, hwPrefetch, cfg, MaxInstrs, func(r *UMIRun) {
-		for _, c := range consumers {
-			r.Sys.AddConsumer(c)
-		}
 		r.Sys.EnableEventTrace(0)
 		if withPrefetch {
 			r.Opt = prefetch.NewOptimizer(prefetch.DefaultConfig)
 			r.Sys.OnAnalyzed = r.Opt.Hook()
+		}
+		for _, s := range setup {
+			s(r)
 		}
 	})
 	if err != nil {

@@ -48,7 +48,9 @@ func Phases(names []string) (*PhasesResult, error) {
 	res := &PhasesResult{Rows: make([]BenchmarkPhases, len(ws))}
 	err = forEachIndexed(len(ws), func(i int) error {
 		// The ws-lines column reads a WorkingSet consumer.
-		run, err := RunUMI(ws[i], P4, UMIParams(P4), false, false, umi.NewWorkingSet(P4.L2.LineSize))
+		run, err := RunUMI(ws[i], P4, UMIParams(P4), false, false, func(r *UMIRun) {
+			r.Sys.AddConsumer(umi.NewWorkingSet(P4.L2.LineSize))
+		})
 		if err != nil {
 			return err
 		}

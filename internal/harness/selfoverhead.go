@@ -54,7 +54,8 @@ type SelfOverheadResult struct {
 // SelfOverhead runs the selected workloads (nil = the paper's 32) under
 // the standard UMI configuration and collects both sides of the overhead
 // story: the modelled cycle stream the tables report, and the metrics
-// layer's event counts and measured analysis latency.
+// layer's event counts and measured analysis latency. The native time is
+// the run's guest side.
 func SelfOverhead(names []string) (*SelfOverheadResult, error) {
 	ws, err := selectWorkloads(names)
 	if err != nil {
@@ -63,10 +64,6 @@ func SelfOverhead(names []string) (*SelfOverheadResult, error) {
 	res := &SelfOverheadResult{Rows: make([]SelfOverheadRow, len(ws))}
 	err = forEachIndexed(len(ws), func(i int) error {
 		w := ws[i]
-		native, err := RunNative(w, P4, false)
-		if err != nil {
-			return err
-		}
 		run, err := RunUMI(w, P4, UMIParams(P4), false, false)
 		if err != nil {
 			return err
@@ -74,7 +71,7 @@ func SelfOverhead(names []string) (*SelfOverheadResult, error) {
 		snap, elog := run.Sys.MetricsSnapshot(), run.Sys.EventLog()
 		row := SelfOverheadRow{
 			Name:          w.Name,
-			NativeCycles:  native.Cycles,
+			NativeCycles:  run.RT.M.Cycles,
 			UMICycles:     run.TotalCycles(),
 			TracesSeen:    snap.Counter("umi.traces.seen"),
 			Instrumented:  snap.Counter("umi.traces.instrumented"),

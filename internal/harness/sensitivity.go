@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"umi/internal/cachegrind"
 	"umi/internal/stats"
 	"umi/internal/umi"
 )
@@ -55,7 +56,8 @@ func setProfileRows(cfg *umi.Config, rows int) {
 
 // sensitivity runs one §7.2 sweep: per benchmark, one UMI run for each
 // value, which set applies to the standard configuration, scored against
-// the Cachegrind reference and the native running time.
+// the Cachegrind reference, which rides the first value's run, and the
+// native running time, which is each run's guest side.
 func sensitivity(benchNames []string, param string, values []int,
 	set func(*umi.Config, int)) ([]*SensResult, error) {
 	ws, err := selectWorkloads(benchNames, "181.mcf", "197.parser")
@@ -64,35 +66,35 @@ func sensitivity(benchNames []string, param string, values []int,
 	}
 	var out []*SensResult
 	for _, w := range ws {
-		cg, err := RunCachegrind(w, P4)
-		if err != nil {
-			return nil, err
-		}
-		truth := cg.DelinquentSet(0.90)
-		native, err := RunNative(w, P4, false)
-		if err != nil {
-			return nil, err
-		}
+		cg := cachegrind.NewP4()
+		preds := make([]map[uint64]bool, len(values))
 		res := &SensResult{Benchmark: w.Name, Param: param, Points: make([]SensPoint, len(values))}
 		err = forEachIndexed(len(values), func(i int) error {
 			cfg := UMIParams(P4)
 			set(&cfg, values[i])
-			run, err := RunUMI(w, P4, cfg, false, false)
+			run, err := RunUMI(w, P4, cfg, false, false, func(r *UMIRun) {
+				if i == 0 {
+					r.RT.M.RefHook = cg.Ref
+				}
+			})
 			if err != nil {
 				return err
 			}
-			p := run.Report.Delinquent
+			preds[i] = run.Report.Delinquent
 			res.Points[i] = SensPoint{
-				Value:          values[i],
-				Recall:         stats.Recall(p, truth),
-				FalsePositives: stats.FalsePositiveRatio(p, truth),
-				OverheadPct:    100 * (float64(run.TotalCycles())/float64(native.Cycles) - 1),
-				PredSize:       len(p),
+				Value:       values[i],
+				OverheadPct: 100 * (float64(run.TotalCycles())/float64(run.RT.M.Cycles) - 1),
+				PredSize:    len(preds[i]),
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
+		}
+		truth := cg.DelinquentSet(0.90)
+		for i, p := range preds {
+			res.Points[i].Recall = stats.Recall(p, truth)
+			res.Points[i].FalsePositives = stats.FalsePositiveRatio(p, truth)
 		}
 		out = append(out, res)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"umi/internal/cachegrind"
 	"umi/internal/counters"
 	"umi/internal/stats"
 	"umi/internal/workloads"
@@ -33,34 +34,30 @@ type Table1Result struct {
 }
 
 // Table1 reproduces Table 1 on the mcf stand-in (the paper's choice: "one
-// of the more memory intensive applications").
+// of the more memory intensive applications"). The native cycles and L1
+// misses are the UMI run's guest side.
 func Table1() (*Table1Result, error) {
 	w, ok := workloads.ByName("181.mcf")
 	if !ok {
 		return nil, fmt.Errorf("harness: mcf workload missing")
 	}
-	native, err := RunNative(w, P4, false)
-	if err != nil {
-		return nil, err
-	}
-	events := native.H.L1Stats.Misses
-	model := counters.DefaultSamplingModel
-	res := &Table1Result{Workload: w.Name, Events: events, NativeCycle: native.Cycles}
-	res.Rows = append(res.Rows, Table1Row{SampleSize: 0, Cycles: native.Cycles})
-	for _, size := range []uint64{10, 100, 1_000, 10_000, 100_000, 1_000_000} {
-		t := model.Time(native.Cycles, events, size)
-		res.Rows = append(res.Rows, Table1Row{
-			SampleSize:  size,
-			Cycles:      t,
-			SlowdownPct: model.SlowdownPct(native.Cycles, events, size),
-		})
-	}
 	umiRun, err := RunUMI(w, P4, UMIParams(P4), false, false)
 	if err != nil {
 		return nil, err
 	}
+	native, events := umiRun.RT.M.Cycles, umiRun.H.L1Stats.Misses
+	model := counters.DefaultSamplingModel
+	res := &Table1Result{Workload: w.Name, Events: events, NativeCycle: native}
+	res.Rows = append(res.Rows, Table1Row{SampleSize: 0, Cycles: native})
+	for _, size := range []uint64{10, 100, 1_000, 10_000, 100_000, 1_000_000} {
+		res.Rows = append(res.Rows, Table1Row{
+			SampleSize:  size,
+			Cycles:      model.Time(native, events, size),
+			SlowdownPct: model.SlowdownPct(native, events, size),
+		})
+	}
 	res.UMICycles = umiRun.TotalCycles()
-	res.UMISlowPct = 100 * (float64(res.UMICycles)/float64(native.Cycles) - 1)
+	res.UMISlowPct = 100 * (float64(res.UMICycles)/float64(native) - 1)
 	return res, nil
 }
 
@@ -230,7 +227,9 @@ func groupCorrelations(rows []Table4Bench, sim func(Table4Bench) float64, hw fun
 }
 
 // Table4 reproduces Table 4 over the selected benchmarks (nil = the
-// paper's 32).
+// paper's 32). Each UMI run also yields its platform's hardware counters,
+// and Cachegrind rides the Pentium 4 one; only the prefetching Pentium 4
+// has no UMI run to read, so it runs natively.
 func Table4(names []string) (*Table4Result, error) {
 	ws, err := selectWorkloads(names)
 	if err != nil {
@@ -239,45 +238,28 @@ func Table4(names []string) (*Table4Result, error) {
 	res := &Table4Result{PerBench: make([]Table4Bench, len(ws))}
 	err = forEachIndexed(len(ws), func(i int) error {
 		w := ws[i]
-		row := Table4Bench{Name: w.Name, Suite: w.Suite}
-
-		nNoPF, err := RunNative(w, P4, false)
+		cg := cachegrind.NewP4()
+		uP4, err := RunUMI(w, P4, UMIParams(P4), false, false, func(r *UMIRun) { r.RT.M.RefHook = cg.Ref })
 		if err != nil {
 			return err
 		}
-		row.HWNoPF = nNoPF.H.L2Stats.MissRatio()
-
 		nPF, err := RunNative(w, P4, true)
 		if err != nil {
 			return err
 		}
-		row.HWPF = nPF.H.L2Stats.MissRatio()
-
-		nK7, err := RunNative(w, K7, false)
-		if err != nil {
-			return err
-		}
-		row.HWK7 = nK7.H.L2Stats.MissRatio()
-
-		cg, err := RunCachegrind(w, P4)
-		if err != nil {
-			return err
-		}
-		row.Cachegrind = cg.L2MissRatio()
-
-		uP4, err := RunUMI(w, P4, UMIParams(P4), false, false)
-		if err != nil {
-			return err
-		}
-		row.UMISim = uP4.Report.SimMissRatio
-
 		uK7, err := RunUMI(w, K7, UMIParams(K7), false, false)
 		if err != nil {
 			return err
 		}
-		row.UMISimK7 = uK7.Report.SimMissRatio
-
-		res.PerBench[i] = row
+		res.PerBench[i] = Table4Bench{
+			Name: w.Name, Suite: w.Suite,
+			HWNoPF:     uP4.H.L2Stats.MissRatio(),
+			HWPF:       nPF.H.L2Stats.MissRatio(),
+			HWK7:       uK7.H.L2Stats.MissRatio(),
+			Cachegrind: cg.L2MissRatio(),
+			UMISim:     uP4.Report.SimMissRatio,
+			UMISimK7:   uK7.Report.SimMissRatio,
+		}
 		return nil
 	})
 	if err != nil {
@@ -340,17 +322,13 @@ func Table5() (*Table5Result, error) {
 	res := &Table5Result{PerBench: make([]Table4Bench, len(ws))}
 	err = forEachIndexed(len(ws), func(i int) error {
 		w := ws[i]
-		nPF, err := RunNative(w, P4, true)
-		if err != nil {
-			return err
-		}
 		u, err := RunUMI(w, P4, UMIParams(P4), true, false)
 		if err != nil {
 			return err
 		}
 		res.PerBench[i] = Table4Bench{
 			Name: w.Name, Suite: w.Suite,
-			HWPF:   nPF.H.L2Stats.MissRatio(),
+			HWPF:   u.H.L2Stats.MissRatio(),
 			UMISim: u.Report.SimMissRatio,
 		}
 		return nil
@@ -404,8 +382,8 @@ type Table6Result struct {
 }
 
 // Table6 evaluates delinquent-load prediction quality against the
-// Cachegrind reference on the selected benchmarks (nil = the paper's 32),
-// with x = 90% delinquency coverage.
+// Cachegrind reference, riding each UMI run, on the selected benchmarks
+// (nil = the paper's 32), with x = 90% delinquency coverage.
 func Table6(names []string) (*Table6Result, error) {
 	ws, err := selectWorkloads(names)
 	if err != nil {
@@ -414,11 +392,8 @@ func Table6(names []string) (*Table6Result, error) {
 	res := &Table6Result{Rows: make([]Table6Row, len(ws))}
 	err = forEachIndexed(len(ws), func(i int) error {
 		w := ws[i]
-		cg, err := RunCachegrind(w, P4)
-		if err != nil {
-			return err
-		}
-		run, err := RunUMI(w, P4, UMIParams(P4), false, false)
+		cg := cachegrind.NewP4()
+		run, err := RunUMI(w, P4, UMIParams(P4), false, false, func(r *UMIRun) { r.RT.M.RefHook = cg.Ref })
 		if err != nil {
 			return err
 		}

@@ -70,36 +70,66 @@ type LiveShipper struct {
 	err    error
 }
 
-// NewLiveShipper creates an ingest session on the daemon at base (a URL
-// or host:port) and starts the sender. The returned shipper is ready to
-// be written to.
-func NewLiveShipper(base string, cfg LiveConfig) (*LiveShipper, error) {
+// CreateIngestSession creates an ingest session on the daemon at base (a
+// URL or host:port): the client step a LiveShipper and `umiprof
+// -ingest-addr` share. It returns base as a URL, which DeleteSession and
+// the session's routes take, and the session's id.
+func CreateIngestSession(base string) (baseURL, id string, err error) {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	s := &LiveShipper{
-		base:   base,
-		cfg:    cfg.withDefaults(),
-		client: &http.Client{},
-		done:   make(chan struct{}),
-	}
-	s.window = make(chan []byte, liveWindow)
-	resp, err := s.client.Post(s.base+"/sessions", "application/json", strings.NewReader(`{"ingest": true}`))
+	resp, err := http.Post(base+"/sessions", "application/json", strings.NewReader(`{"ingest": true}`))
 	if err != nil {
-		return nil, fmt.Errorf("create session: %w", err)
+		return "", "", fmt.Errorf("create session: %w", err)
 	}
 	body, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if rerr != nil || resp.StatusCode != http.StatusCreated {
-		return nil, fmt.Errorf("create session: status %d, body %s", resp.StatusCode, body)
+		return "", "", fmt.Errorf("create session: status %d, body %s", resp.StatusCode, body)
 	}
 	var inf struct {
 		ID string `json:"id"`
 	}
 	if err := json.Unmarshal(body, &inf); err != nil || inf.ID == "" {
-		return nil, fmt.Errorf("create session: bad response %s", body)
+		return "", "", fmt.Errorf("create session: bad response %s", body)
 	}
-	s.id = inf.ID
+	return base, inf.ID, nil
+}
+
+// DeleteSession deletes session id on the daemon at base, a URL as
+// CreateIngestSession returns it.
+func DeleteSession(base, id string) error {
+	req, err := http.NewRequest(http.MethodDelete, base+"/sessions/"+id, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		return fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return nil
+}
+
+// NewLiveShipper creates an ingest session on the daemon at base (a URL
+// or host:port) and starts the sender. The returned shipper is ready to
+// be written to.
+func NewLiveShipper(base string, cfg LiveConfig) (*LiveShipper, error) {
+	base, id, err := CreateIngestSession(base)
+	if err != nil {
+		return nil, err
+	}
+	s := &LiveShipper{
+		base:   base,
+		id:     id,
+		cfg:    cfg.withDefaults(),
+		client: &http.Client{},
+		done:   make(chan struct{}),
+		window: make(chan []byte, liveWindow),
+	}
 	go s.run()
 	return s, nil
 }
@@ -140,11 +170,7 @@ func (s *LiveShipper) Close() (*RunResult, error) {
 		s.closed = true
 		close(s.window)
 		<-s.done
-		if req, err := http.NewRequest(http.MethodDelete, s.base+"/sessions/"+s.id, nil); err == nil {
-			if resp, err := s.client.Do(req); err == nil {
-				resp.Body.Close()
-			}
-		}
+		_ = DeleteSession(s.base, s.id) // a failed DELETE leaves the outcome as it was
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"umi/internal/cache"
 	"umi/internal/program"
@@ -227,7 +228,10 @@ func TestSequencerMatchesInline(t *testing.T) {
 
 // TestReplayConsumeJoinsSequencer: a Replay built as the whole-run
 // benchmark builds one, at AnalyzerWorkers 2, leaves no goroutine behind
-// once Consume returns — there is no Close to forget.
+// once Consume returns — there is no Close to forget. The sequencer
+// closes done in a defer, so the runtime may still count it for a moment
+// after Consume returns; the test waits up to five seconds for the count
+// to fall back, which a sequencer Consume does not stop never lets it do.
 func TestReplayConsumeJoinsSequencer(t *testing.T) {
 	_, _, stream := emitUMI(t, strideWorkload(t, 300_000), testConfig())
 	dec := wire.NewDecoder(bytes.NewReader(stream))
@@ -245,8 +249,12 @@ func TestReplayConsumeJoinsSequencer(t *testing.T) {
 	if _, err := r.Consume(dec); err != nil {
 		t.Fatalf("Consume: %v", err)
 	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("%d goroutines after Consume returned, %d before NewReplay", n, base)
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after Consume returned, %d before NewReplay", n, base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if r.Report().AnalyzerInvocations == 0 {
 		t.Error("the replay analyzed nothing")
